@@ -25,6 +25,7 @@ from .algebra import (
     zeta,
 )
 from .compositions import Composition
+from .linalg import row_reduce
 
 
 class IrreducibleDiagramError(ValueError):
@@ -396,42 +397,18 @@ def _solve_chords(d: Diagram, cycle):
     """
     cyc_set = set(cycle)
     chords = [i for i in range(len(d.edges)) if i not in cyc_set]
-    vidx = {v: j for j, v in enumerate(d.vertices)}
-    P = len(cycle)
-    C = len(chords)
-    rows = [[Fraction(0)] * (C + P) for _ in d.vertices]
-    for rank, i in enumerate(cycle):
-        a, b, _ = d.edges[i]
-        rows[vidx[a]][C + rank] -= 1
-        rows[vidx[b]][C + rank] += 1
-    for col, i in enumerate(chords):
-        a, b, _ = d.edges[i]
-        rows[vidx[a]][col] -= 1
-        rows[vidx[b]][col] += 1
-    pivots = {}
-    r = 0
-    for col in range(C):
-        piv = next((rr for rr in range(r, len(rows)) if rows[rr][col] != 0), None)
-        if piv is None:
-            raise IrreducibleDiagramError("chord momenta underdetermined")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][col] != 0:
-                f = rows[rr][col]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-        pivots[col] = r
-        r += 1
-    chord_forms = {}
-    for col, i in enumerate(chords):
-        row = rows[pivots[col]]
-        chord_forms[i] = tuple(-row[C + j] for j in range(P))
-    constraints = []
-    for rr in range(r, len(rows)):
-        form = tuple(rows[rr][C + j] for j in range(P))
-        if any(x != 0 for x in form):
-            constraints.append(form)
+    rows = {v: {} for v in d.vertices}
+    for i, (a, b, _) in enumerate(d.edges):
+        if a != b:
+            rows[a][i] = Fraction(-1)
+            rows[b][i] = Fraction(1)
+    pivots, rest = row_reduce(rows.values(), chords)
+    if len(pivots) < len(chords):
+        raise IrreducibleDiagramError("chord momenta underdetermined")
+    chord_forms = {
+        i: tuple(-pivots[i].get(e, Fraction(0)) for e in cycle) for i in chords}
+    constraints = [
+        tuple(r.get(e, Fraction(0)) for e in cycle) for r in rest if r]
     return chords, chord_forms, constraints
 
 

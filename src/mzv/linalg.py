@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import identities
 from .algebra import ProductTerm, ZetaCombination, interleavings, merge_parts, normalize
 from .compositions import composition
 
@@ -104,35 +103,44 @@ class ExactMatrix:
 
     def rank(self) -> int:
         if self.unknowns is None:
-            return _sparse_rank(self.rows)
+            return len(row_reduce(self.rows, self.columns)[0])
         keep = set(self.unknowns)
         rows = [{c: v for c, v in r.items() if c in keep} for r in self.rows]
-        return _sparse_rank(rows)
+        return len(row_reduce(rows, self.unknowns)[0])
 
 
-def _sparse_rank(rows) -> int:
-    work = [dict(r) for r in rows if r]
-    rank = 0
-    while work:
-        work.sort(key=lambda r: (len(r), min(r)))
-        piv = work.pop(0)
-        col = min(piv)
-        pval = piv[col]
-        rank += 1
-        remaining = []
-        for r in work:
-            if col in r:
-                f = r[col] / pval
+def row_reduce(rows, columns):
+    """Gauss-Jordan elimination of sparse rows {column: Fraction} over Q.
+
+    Columns are pivoted in the order given.  Each takes the shortest remaining
+    row that holds it (the first one on ties), scaled so the pivot entry is 1,
+    and is then cleared from every other row, earlier pivot rows included; a
+    column that no remaining row holds gets no pivot.  Returns ({column: pivot
+    row}, the rows left without a pivot).  The input rows are not mutated.
+    """
+    rest = [{c: v for c, v in r.items() if v} for r in rows]
+    pivots = {}
+    for col in columns:
+        best = None
+        for i, r in enumerate(rest):
+            if col in r and (best is None or len(r) < len(rest[best])):
+                best = i
+        if best is None:
+            continue
+        piv = rest.pop(best)
+        pval = Fraction(piv[col])
+        piv = {c: v / pval for c, v in piv.items()}
+        for r in itertools.chain(rest, pivots.values()):
+            f = r.get(col)
+            if f:
                 for c, v in piv.items():
-                    nv = r.get(c, Fraction(0)) - f * v
+                    nv = r.get(c, 0) - f * v
                     if nv:
                         r[c] = nv
                     else:
                         r.pop(c, None)
-            if r:
-                remaining.append(r)
-        work = remaining
-    return rank
+        pivots[col] = piv
+    return pivots, rest
 
 
 def permutation_unknowns(symbols):
@@ -185,30 +193,11 @@ def reduce_to_basis(l: int) -> BasisReduction:
     pivot_cols = [c for c in mat.unknowns if c[1][0] != (symbols[0],)]
     basis = tuple(c[1] for c in mat.unknowns if c[1][0] == (symbols[0],))
 
-    rows = [dict(r) for r in mat.rows]
-    pivots = {}
+    pivots, rest = row_reduce(mat.rows, pivot_cols)
     for col in pivot_cols:
-        best = None
-        for i, r in enumerate(rows):
-            if col in r and (best is None or len(r) < len(rows[best])):
-                best = i
-        if best is None:
+        if col not in pivots:
             raise ArithmeticError("no pivot row for column %s" % (col,))
-        piv = rows.pop(best)
-        pval = piv[col]
-        piv = {c: v / pval for c, v in piv.items()}
-        for bucket in (rows, list(pivots.values())):
-            for r in bucket:
-                if col in r and r is not piv:
-                    f = r[col]
-                    for c, v in piv.items():
-                        nv = r.get(c, Fraction(0)) - f * v
-                        if nv:
-                            r[c] = nv
-                        else:
-                            r.pop(c, None)
-        pivots[col] = piv
-    leftovers = [r for r in rows if unknown_set.intersection(r)]
+    leftovers = [r for r in rest if unknown_set.intersection(r)]
     if leftovers:
         raise ArithmeticError(
             "%d rows relate basis unknowns to each other" % len(leftovers))
@@ -254,6 +243,8 @@ def three_point_rows(symbols=("a", "b", "c")):
     symbols = tuple(symbols)
     if len(symbols) != 3:
         raise ValueError("three-point rows need exactly three symbols")
+    from . import identities   # identities -> diagrams -> linalg
+
     labels = [16, 256, 4096]
 
     def decode_part(p):

@@ -113,6 +113,15 @@ def test_order_expansion_needs_zero_chords():
         reduce(hm, strategy="structural")
 
 
+def test_order_expansion_parallel_zero_chords_underdetermined():
+    # two parallel zero chords 1 -> 0: only their sum is fixed by conservation
+    d = Diagram((0, 1, 2), 0,
+                ((0, 1, 2), (1, 2, 1), (2, 0, 3), (1, 0, 0), (1, 0, 0)))
+    with pytest.raises(IrreducibleDiagramError,
+                       match="chord momenta underdetermined"):
+        order_expansion(d)
+
+
 def test_disconnected_diagram_factorizes():
     d = Diagram((0, 1), 0, ((0, 0, 2), (1, 1, 3)))
     assert value(d) == normalize(zeta(2) * zeta(3))

@@ -1,8 +1,16 @@
+import copy
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mzv
 from mzv import (
     ExactMatrix,
     assemble_permutation_system,
@@ -20,6 +28,7 @@ from mzv.linalg import (
     instantiate_expression,
     ordered_splits,
     product_column,
+    row_reduce,
     symbolic_stuffle,
     zeta_column,
 )
@@ -165,3 +174,95 @@ def test_three_point_rows_leave_rank_unchanged():
         mat.row_labels + ["3pt"] * 6,
         unknowns=mat.unknowns)
     assert extended.rank() == mat.rank() == 4
+
+
+def dense_rank(rows, columns):
+    """Rank by plain row echelon form on a dense Fraction matrix."""
+    m = [[Fraction(r.get(c, 0)) for c in columns] for r in rows]
+    rank = 0
+    for j in range(len(columns)):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][j] / m[rank][j]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def check_reduced_form(rows, columns, pivots, rest):
+    """The structural promises of row_reduce on one input."""
+    out = list(pivots.values()) + rest
+    assert len(out) == len(rows)
+    for col, row in pivots.items():
+        assert row[col] == 1
+        assert all(col not in other for other in out if other is not row)
+    assert list(pivots) == [c for c in columns if c in pivots]
+    assert all(v != 0 for row in out for v in row.values())
+
+
+def test_row_reduce_pinned_example():
+    rows = [
+        {"x": Fraction(2), "y": Fraction(4), "z": Fraction(1)},
+        {"x": Fraction(1), "y": Fraction(1)},
+        {"y": Fraction(3), "w": Fraction(1)},
+        {"y": Fraction(6), "w": Fraction(2)},
+    ]
+    pivots, rest = row_reduce(rows, ["x", "y", "z", "v"])
+    # x pivots on the shorter second row; y on the first of two equal rows
+    assert pivots == {
+        "x": {"x": 1, "w": Fraction(-1, 3)},
+        "y": {"y": 1, "w": Fraction(1, 3)},
+        "z": {"z": 1, "w": Fraction(-2, 3)},
+    }
+    assert rest == [{}]
+    check_reduced_form(rows, ["x", "y", "z", "v"], pivots, rest)
+
+
+def test_row_reduce_column_without_row_gets_no_pivot():
+    rows = [{"x": Fraction(1), "y": Fraction(1)}]
+    pivots, rest = row_reduce(rows, ["z", "x", "y"])
+    assert list(pivots) == ["x"]
+    assert rest == []
+    assert row_reduce([], ["x"]) == ({}, [])
+
+
+def test_row_reduce_leaves_input_unchanged():
+    rows = [{"x": Fraction(1), "y": Fraction(2)},
+            {"x": Fraction(3), "y": Fraction(4)},
+            {"y": Fraction(5), "z": Fraction(1)}]
+    before = copy.deepcopy(rows)
+    pivots, rest = row_reduce(rows, ["x", "y"])
+    assert rows == before
+    assert not any(r is o for r in rows for o in list(pivots.values()) + rest)
+    assert rest == [{"z": Fraction(1)}]
+
+
+small_matrices = st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+    max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices, st.data())
+def test_row_reduce_rank_matches_dense(matrix, data):
+    ncols = len(matrix[0]) if matrix else 0
+    rows = [{j: Fraction(v) for j, v in enumerate(r) if v} for r in matrix]
+    before = copy.deepcopy(rows)
+    every = list(range(ncols))
+    pivots, rest = row_reduce(rows, every)
+    assert rows == before
+    assert len(pivots) == dense_rank(rows, every)
+    check_reduced_form(rows, every, pivots, rest)
+    assert all(not r for r in rest)
+    # pivoting a subset of columns, in any order, keeps the row space
+    columns = data.draw(st.permutations(every))[:data.draw(
+        st.integers(0, ncols))]
+    pivots, rest = row_reduce(rows, columns)
+    check_reduced_form(rows, columns, pivots, rest)
+    assert len(pivots) == dense_rank(rows, columns)
+    assert dense_rank(list(pivots.values()) + rest, every) == dense_rank(
+        rows, every)
+
