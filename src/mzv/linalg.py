@@ -54,8 +54,8 @@ def ordered_splits(symbols):
     for mask in range(1, 2 ** n - 1):
         left = tuple(symbols[i] for i in range(n) if mask >> i & 1)
         right = tuple(symbols[i] for i in range(n) if not mask >> i & 1)
-        for u in set(itertools.permutations(left)):
-            for v in set(itertools.permutations(right)):
+        for u in sorted(set(itertools.permutations(left))):
+            for v in sorted(set(itertools.permutations(right))):
                 if (u, v) not in seen:
                     seen.add((u, v))
                     yield u, v

@@ -266,3 +266,18 @@ def test_row_reduce_rank_matches_dense(matrix, data):
     assert dense_rank(list(pivots.values()) + rest, every) == dense_rank(
         rows, every)
 
+
+def test_permutation_system_is_independent_of_hash_seed():
+    source_root = pathlib.Path(mzv.__file__).resolve().parent.parent
+    code = ("from mzv import assemble_permutation_system, reduce_to_basis\n"
+            "print(repr(assemble_permutation_system('abcd').row_labels))\n"
+            "print(repr(list(reduce_to_basis(4).expressions.items())))\n")
+    path = os.pathsep.join(
+        p for p in [str(source_root), os.environ.get("PYTHONPATH")] if p)
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            check=True, timeout=120).stdout)
+    assert outputs[0] == outputs[1]
