@@ -110,7 +110,7 @@ class ExactMatrix:
 
 
 def row_reduce(rows, columns):
-    """Gauss-Jordan elimination of sparse rows {column: Fraction} over Q.
+    """Gauss-Jordan elimination over Q of sparse rows {column: nonzero Fraction}.
 
     Columns are pivoted in the order given.  Each takes the shortest remaining
     row that holds it (the first one on ties), scaled so the pivot entry is 1,
@@ -118,7 +118,7 @@ def row_reduce(rows, columns):
     column that no remaining row holds gets no pivot.  Returns ({column: pivot
     row}, the rows left without a pivot).  The input rows are not mutated.
     """
-    rest = [{c: v for c, v in r.items() if v} for r in rows]
+    rest = [dict(r) for r in rows]
     pivots = {}
     for col in columns:
         best = None
@@ -128,7 +128,7 @@ def row_reduce(rows, columns):
         if best is None:
             continue
         piv = rest.pop(best)
-        pval = Fraction(piv[col])
+        pval = piv[col]
         piv = {c: v / pval for c, v in piv.items()}
         for r in itertools.chain(rest, pivots.values()):
             f = r.get(col)

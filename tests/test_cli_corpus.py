@@ -47,11 +47,6 @@ def run_stdout(argv):
     return out.getvalue().encode("utf-8")
 
 
-@pytest.fixture(autouse=True)
-def _default_precision(monkeypatch):
-    monkeypatch.delenv("MZV_PRECISION_DIGITS", raising=False)
-
-
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_cli_stdout_pinned(name):
     expected = (CORPUS_DIR / (name + ".out")).read_bytes()

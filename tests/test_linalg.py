@@ -211,7 +211,7 @@ def test_row_reduce_pinned_example():
         {"y": Fraction(6), "w": Fraction(2)},
     ]
     pivots, rest = row_reduce(rows, ["x", "y", "z", "v"])
-    # x pivots on the shorter second row; y on the first of two equal rows
+    # the unique reduced form with pivots x, y, z and one row left in w
     assert pivots == {
         "x": {"x": 1, "w": Fraction(-1, 3)},
         "y": {"y": 1, "w": Fraction(1, 3)},
@@ -219,6 +219,15 @@ def test_row_reduce_pinned_example():
     }
     assert rest == [{}]
     check_reduced_form(rows, ["x", "y", "z", "v"], pivots, rest)
+
+
+def test_row_reduce_pivots_on_shortest_then_first_row():
+    rows = [{"y": Fraction(1), "z": Fraction(1), "u": Fraction(1)},
+            {"y": Fraction(2), "z": Fraction(1)},
+            {"y": Fraction(1), "w": Fraction(1)}]
+    pivots, rest = row_reduce(rows, ["y"])
+    assert pivots == {"y": {"y": 1, "z": Fraction(1, 2)}}
+    assert rest == [{"z": Fraction(1, 2), "u": 1}, {"w": 1, "z": Fraction(-1, 2)}]
 
 
 def test_row_reduce_column_without_row_gets_no_pivot():
