@@ -132,6 +132,32 @@ def test_eliminate_divergent_raises_on_true_divergence():
     assert err is not None and err.residual is not None
 
 
+def test_eliminate_divergent_refuses_divergent_partner():
+    comb = zeta(composition(1)) * zeta(1, 2)
+    with pytest.raises(EliminationError) as info:
+        eliminate_divergent(comb)
+    assert str(info.value) == (
+        "cannot eliminate zeta(1) against divergent partner 1,2")
+    assert info.value.residual == comb
+
+
+def test_eliminate_divergent_carries_spectators():
+    # zeta(1) pairs with its largest partner zeta(3); zeta(2) rides along
+    comb = (zeta(composition(1)) * zeta(2) * zeta(3)
+            - zeta(2) * zeta(1, 3))
+    assert eliminate_divergent(comb) == normalize(
+        zeta(2) * zeta(4) + zeta(2) * zeta(3, 1))
+
+
+def test_eliminate_divergent_reports_surviving_divergent_terms():
+    z1 = zeta(composition(1))
+    with pytest.raises(EliminationError) as info:
+        eliminate_divergent(z1 * z1 * zeta(2) - z1 * zeta(1, 2))
+    assert str(info.value) == (
+        "divergent terms survive elimination: 1·ζ(1,3); 1·ζ(1,2,1)")
+    assert info.value.residual == normalize(zeta(1, 3) + zeta(1, 2, 1))
+
+
 def test_json_round_trip():
     from mzv import combination_from_json
     comb = normalize(zeta(2, 1).scaled(Fraction(3, 2)) - zeta(2) * zeta(3))

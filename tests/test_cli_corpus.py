@@ -3,7 +3,9 @@
 Each command runs in-process through ``mzv.cli.main``; its stdout must equal
 the file ``tests/cli_corpus/<name>.out`` exactly.  The files were written by
 ``python tests/test_cli_corpus.py --write`` and are meant to stay unchanged:
-a refactor that keeps behaviour keeps these bytes.
+a refactor that keeps behaviour keeps these bytes.  ``--write`` only creates
+files that are missing, so re-running it never re-pins changed output; write
+a new entry's file before the source change it is meant to guard.
 """
 
 import contextlib
@@ -36,6 +38,25 @@ CORPUS = {
         "reduce", "--peacock", "0", "2", "2", "--strategy", "shuffle",
         "--json"],
     "derive-three-point-234": ["derive", "three-point", "2", "3", "4", "--json"],
+    "derive-reflection-23": ["derive", "reflection", "2", "3", "--json"],
+    "derive-partial-int-2-21": ["derive", "partial-int-2", "2", "1", "--json"],
+    "derive-partial-int-2-43": ["derive", "partial-int-2", "4", "3", "--json"],
+    "derive-partial-int-312-rightward": [
+        "derive", "partial-int", "3,1,2", "--variant", "rightward", "--json"],
+    "derive-partial-int-221-leftward": [
+        "derive", "partial-int", "2,2,1", "--variant", "leftward", "--json"],
+    **{
+        "derive-partial-int-3-212-%s" % variant: [
+            "derive", "partial-int-3", "2", "1", "2", "--variant", variant,
+            "--json"]
+        for variant in ("rightward", "alternative")
+    },
+    "derive-trailing-one-31": ["derive", "trailing-one", "3,1", "--json"],
+    "reduce-seashell-2112-rightward": [
+        "reduce", "--seashell", "2,1,1,2", "--strategy", "rightward",
+        "--trace", "--json"],
+    "sweep-partial-int-7": [
+        "sweep", "partial-int", "--max-weight", "7", "--json"],
 }
 
 
@@ -58,4 +79,7 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_cli_corpus.py --write")
     CORPUS_DIR.mkdir(exist_ok=True)
     for name, argv in sorted(CORPUS.items()):
-        (CORPUS_DIR / (name + ".out")).write_bytes(run_stdout(argv))
+        path = CORPUS_DIR / (name + ".out")
+        if not path.exists():
+            path.write_bytes(run_stdout(argv))
+            print("wrote %s" % path.name)
