@@ -20,7 +20,6 @@ from .compositions import (
     from_word,
     iter_admissible,
     parse_composition,
-    profile,
     to_word,
 )
 from .diagrams import (
@@ -42,7 +41,6 @@ from .identities import (
     FAMILIES,
     Identity,
     derive,
-    eliminate_zeta1,
     identity_from_json,
     partial_integration,
     partial_integration_cross_check,

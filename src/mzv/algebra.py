@@ -256,19 +256,20 @@ def divergent_expansion(x: Composition) -> ZetaCombination:
     if x.signs is not None:
         raise EliminationError("elimination handles unsigned factors only")
     parts = x.parts
-    out = [zeta(Composition((1,) + parts))]
+    out = [(1,) + parts]
     for kappa in range(len(parts)):
-        bumped = parts[:kappa] + (parts[kappa] + 1,) + parts[kappa + 1:]
-        inserted = parts[:kappa + 1] + (1,) + parts[kappa + 1:]
-        out.append(zeta(Composition(bumped)))
-        out.append(zeta(Composition(inserted)))
-    total = ZetaCombination()
-    for c in out:
-        total = total + c
-    return total
+        out.append(parts[:kappa] + (parts[kappa] + 1,) + parts[kappa + 1:])
+        out.append(parts[:kappa + 1] + (1,) + parts[kappa + 1:])
+    return normalize(ZetaCombination(tuple(
+        ProductTerm(Fraction(1), (Composition(p),)) for p in out)))
 
 
 _ZETA1_KEY = Composition((1,)).sort_key
+
+
+def _collected(acc) -> ZetaCombination:
+    return normalize(ZetaCombination(tuple(
+        ProductTerm(c, f) for c, f in acc.values())))
 
 
 def eliminate_divergent(comb: ZetaCombination) -> ZetaCombination:
@@ -276,30 +277,33 @@ def eliminate_divergent(comb: ZetaCombination) -> ZetaCombination:
 
     Equal in value to the input under any regularization that respects the
     defining sums, since only exact rearrangement identities are substituted.
+    The term with the smallest factor key is rewritten first.
     """
-    comb = normalize(comb)
+    acc = {}            # factor key -> [coefficient, factors]
+    new = comb.terms
     while True:
-        target = None
-        for t in comb.terms:
-            keys = [f.sort_key for f in t.factors]
-            if _ZETA1_KEY in keys and len(t.factors) >= 2:
-                target = t
-                break
-        if target is None:
+        for t in new:
+            k = t.factor_key
+            entry = acc.setdefault(k, [Fraction(0), t.factors])
+            entry[0] += t.coefficient
+            if entry[0] == 0:
+                del acc[k]
+        targets = [k for k in acc if _ZETA1_KEY in k and len(k) >= 2]
+        if not targets:
             break
-        rest = list(target.factors)
+        coeff, factors = acc[min(targets)]
+        rest = list(factors)
         rest.remove(Composition((1,)))
         partner = max(rest, key=lambda c: c.sort_key)
         if not partner.admissible:
             raise EliminationError(
                 "cannot eliminate zeta(1) against divergent partner %s" % partner,
-                residual=comb)
-        spectators = list(rest)
-        spectators.remove(partner)
-        replacement = divergent_expansion(partner)
-        spectator_comb = ZetaCombination(
-            (ProductTerm(target.coefficient, tuple(spectators)),))
-        comb = (comb - ZetaCombination((target,))) + spectator_comb * replacement
+                residual=_collected(acc))
+        rest.remove(partner)
+        new = [ProductTerm(-coeff, factors)] + [
+            ProductTerm(coeff * t.coefficient, tuple(rest) + t.factors)
+            for t in divergent_expansion(partner).terms]
+    comb = _collected(acc)
     bad = [
         t for t in comb.terms
         if any(not f.admissible for f in t.factors)

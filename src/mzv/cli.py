@@ -15,7 +15,7 @@ import sys
 
 from mpmath import mp
 
-from . import diagrams, identities, linalg, numerics
+from . import algebra, diagrams, identities, linalg, numerics
 from .compositions import iter_admissible, parse_composition
 
 
@@ -87,7 +87,7 @@ def _verification_report(identity, eps):
     if identity.regularized:
         # Raw partial-integration identities carry zeta(1) symbols; trade
         # them for admissible terms before putting numbers in.
-        comb = identities.eliminate_zeta1(identity.combination)
+        comb = algebra.eliminate_divergent(identity.combination)
         report = numerics.verify_identity(comb, eps=eps)
         report["identity"] = {"family": identity.family,
                              "parameters": identity.parameters}

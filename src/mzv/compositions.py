@@ -7,10 +7,7 @@ optional; the unsigned case is the classical multiple zeta value.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
-
-Profile = namedtuple("Profile", ["weight", "depth", "admissible"])
 
 
 @dataclass(frozen=True, order=True)
@@ -109,10 +106,6 @@ def parse_composition(text: str) -> Composition:
 
 def composition_from_json(obj) -> Composition:
     return composition(*obj)
-
-
-def profile(c: Composition) -> Profile:
-    return Profile(c.weight, c.depth, c.admissible)
 
 
 def to_word(c: Composition) -> tuple[int, ...]:

@@ -111,10 +111,6 @@ def canonical_key(d: Diagram):
     return (len(d.vertices), best)
 
 
-def diagrams_equal(a: Diagram, b: Diagram) -> bool:
-    return canonical_key(a) == canonical_key(b)
-
-
 def combine_terms(terms):
     """Merge (coefficient, diagram) pairs by canonical key, dropping zeros."""
     acc = {}
@@ -124,11 +120,6 @@ def combine_terms(terms):
         acc[k] = acc.get(k, Fraction(0)) + Fraction(coeff)
         reps.setdefault(k, d)
     return tuple((acc[k], reps[k]) for k in sorted(acc) if acc[k] != 0)
-
-
-def coupling_powers(d: Diagram):
-    """(total coupling power, propagator count) = (sum of labels, edge count)."""
-    return (sum(k for (_, _, k) in d.edges), len(d.edges))
 
 
 # --- builders ---------------------------------------------------------------
@@ -653,10 +644,12 @@ def _peacock_structure(d: Diagram):
 
 
 def _branch_state_value(trunk, B, C, trace) -> ZetaCombination:
-    if len(B) == 1 and B[0] == 0:
-        return zeta(Composition(trunk + C))
-    if len(C) == 1 and C[0] == 0:
-        return zeta(Composition(trunk + B))
+    for X, Y in ((B, C), (C, B)):
+        if X == (0,):
+            if 0 in trunk + Y:
+                raise IrreducibleDiagramError(
+                    "free momentum with zero exponent")
+            return zeta(Composition(trunk + Y))
     if B[0] == 0:
         trace.append("zero branch head pushed onto the trunk")
         return _branch_state_value(trunk + (0,), B[1:], C, trace)
@@ -726,8 +719,8 @@ def _fan_structure(d: Diagram):
 def _rightward_terms(t, c):
     """Drive the fan state apex by apex, right to left.
 
-    Returns (coefficient, ZetaCombination) pieces; each terminal state is a
-    fully ordered cycle (all chords zero) or a leading factor split.
+    Returns ProductTerms; each terminal state is a fully ordered cycle (all
+    chords zero) or a leading factor split.
     """
     p = len(c)
     out = []
@@ -747,12 +740,13 @@ def _rightward_terms(t, c):
                 nt = t[:i - 1] + (x, y) + t[i + 1:]
                 nc = c[:i - 1] + (0,) + c[i:]
                 assert all(k == 0 for k in nc)
-                out.append((cf, zeta(Composition(nt))))
+                out.append(ProductTerm(cf, (Composition(nt),)))
             elif x == 0:
                 big, rem = (y, z) if raise_chord else (z, y)
                 if i == 1:
                     tail = (rem,) + t[i + 1:]
-                    out.append((cf, zeta(big) * zeta(Composition(tail))))
+                    out.append(ProductTerm(
+                        cf, (Composition((big,)), Composition(tail))))
                 else:
                     nt = t[:i - 1] + (0, rem) + t[i + 1:]
                     nc = c[:i - 2] + (big, 0) + c[i:]
@@ -776,10 +770,7 @@ def _reduce_rightward(d: Diagram, trace) -> ZetaCombination:
             "only the last chord may start nonzero for the rightward sweep")
     if any(k == 0 for k in t):
         raise IrreducibleDiagramError("zero cycle labels need an exchange first")
-    raw = []
-    for coeff, piece in _rightward_terms(t, c):
-        raw.extend(pt.scaled(coeff) for pt in piece.terms)
-    total = normalize(ZetaCombination(tuple(raw)))
+    total = normalize(ZetaCombination(tuple(_rightward_terms(t, c))))
     trace.append("raw reduction has %d terms" % len(total.terms))
     final = eliminate_divergent(total)
     trace.append("divergence elimination leaves %d terms" % len(final.terms))

@@ -9,9 +9,11 @@ rearrangement and are stated for unsigned exponents.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from . import diagrams
 from .algebra import (
@@ -24,11 +26,6 @@ from .algebra import (
     zeta,
 )
 from .compositions import Composition, composition, parse_composition
-
-# The substitution that rewrites zeta(1)-factors into admissible terms is
-# shared with the diagram reductions; re-exported here under the name callers
-# look for when finishing an identity by hand.
-eliminate_zeta1 = eliminate_divergent
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +41,7 @@ class Identity:
     @property
     def combination(self) -> ZetaCombination:
         """lhs - rhs; the combination a checker should find to be zero."""
-        return normalize(self.lhs - self.rhs)
+        return self.lhs - self.rhs
 
     @property
     def weight(self):
@@ -84,13 +81,12 @@ def _check_unsigned(c: Composition, what: str):
 # --- domain-splitting families ---------------------------------------------
 
 def reflection(a: int, b: int) -> Identity:
-    """zeta(a) zeta(b) split by which of the two indices is larger."""
-    left, right = composition(a), composition(b)
-    return Identity(
+    """zeta(a) zeta(b) split by which of the two indices is larger: the
+    depth-1 case of the permutation identity."""
+    return dataclasses.replace(
+        permutation_identity((a,), (b,)),
         family="reflection",
         parameters={"a": a, "b": b},
-        lhs=zeta(left) * zeta(right),
-        rhs=stuffle(left, right),
         derivation=("split the double sum by n > m, n < m, n = m",),
     )
 
@@ -121,17 +117,17 @@ def three_point_identity(a: int, b: int, c: int) -> Identity:
             raise ValueError("exponents must be >= 1")
     d = diagrams.build_seashell((a, b, c))
     pieces = diagrams.rewrite_three_point(d, d.root)
-    rhs = ZetaCombination()
+    terms = []
     notes = []
     for coeff, piece in pieces:
         val = diagrams.reduce(piece, strategy="structural")
-        rhs = rhs + val.scaled(coeff)
+        terms.extend(t.scaled(coeff) for t in val.terms)
         notes.append("%s from %s" % (val, piece))
     return Identity(
         family="three-point",
         parameters={"a": a, "b": b, "c": c},
         lhs=zeta(a, b, c),
-        rhs=rhs,
+        rhs=normalize(ZetaCombination(tuple(terms))),
         derivation=tuple(notes),
     )
 
@@ -154,58 +150,44 @@ def shuffle_identity(left, right) -> Identity:
 
 # --- partial integration, generic depth ------------------------------------
 
+def _descending_chains(top, length):
+    """Every n_1 >= n_2 >= ... >= n_length >= 1 with n_1 <= top."""
+    return itertools.combinations_with_replacement(range(top, 0, -1), length)
+
+
 def _rightward_general_rhs(ks) -> ZetaCombination:
     """Expansion of zeta(ks) that trades the innermost exponent outward.
 
     One block per split position kappa, plus a final block of two-factor
-    products carrying the leftover single sum.
+    products carrying the leftover single sum.  Each block runs over the
+    descending chains n_(m-1) >= ... >= n_(kappa+1) bounded by k_m.
     """
     m = len(ks)
     k = (0,) + tuple(ks)
     terms = []
     sign_last = (-1) ** (k[m] % 2)
 
+    def tail_coeff(n, start):
+        return prod(comb(k[j] - n[j] + n[j + 1] - 1, k[j] - 1)
+                    for j in range(start, m))
+
     for kappa in range(1, m):
+        for chain in _descending_chains(k[m], m - 1 - kappa):
+            for v in range(1, k[kappa] + 1):
+                n = (0,) * kappa + (v,) + chain[::-1] + (k[m],)
+                coeff = comb(k[kappa] - v + n[kappa + 1] - 1,
+                             n[kappa + 1] - 1) * tail_coeff(n, kappa + 1)
+                arg = k[1:kappa] + (v,) + tuple(
+                    k[j] - n[j] + n[j + 1] for j in range(kappa, m))
+                terms.append(
+                    ProductTerm(sign_last * coeff, (Composition(arg),)))
 
-        def emit(n, kappa=kappa):
-            coeff = comb(k[kappa] - n[kappa] + n[kappa + 1] - 1,
-                         n[kappa + 1] - 1)
-            for j in range(kappa + 1, m):
-                coeff *= comb(k[j] - n[j] + n[j + 1] - 1, k[j] - 1)
-            if not coeff:
-                return
-            arg = tuple(k[i] for i in range(1, kappa)) + (n[kappa],) + tuple(
-                k[j] - n[j] + n[j + 1] for j in range(kappa, m))
-            terms.append(
-                ProductTerm(Fraction(sign_last * coeff), (Composition(arg),)))
-
-        def rec(j, upper, acc, kappa=kappa, emit=emit):
-            if j == kappa:
-                for v in range(1, k[kappa] + 1):
-                    emit({**acc, kappa: v})
-                return
-            for v in range(1, upper + 1):
-                rec(j - 1, v, {**acc, j: v})
-
-        rec(m - 1, k[m], {m: k[m]})
-
-    def recf(j, upper, acc):
-        if j == 0:
-            coeff = 1
-            for jj in range(1, m):
-                coeff *= comb(k[jj] - acc[jj] + acc[jj + 1] - 1, k[jj] - 1)
-            if not coeff:
-                return
-            sign = (-1) ** ((k[m] - acc[1]) % 2)
-            arg = tuple(k[jj] - acc[jj] + acc[jj + 1] for jj in range(1, m))
-            prod = zeta(acc[1]) * zeta(Composition(arg))
-            for t in prod.scaled(Fraction(sign * coeff)).terms:
-                terms.append(t)
-            return
-        for v in range(1, upper + 1):
-            recf(j - 1, v, {**acc, j: v})
-
-    recf(m - 1, k[m], {m: k[m]})
+    for chain in _descending_chains(k[m], m - 1):
+        n = (0,) + chain[::-1] + (k[m],)
+        sign = (-1) ** ((k[m] - n[1]) % 2)
+        arg = tuple(k[j] - n[j] + n[j + 1] for j in range(1, m))
+        terms.append(ProductTerm(sign * tail_coeff(n, 1),
+                                 (Composition((n[1],)), Composition(arg))))
     return normalize(ZetaCombination(tuple(terms)))
 
 
@@ -217,50 +199,28 @@ def _leftward_general_rhs(ks) -> ZetaCombination:
     """
     m = len(ks)
     k = (0,) + tuple(ks)
-    n0 = k[1]
     terms = []
 
+    def head_coeff(n, stop):
+        return prod(comb(k[lam] + n[lam - 2] - n[lam - 1] - 1, k[lam] - 1)
+                    for lam in range(2, stop + 1))
+
     for kappa in range(1, m):
+        for chain in _descending_chains(k[1], kappa - 1):
+            for v in range(1, k[kappa + 1] + 1):
+                n = (k[1],) + chain + (v,)
+                coeff = comb(k[kappa + 1] + n[kappa - 1] - v - 1,
+                             n[kappa - 1] - 1) * head_coeff(n, kappa)
+                arg = tuple(k[lam + 1] + n[lam - 1] - n[lam]
+                            for lam in range(1, kappa + 1)) \
+                    + (v,) + k[kappa + 2:]
+                terms.append(ProductTerm(coeff, (Composition(arg),)))
 
-        def emit(n, kappa=kappa):
-            n = {**n, 0: n0}
-            coeff = comb(k[kappa + 1] + n[kappa - 1] - n[kappa] - 1,
-                         n[kappa - 1] - 1)
-            for lam in range(2, kappa + 1):
-                coeff *= comb(k[lam] + n[lam - 2] - n[lam - 1] - 1, k[lam] - 1)
-            if not coeff:
-                return
-            arg = tuple(k[lam + 1] + n[lam - 1] - n[lam]
-                        for lam in range(1, kappa + 1)) \
-                + (n[kappa],) + tuple(k[i] for i in range(kappa + 2, m + 1))
-            terms.append(ProductTerm(Fraction(coeff), (Composition(arg),)))
-
-        def rec(j, upper, acc, kappa=kappa, emit=emit):
-            if j == kappa:
-                for v in range(1, k[kappa + 1] + 1):
-                    emit({**acc, kappa: v})
-                return
-            for v in range(1, upper + 1):
-                rec(j + 1, v, {**acc, j: v})
-
-        rec(1, n0, {0: n0})
-
-    def recf(j, upper, acc):
-        if j == m:
-            n = {**acc, 0: n0}
-            coeff = 1
-            for lam in range(2, m + 1):
-                coeff *= comb(k[lam] + n[lam - 2] - n[lam - 1] - 1, k[lam] - 1)
-            if not coeff:
-                return
-            arg = tuple(k[lam + 1] + n[lam - 1] - n[lam]
-                        for lam in range(1, m)) + (n[m - 1],)
-            terms.append(ProductTerm(Fraction(coeff), (Composition(arg),)))
-            return
-        for v in range(1, upper + 1):
-            recf(j + 1, v, {**acc, j: v})
-
-    recf(1, n0, {0: n0})
+    for chain in _descending_chains(k[1], m - 1):
+        n = (k[1],) + chain
+        arg = tuple(k[lam + 1] + n[lam - 1] - n[lam]
+                    for lam in range(1, m)) + (n[m - 1],)
+        terms.append(ProductTerm(head_coeff(n, m), (Composition(arg),)))
     return normalize(ZetaCombination(tuple(terms)))
 
 
@@ -271,7 +231,7 @@ def partial_integration(ks, variant: str = "rightward") -> Identity:
     zeta(1) factors; leftward: zeta(k1) zeta(k2..km) equals a positive
     expansion into single sums.  Divergent pieces are kept (the identity is
     exact term by term under the formal regularization); apply
-    eliminate_zeta1 to the combination for a finite statement.
+    eliminate_divergent to the combination for a finite statement.
     """
     c = _as_composition(ks)
     _check_unsigned(c, "partial integration")
@@ -332,23 +292,11 @@ def partial_integration_length2(a: int, b: int) -> Identity:
     single-zeta products; the divergent pieces cancel exactly."""
     if a < 2 or b < 1:
         raise ValueError("needs a >= 2, b >= 1")
-    sb = (-1) ** (b % 2)
-    terms = []
-    for n in range(1, a + 1):
-        coeff = sb * comb(a + b - n - 1, b - 1)
-        if coeff:
-            terms.append(
-                ProductTerm(Fraction(coeff), (Composition((n, a + b - n)),)))
-    raw = ZetaCombination(tuple(terms))
-    for n in range(1, b + 1):
-        coeff = (-1) ** ((b - n) % 2) * comb(a + b - n - 1, a - 1)
-        if coeff:
-            raw = raw + (zeta(n) * zeta(a + b - n)).scaled(coeff)
     return Identity(
         family="partial-int-2",
         parameters={"a": a, "b": b},
         lhs=zeta(a, b),
-        rhs=eliminate_divergent(raw),
+        rhs=eliminate_divergent(_rightward_general_rhs((a, b))),
         derivation=("binomial rearrangement of the inner sum, then "
                     "zeta(1) elimination",),
     )
@@ -366,54 +314,36 @@ def partial_integration_length3(a: int, b: int, c: int,
         raise ValueError("needs a >= 2, b >= 1, c >= 1")
     w = a + b + c
     terms = []
+
+    def add(coeff, *factors):
+        terms.append(
+            ProductTerm(coeff, tuple(Composition(f) for f in factors)))
+
+    for n in range(1, b + 1):
+        add((-1) ** (c % 2) * comb(b + c - n - 1, c - 1), (a, n, b + c - n))
     if variant == "rightward":
-        for n in range(1, b + 1):
-            coeff = (-1) ** (c % 2) * comb(b + c - n - 1, c - 1)
-            if coeff:
-                terms.append(ProductTerm(
-                    Fraction(coeff), (Composition((a, n, b + c - n)),)))
         for n in range(1, c + 1):
             for m in range(1, a + 1):
-                coeff = (-1) ** (b % 2) * comb(b + c - n - 1, b - 1) \
-                    * comb(w - m - n - 1, b + c - n - 1)
-                if coeff:
-                    terms.append(ProductTerm(
-                        Fraction(coeff), (Composition((m, w - m - n, n)),)))
-        raw = ZetaCombination(tuple(terms))
-        for n in range(1, c + 1):
+                add((-1) ** (b % 2) * comb(b + c - n - 1, b - 1)
+                    * comb(w - m - n - 1, b + c - n - 1), (m, w - m - n, n))
             for m in range(1, b + c - n + 1):
-                coeff = (-1) ** ((b + m) % 2) * comb(b + c - n - 1, b - 1) \
-                    * comb(w - m - n - 1, a - 1)
-                if coeff:
-                    raw = raw + (zeta(m) * zeta(w - m - n, n)).scaled(coeff)
+                add((-1) ** ((b + m) % 2) * comb(b + c - n - 1, b - 1)
+                    * comb(w - m - n - 1, a - 1), (m,), (w - m - n, n))
     elif variant == "alternative":
-        for n in range(1, b + 1):
-            coeff = (-1) ** (c % 2) * comb(b + c - n - 1, c - 1)
-            if coeff:
-                terms.append(ProductTerm(
-                    Fraction(coeff), (Composition((a, n, b + c - n)),)))
         for n in range(1, c + 1):
             for m in range(1, a + 1):
-                coeff = (-1) ** (c % 2) * comb(b + c - n - 1, b - 1) \
-                    * comb(a - m + n - 1, n - 1)
-                if coeff:
-                    terms.append(ProductTerm(
-                        Fraction(coeff),
-                        (Composition((m, a - m + n, b + c - n)),)))
-        raw = ZetaCombination(tuple(terms))
-        for n in range(1, c + 1):
+                add((-1) ** (c % 2) * comb(b + c - n - 1, b - 1)
+                    * comb(a - m + n - 1, n - 1), (m, a - m + n, b + c - n))
             for m in range(1, n + 1):
-                coeff = (-1) ** ((c - m) % 2) * comb(a - m + n - 1, a - 1) \
-                    * comb(b + c - n - 1, b - 1)
-                if coeff:
-                    raw = raw + (zeta(m) * zeta(a - m + n, b + c - n)).scaled(coeff)
+                add((-1) ** ((c - m) % 2) * comb(a - m + n - 1, a - 1)
+                    * comb(b + c - n - 1, b - 1), (m,), (a - m + n, b + c - n))
     else:
         raise ValueError("variant must be rightward or alternative")
     return Identity(
         family="partial-int-3",
         parameters={"a": a, "b": b, "c": c, "variant": variant},
         lhs=zeta(a, b, c),
-        rhs=eliminate_divergent(raw),
+        rhs=eliminate_divergent(ZetaCombination(tuple(terms))),
         derivation=("two binomial rearrangements of the inner sums (%s), "
                     "then zeta(1) elimination" % variant,),
     )
@@ -431,8 +361,7 @@ def trailing_one(x) -> Identity:
     if not x.admissible:
         raise ValueError("base composition must be admissible")
     target = Composition(x.parts + (1,))
-    z = normalize(
-        divergent_expansion(x) - _leftward_general_rhs((1,) + x.parts))
+    z = divergent_expansion(x) - _leftward_general_rhs((1,) + x.parts)
     coeff = Fraction(0)
     rest = []
     for t in z.terms:

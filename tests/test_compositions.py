@@ -9,7 +9,6 @@ from mzv import (
     from_word,
     iter_admissible,
     parse_composition,
-    profile,
     to_word,
 )
 
@@ -63,11 +62,6 @@ def test_sort_key_orders_by_weight_then_depth():
     ordered = sorted(cs, key=lambda c: c.sort_key)
     assert [c.parts for c in ordered] == [
         (2,), (3,), (2, 1), (4,), (2, 2), (2, 1, 1)]
-
-
-def test_profile():
-    p = profile(composition(3, 1))
-    assert (p.weight, p.depth, p.admissible) == (4, 2, True)
 
 
 def test_words():

@@ -11,7 +11,7 @@ from mzv import (
     build_seashell,
     composition,
     diagram_from_json,
-    eliminate_zeta1,
+    eliminate_divergent,
     eval_combination,
     normalize,
     one,
@@ -27,12 +27,8 @@ from mzv import (
     stuffle,
     zeta,
 )
-from mzv.diagrams import (
-    canonical_key,
-    coupling_powers,
-    diagrams_equal,
-    order_expansion,
-)
+from mzv.cli import main
+from mzv.diagrams import canonical_key, order_expansion
 
 
 def value(d, strategy="structural"):
@@ -67,10 +63,9 @@ def test_builder_validation():
 def test_canonical_key_and_equality():
     d1 = Diagram((0, 1, 2), 0, ((0, 1, 2), (1, 2, 1), (2, 0, 1)))
     d2 = Diagram((0, 4, 9), 0, ((0, 9, 2), (9, 4, 1), (4, 0, 1)))
-    assert diagrams_equal(d1, d2)
     assert canonical_key(d1) == canonical_key(d2)
     d3 = Diagram((0, 1, 2), 0, ((0, 1, 2), (1, 2, 2), (2, 0, 1)))
-    assert not diagrams_equal(d1, d3)
+    assert canonical_key(d1) != canonical_key(d3)
 
 
 def test_json_round_trip():
@@ -79,11 +74,6 @@ def test_json_round_trip():
     assert back.vertices == d.vertices
     assert back.root == d.root
     assert back.edges == d.edges
-
-
-def test_coupling_powers():
-    assert coupling_powers(build_seashell((2, 1))) == (3, 3)
-    assert coupling_powers(build_half_moon(3, 0, 2)) == (5, 3)
 
 
 def test_structural_seashell_values():
@@ -159,8 +149,8 @@ def test_reverse_edge_preserves_cycle_value():
         total = total + value(d).scaled(coeff)
     assert normalize(total) == normalize(zeta(4))
     # the whole value sits in the fused piece, a 2-cycle
-    fused = [d for coeff, d in pieces
-             if diagrams_equal(d, Diagram((0, 1), 0, ((0, 1, 2), (1, 0, 2))))]
+    two_cycle = canonical_key(Diagram((0, 1), 0, ((0, 1, 2), (1, 0, 2))))
+    fused = [d for coeff, d in pieces if canonical_key(d) == two_cycle]
     assert len(fused) == 1
     zero_pieces = [d for _, d in pieces if value(d).is_zero()]
     assert len(zero_pieces) == 2
@@ -180,7 +170,7 @@ def test_reverse_edge_seashell_chord_divergent_pieces():
     assert total.regularized
     assert normalize(zeta(composition(1)) * zeta(2)) in values
     assert normalize(zeta(1, 2)) in values
-    assert eliminate_zeta1(total) == normalize(zeta(2, 1))
+    assert eliminate_divergent(total) == normalize(zeta(2, 1))
 
 
 def test_reverse_edge_peacock_trunk():
@@ -211,7 +201,8 @@ def test_integrate_valence2():
     coeff, merged = res[0]
     assert coeff == Fraction(1)
     assert merged.vertices == (0, 2)
-    assert diagrams_equal(merged, Diagram((0, 2), 0, ((0, 2, 3), (2, 0, 1))))
+    assert canonical_key(merged) == canonical_key(
+        Diagram((0, 2), 0, ((0, 2, 3), (2, 0, 1))))
     assert value(merged) == value(cyc) == normalize(zeta(4))
 
 
@@ -229,8 +220,10 @@ def test_partial_integration_half_moon():
     pieces = rewrite_partial_integration(hm, 1)
     assert sorted(coeff for coeff, _ in pieces) == [Fraction(-1), Fraction(1)]
     by_coeff = {coeff: d for coeff, d in pieces}
-    assert diagrams_equal(by_coeff[Fraction(1)], build_half_moon(2, 1, 2))
-    assert diagrams_equal(by_coeff[Fraction(-1)], build_half_moon(3, 1, 1))
+    assert canonical_key(by_coeff[Fraction(1)]) == canonical_key(
+        build_half_moon(2, 1, 2))
+    assert canonical_key(by_coeff[Fraction(-1)]) == canonical_key(
+        build_half_moon(3, 1, 1))
     total = one(0)
     for coeff, d in pieces:
         total = total + reduce(d, strategy="auto").scaled(coeff)
@@ -250,7 +243,7 @@ def test_exchange_inner_label_swap():
     res = rewrite_exchange_inner(d, 2)
     assert len(res) == 1 and res[0][0] == Fraction(1)
     expected = Diagram((0, 1, 2), 0, ((0, 1, 2), (1, 2, 0), (1, 0, 1), (2, 0, 3)))
-    assert diagrams_equal(res[0][1], expected)
+    assert canonical_key(res[0][1]) == canonical_key(expected)
     # the swap reflects the inner momentum, a box-preserving bijection
     for M in (40, 80):
         assert abs(brute_diagram(d, M) - brute_diagram(res[0][1], M)) < 1e-12
@@ -318,6 +311,20 @@ def test_auto_falls_back_on_loaded_half_moon():
     right = reduce(hm, strategy="rightward")
     assert auto == right
     assert auto == normalize(zeta(5) - zeta(2, 3) + zeta(4, 1))
+
+
+@pytest.mark.parametrize("strategy", ["auto", "shuffle"])
+@pytest.mark.parametrize("labels", [(1, 0, 0), (0, 0, 3), (0, 2, 0), (2, 0, 0)])
+def test_half_moon_with_two_zero_labels_is_irreducible(labels, strategy, capsys):
+    # the double-branch reading leaves a zero exponent on a free momentum
+    with pytest.raises(IrreducibleDiagramError):
+        reduce(build_half_moon(*labels), strategy=strategy)
+    argv = ["reduce", "--half-moon", ",".join(map(str, labels)),
+            "--strategy", strategy]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mzv: error: ")
+    assert "parts must be positive" not in err
 
 
 def test_reduce_trace_and_bad_strategy():

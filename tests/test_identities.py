@@ -7,7 +7,7 @@ from mzv import (
     FAMILIES,
     composition,
     derive,
-    eliminate_zeta1,
+    eliminate_divergent,
     identity_from_json,
     iter_admissible,
     normalize,
@@ -131,12 +131,12 @@ def test_raw_partial_integration_is_regularized():
     assert raw.regularized
     # eliminating the divergent pieces of lhs - rhs leaves the finite
     # content of the identity, here zeta(2,1) - zeta(3)
-    fin = eliminate_zeta1(raw.combination)
+    fin = eliminate_divergent(raw.combination)
     assert fin == normalize(zeta(2, 1) - zeta(3))
     raw = partial_integration((2, 1), variant="leftward")
     assert raw.lhs == zeta(composition(1)) * zeta(composition(2))
     assert raw.combination.regularized
-    fin = eliminate_zeta1(raw.combination)
+    fin = eliminate_divergent(raw.combination)
     assert not fin.regularized
     assert verify_identity(fin, eps=1e-10)["pass"]
 
@@ -146,7 +146,7 @@ def test_raw_rightward_eliminates_for_all_small_compositions():
     # true identity
     for c in iter_admissible(7, min_depth=2):
         raw = partial_integration(c.parts, variant="rightward")
-        fin = eliminate_zeta1(raw.combination)
+        fin = eliminate_divergent(raw.combination)
         assert not fin.regularized, c
         assert verify_identity(fin, eps=1e-9)["pass"], c
 
