@@ -1,10 +1,11 @@
 """Numeric evaluation with explicit error bounds.
 
 Two independent evaluators are kept side by side on purpose: a truncated
-nested-sum evaluator (vectorized, float64, rigorous tail bound) and a
-high-precision evaluator based on splitting the iterated-integral word at the
-midpoint.  Identity verification always reports a residual together with the
-propagated bound, never a bare float.
+nested-sum evaluator (numpy, accumulated in 80-bit longdouble and returned as
+a float64, rigorous tail bound) and a high-precision evaluator based on
+splitting the iterated-integral word at the midpoint.  Identity verification
+always reports a residual together with the propagated bound, never a bare
+float.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .algebra import ZetaCombination, normalize
 from .compositions import Composition, from_word, to_word
 
 FLOAT_SLACK = 1e-12  # headroom for float64 roundoff in the direct evaluator
+MAX_TRUNCATION = 10 ** 7  # direct-sum arrays are 16 bytes per index
 
 
 @dataclass(frozen=True)
@@ -50,20 +52,25 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
         raise ValueError("divergent composition %s" % c)
     if N < 2:
         raise ValueError("truncation too small")
+    if N > MAX_TRUNCATION:
+        raise ValueError("truncation N = %d exceeds the limit %d"
+                         % (N, MAX_TRUNCATION))
     # 80-bit accumulation keeps rounding noise below FLOAT_SLACK even at
-    # N = 10^6, where plain float64 cumsum noise reaches 1e-11.
-    n = np.arange(1, N + 1, dtype=np.longdouble)
-    alt = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0).astype(np.longdouble)
-    inner = None
+    # N = 10^6, where plain float64 cumsum noise reaches 1e-11.  Powers are
+    # chains of multiplications by 1/n: numpy's longdouble ** is slow for
+    # exponents >= 4, and the chain differs from it by < 1e-18 relative.
+    r = np.longdouble(1) / np.arange(1, N + 1, dtype=np.longdouble)
     csum = None
     for j in reversed(range(c.depth)):
-        x = n ** np.longdouble(-c.parts[j])
+        x = r.copy()
+        for _ in range(c.parts[j] - 1):
+            x *= r
         if c.sign(j) == -1:
-            x = x * alt
-        if inner is not None:
-            x = x * inner
-        csum = np.cumsum(x)
-        inner = np.concatenate(([np.longdouble(0)], csum[:-1]))
+            x[::2] *= -1                 # odd n
+        if csum is not None:
+            x[1:] *= csum[:-1]           # inner indices strictly below n
+            x[0] = 0
+        csum = np.cumsum(x, out=x)
     value = float(csum[-1])
 
     m = c.depth
@@ -263,21 +270,29 @@ def propagator_real_closed_form(k: int, u):
 def eval_propagator(k: int, u, N: int) -> PropagatorValue:
     """Partial Fourier sum sum_{n<=N} e^(2 pi i n u) / (2 pi i n)^k.
 
-    Runs in mpmath because the tail signal at large k sits below float64
-    resolution.  Also returns the Bernoulli closed-form real part.
+    The sum is taken at u exactly, u = p/q as a Fraction (a float u is its
+    exact binary value).  The terms 1/n^k are added as fixed-point integers
+    floor(2^B / n^k) into the residue classes of n mod q, which share the
+    phase e^(2 pi i n p/q); at most min(q, N + 1) classes are then combined
+    in mpmath at 40 digits.  Also returns the Bernoulli closed-form real part.
     """
     if k < 2:
         raise ValueError("k >= 2 required for absolute convergence")
-    if not -1 < float(u) < 1:
+    u = Fraction(u)
+    if not -1 < u < 1:
         raise ValueError("u must lie in (-1, 1)")
+    p, q = u.numerator, u.denominator
+    # Each floor is below the true term by less than 2^-B, so the N floors
+    # move the sum by less than N 2^-B < 2^-128: inside the 1e-30 below,
+    # together with the 40-digit rounding of the class sums.
+    B = 128 + N.bit_length()
+    one = 1 << B
+    classes = [sum(one // n ** k for n in range(r or q, N + 1, q))
+               for r in range(min(q, N + 1))]
     with mp.workdps(40):
-        z = mp.expjpi(2 * mp.mpf(float(u)))
-        two_pi_i = 2j * mp.pi
-        zpow = mp.mpc(1)
-        total = mp.mpc(0)
-        for n in range(1, N + 1):
-            zpow *= z
-            total += zpow / (two_pi_i * n) ** k
+        total = mp.fsum(mp.mpf(s) * mp.expjpi(mp.mpf(2 * (p * r % q)) / q)
+                        for r, s in enumerate(classes))
+        total = total / (one * (2j * mp.pi) ** k)
         tail = float((2 * mp.pi) ** (-k)) * N ** (-(k - 1)) / (k - 1)
     return PropagatorValue(total, tail + 1e-30, propagator_real_closed_form(k, u))
 

@@ -13,6 +13,7 @@ import mzv
 from mzv import (
     derive,
     normalize,
+    numerics,
     one,
     shuffle_expansion,
     zeta,
@@ -88,6 +89,17 @@ def test_eval_divergent_is_an_input_error():
     code, _, err = run(["eval", "1,2"])
     assert code == 2
     assert "diverges" in err
+
+
+def test_eval_oversized_truncation_is_an_input_error(monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("array allocated for an oversized truncation")
+
+    monkeypatch.setattr(numerics.np, "arange", no_arrays)
+    code, out, err = run(["eval", "3", "--trunc", "1000000000"])
+    assert code == 2
+    assert out == ""
+    assert "truncation N = 1000000000 exceeds the limit" in err
 
 
 def test_eval_malformed_composition():

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import brute_mzv
+from conftest import brute_mzv, brute_mzv_exact
 from mzv import (
     bernoulli_number,
     bernoulli_polynomial,
@@ -15,11 +17,13 @@ from mzv import (
     eval_propagator,
     lnz_coefficients,
     normalize,
+    numerics,
     permutation_identity,
     propagator_real_closed_form,
     verify_identity,
     zeta,
 )
+from mzv.numerics import FLOAT_SLACK, MAX_TRUNCATION
 
 
 def test_direct_against_closed_forms():
@@ -38,6 +42,27 @@ def test_direct_matches_brute():
         c = composition(*parts)
         assert eval_mzv_direct(c, 200).value == pytest.approx(
             brute_mzv(c, 200), abs=1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=4),
+       st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4),
+       st.integers(2, 60))
+def test_direct_matches_exact_truncated_sum(parts, signs, N):
+    # pins the sign parity (odd n carries the -1) and the strict nesting
+    c = composition(*(p * s for p, s in zip(parts, signs)))
+    assume(c.admissible)
+    value = eval_mzv_direct(c, N).value
+    assert abs(Fraction(value) - brute_mzv_exact(c, N)) <= FLOAT_SLACK
+
+
+def test_direct_refuses_oversized_truncation_before_allocating(monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("array allocated for an oversized truncation")
+
+    monkeypatch.setattr(numerics.np, "arange", no_arrays)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        eval_mzv_direct(composition(3), MAX_TRUNCATION + 1)
 
 
 def test_direct_bound_monotone():
@@ -128,6 +153,37 @@ def test_propagator_partial_sum_matches_closed_form():
         pv = eval_propagator(3, 0, 10 ** 3)
         assert abs(pv.value.real) <= pv.bound
         assert pv.bernoulli_real == 0
+
+
+def test_propagator_sums_at_exact_u():
+    # summed at float(u), Re missed the closed form by 2e-20..6e-20 here,
+    # against a bound of 7.9e-21
+    for u in (Fraction(3, 20), Fraction(1, 3), Fraction(1, 7)):
+        pv = eval_propagator(4, u, 3 * 10 ** 5)
+        with mp.workdps(40):
+            ref = mp.mpf(pv.bernoulli_real.numerator) / pv.bernoulli_real.denominator
+            assert abs(pv.value.real - ref) <= pv.bound
+
+
+def literal_propagator(k, u, N):
+    """The partial Fourier sum term by term at 50 digits, angle 2 pi n p/q."""
+    u = Fraction(u)
+    with mp.workdps(50):
+        return mp.fsum(
+            mp.expjpi(mp.mpf(2 * n * u.numerator) / u.denominator)
+            / (2j * mp.pi * n) ** k
+            for n in range(1, N + 1))
+
+
+# a float u sums at its exact binary value, whose denominator is 2^54
+@pytest.mark.parametrize("u", [0, Fraction(1, 2), Fraction(-1, 2),
+                               Fraction(3, 20), Fraction(-7, 19), 0.3])
+def test_propagator_matches_literal_loop(u):
+    for k in (2, 3, 4):
+        for N in (1, 2, 19, 200):
+            pv = eval_propagator(k, u, N)
+            with mp.workdps(50):
+                assert abs(pv.value - literal_propagator(k, u, N)) <= 1e-35
 
 
 def test_propagator_derivative_finite_difference():
