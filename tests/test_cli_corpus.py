@@ -57,6 +57,14 @@ CORPUS = {
         "--trace", "--json"],
     "sweep-partial-int-7": [
         "sweep", "partial-int", "--max-weight", "7", "--json"],
+    "eval-312-eps-1e-12": ["eval", "3,1,2", "--eps", "1e-12", "--json"],
+    "eval-51112-eps-1e-15": ["eval", "5,1,1,1,2", "--eps", "1e-15", "--json"],
+    "eval-22-eps-1e-30": ["eval", "2,2", "--eps", "1e-30", "--json"],
+    **{
+        "sweep-%s-8" % family: [
+            "sweep", family, "--max-weight", "8", "--json"]
+        for family in ("stuffle", "shuffle")
+    },
 }
 
 
