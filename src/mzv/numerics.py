@@ -3,13 +3,17 @@
 Two independent evaluators are kept side by side on purpose: a truncated
 nested-sum evaluator (numpy, accumulated in 80-bit longdouble and returned as
 a float64, rigorous tail bound) and a high-precision evaluator based on
-splitting the iterated-integral word at the midpoint.  Identity verification
-always reports a residual together with the propagated bound, never a bare
-float.
+splitting the iterated-integral word at the midpoint (the Hölder convolution
+with p = 2 of Borwein, Bradley, Broadhurst and Lisoněk).  The latter sums
+each half on fixed-point integer rows and bounds their floor error along with
+the series tail; its two caches share one bounded LRU policy.  Identity
+verification always reports a residual together with the propagated bound,
+never a bare float.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -93,47 +97,66 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
 
 # --- high-precision evaluator ----------------------------------------------
 
-_half_cache: dict = {}
-_accel_cache: dict = {}
+# One bounded policy for both caches: a verify stream touches a few thousand
+# (word, dps) pairs, and a miss costs well under a millisecond.
+_CACHE_SIZE = 1 << 13
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _half_word_value(word: tuple, dps: int):
     """The iterated integral of ``word`` from 0 to 1/2, with an error bound.
 
     Words ending in 1 are partial one-variable multiple polylogarithm series
-    at 1/2; the empty word is 1.
+    at 1/2, Li_s(1/2) summed over M >= n1 > ... > nd; the empty word is 1.
+    The nested rows are Python integers at scale 2^-B: each term is a floor
+    ``prev // t**k`` and the outer 2^-t a shift, so every row sits below the
+    exact one by a counted number of units, added to the bound.  One mpf is
+    made at the end.
     """
     if not word:
         return mp.mpf(1), 0.0
-    key = (word, dps)
-    hit = _half_cache.get(key)
-    if hit is not None:
-        return hit
     s = from_word(word).parts
     d = len(s)
     M = max(80, int(dps * 3.4) + 40)
+    B = int(dps * 3.33) + 64  # dps digits plus 64 guard bits
+    ts = range(1, M + 1)
+    row = [1 << B] * M  # prev[t - 1] for t = 1..M
+    for k in reversed(s[1:]):
+        row = list(itertools.accumulate(
+            (r // t ** k for r, t in zip(row, ts)), initial=0))
+    total = sum((r // t ** s[0]) >> t for r, t in zip(row, ts))
     with mp.workdps(dps + 8):
-        half = mp.mpf(1) / 2
-        prev = None
-        for j in reversed(range(d)):
-            running = mp.mpf(0)
-            row = [mp.mpf(0)] * (M + 1)
-            power = mp.mpf(1)
-            for t in range(1, M + 1):
-                x = mp.mpf(t) ** (-s[j])
-                if j == 0:
-                    power *= half
-                    x *= power
-                if prev is not None:
-                    x *= prev[t - 1]
-                running += x
-                row[t] = running
-            prev = row
-        value = prev[M]
+        value = mp.ldexp(mp.mpf(total), -B)
     tail = 4.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1) / math.factorial(d - 1)
-    out = (value, tail + float(mp.mpf(10) ** (-(dps + 2))))
-    _half_cache[key] = out
-    return out
+    # Floors only round down.  If the row below is low by at most E units of
+    # 2^-B, a level is low by at most E * sum_t t^-k + M <= E H_M + M, and
+    # the outer level by E H_M + 2M (two floors per term).  Over d levels
+    # that is at most 2M (1 + H_M + ... + H_M^(d-1)) <= 2M d (1 + H_M)^(d-1)
+    # units, with H_M <= 1 + ln M.  The weights t^-k sum to H_M > 1, so the
+    # error grows geometrically with depth: it is not d M units.
+    floors = 2.0 * M * d * (2.0 + math.log(M)) ** (d - 1)
+    # The last term covers rounding the sum to an mpf of dps + 8 digits.
+    return value, (tail + math.ldexp(floors, -B)
+                   + float(mp.mpf(10) ** (-(dps + 2))))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _midpoint_sum(word: tuple, dps: int):
+    """Value and bound of the iterated integral of ``word`` over [0, 1]:
+    the path is split at 1/2, and the half over [1/2, 1] is the reversed,
+    letter-swapped prefix over [0, 1/2]."""
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        err = 0.0
+        for j in range(len(word) + 1):
+            suffix = word[j:]
+            rev = tuple(1 - a for a in reversed(word[:j]))
+            v1, e1 = _half_word_value(suffix, dps)
+            v2, e2 = _half_word_value(rev, dps)
+            total += v1 * v2
+            err += abs(float(v1)) * e2 + abs(float(v2)) * e1 + e1 * e2
+        err += float(mp.mpf(10) ** (-(dps - 6)))
+    return total, err
 
 
 def eval_mzv_accel(c: Composition, eps: float) -> PrecisionValue:
@@ -143,29 +166,11 @@ def eval_mzv_accel(c: Composition, eps: float) -> PrecisionValue:
     if not c.admissible:
         raise ValueError("divergent composition %s" % c)
     dps = max(30, int(math.ceil(-math.log10(eps))) + 15)
-    key = (c.parts, dps)
-    hit = _accel_cache.get(key)
-    if hit is not None:
-        return hit
-    word = to_word(c)
-    n = len(word)
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        err = 0.0
-        for j in range(n + 1):
-            suffix = word[j:]
-            rev = tuple(1 - a for a in reversed(word[:j]))
-            v1, e1 = _half_word_value(suffix, dps)
-            v2, e2 = _half_word_value(rev, dps)
-            total += v1 * v2
-            err += abs(float(v1)) * e2 + abs(float(v2)) * e1 + e1 * e2
-        err += float(mp.mpf(10) ** (-(dps - 6)))
-    out = PrecisionValue(total, err)
+    total, err = _midpoint_sum(to_word(c), dps)
     if err > eps:
         raise ArithmeticError(
             "requested eps=%g not reached (bound %g)" % (eps, err))
-    _accel_cache[key] = out
-    return out
+    return PrecisionValue(total, err)
 
 
 def eval_combination(comb: ZetaCombination, eps: float) -> PrecisionValue:
@@ -275,6 +280,11 @@ def eval_propagator(k: int, u, N: int) -> PropagatorValue:
     floor(2^B / n^k) into the residue classes of n mod q, which share the
     phase e^(2 pi i n p/q); at most min(q, N + 1) classes are then combined
     in mpmath at 40 digits.  Also returns the Bernoulli closed-form real part.
+
+    A float u is slow: its denominator is 2^54, so each n <= N is a class of
+    its own and costs one mpmath expjpi.  eval_propagator(4, 0.3, 10**4)
+    took 0.4-0.6 s, against under 0.02 s for Fraction(3, 10) (2-core Xeon,
+    Python 3.11); pass a Fraction where u is a known rational.
     """
     if k < 2:
         raise ValueError("k >= 2 required for absolute convergence")

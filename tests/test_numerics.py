@@ -23,6 +23,7 @@ from mzv import (
     verify_identity,
     zeta,
 )
+from mzv.compositions import from_word, iter_admissible, to_word
 from mzv.numerics import FLOAT_SLACK, MAX_TRUNCATION
 
 
@@ -95,6 +96,53 @@ def test_accel_agrees_with_direct():
     d = eval_mzv_direct(c, 10 ** 5)
     a = eval_mzv_accel(c, 1e-12)
     assert abs(mp.mpf(d.value) - a.value) <= d.bound + a.bound
+
+
+def literal_half_word(word, dps, M):
+    """Li_s(1/2) over M >= n1 > ... > nd, one mpf term at a time at dps."""
+    s = from_word(word).parts
+    with mp.workdps(dps):
+        prev = None
+        for j in reversed(range(len(s))):
+            row = [mp.mpf(0)] * (M + 1)
+            for t in range(1, M + 1):
+                x = mp.mpf(t) ** (-s[j])
+                if j == 0:
+                    x *= mp.mpf(2) ** (-t)
+                if prev is not None:
+                    x *= prev[t - 1]
+                row[t] = row[t - 1] + x
+            prev = row
+        return prev[M]
+
+
+def half_words(max_weight):
+    """Both halves of every midpoint split of the admissible words."""
+    words = set()
+    for c in iter_admissible(max_weight):
+        w = to_word(c)
+        for j in range(len(w) + 1):
+            words.add(w[j:])
+            words.add(tuple(1 - a for a in reversed(w[:j])))
+    words.discard(())
+    return sorted(words)
+
+
+@pytest.mark.parametrize("dps", [30, 45])
+def test_half_word_matches_literal_loop(dps):
+    # the reference runs 20 digits higher and 80 terms longer, so its own
+    # rounding and truncation sit far below the bound under test
+    M = max(80, int(dps * 3.4) + 40)
+    for word in half_words(8):
+        value, bound = numerics._half_word_value(word, dps)
+        ref = literal_half_word(word, dps + 20, M + 80)
+        with mp.workdps(dps + 20):
+            assert abs(value - ref) <= bound, word
+
+
+def test_accel_caches_are_bounded():
+    for cached in (numerics._half_word_value, numerics._midpoint_sum):
+        assert cached.cache_info().maxsize == numerics._CACHE_SIZE
 
 
 def test_eval_combination_residual():
