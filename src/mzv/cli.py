@@ -130,6 +130,7 @@ def cmd_rank(args):
         symbols = linalg.generic_symbols(args.length)
     else:
         raise ValueError("rank needs --length or --pattern")
+    linalg.check_system_size(symbols)
     system = linalg.assemble_permutation_system(symbols)
     rank = system.rank()
     if args.json:

@@ -11,11 +11,31 @@ matrix over the unknown columns alone.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ProductTerm, ZetaCombination, interleavings, merge_parts, normalize
 from .compositions import composition
+
+
+# The rank --length 6 system: the largest that any test or workload ranks.
+MAX_UNKNOWNS = 720
+
+
+def check_system_size(symbols):
+    """Refuse a permutation system with more than MAX_UNKNOWNS unknowns.
+
+    The count l! / prod m_i! comes from the symbol multiplicities, so an
+    oversized system is refused before any row is built.
+    """
+    n = math.factorial(len(symbols))
+    for m in Counter(symbols).values():
+        n //= math.factorial(m)
+    if n > MAX_UNKNOWNS:
+        raise ValueError("permutation system has %d unknowns, above the limit %d"
+                         % (n, MAX_UNKNOWNS))
 
 
 def generic_symbols(l: int):
@@ -163,6 +183,7 @@ def assemble_permutation_system(symbols) -> ExactMatrix:
 
 
 def permutation_rank(symbols) -> int:
+    check_system_size(symbols)
     return assemble_permutation_system(symbols).rank()
 
 
@@ -188,6 +209,7 @@ def reduce_to_basis(l: int) -> BasisReduction:
     touch unknown columns (either would refute the rank count l! - (l-1)!).
     """
     symbols = generic_symbols(l)
+    check_system_size(symbols)
     mat = assemble_permutation_system(symbols)
     unknown_set = set(mat.unknowns)
     pivot_cols = [c for c in mat.unknowns if c[1][0] != (symbols[0],)]

@@ -129,6 +129,21 @@ def test_rank_needs_a_system():
     assert "rank needs" in err
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["rank", "--length", "7"], 5040),
+    (["rank", "--pattern", "a,b,c,d,e,f,f"], 2520),
+])
+def test_rank_refuses_oversized_system_before_assembly(monkeypatch, argv, count):
+    def no_assembly(symbols):
+        raise AssertionError("oversized system assembled")
+
+    monkeypatch.setattr(mzv.linalg, "assemble_permutation_system", no_assembly)
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "permutation system has %d unknowns, above the limit 720" % count in err
+
+
 def test_derive_human_output():
     code, out, _ = run(["derive", "reflection", "2", "3"])
     assert code == 0

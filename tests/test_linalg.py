@@ -23,6 +23,7 @@ from mzv import (
 )
 from mzv.algebra import ProductTerm, ZetaCombination
 from mzv.linalg import (
+    check_system_size,
     generic_symbols,
     instantiate_column,
     instantiate_expression,
@@ -107,6 +108,24 @@ def test_rank_formula():
     for l in (2, 3, 4):
         expected = math.factorial(l) - math.factorial(l - 1)
         assert permutation_rank(generic_symbols(l)) == expected
+
+
+def test_system_size_limit_counts_distinct_permutations():
+    check_system_size(generic_symbols(6))                 # 720
+    check_system_size(("a", "a", "b", "b", "c", "c", "d"))  # 7!/8 = 630
+    with pytest.raises(ValueError, match="has 840 unknowns"):
+        check_system_size(("a", "b", "c", "d", "e", "e", "e"))
+
+
+def test_oversized_systems_are_refused_before_assembly(monkeypatch):
+    def no_assembly(symbols):
+        raise AssertionError("oversized system assembled")
+
+    monkeypatch.setattr(mzv.linalg, "assemble_permutation_system", no_assembly)
+    with pytest.raises(ValueError, match="has 5040 unknowns"):
+        permutation_rank(generic_symbols(7))
+    with pytest.raises(ValueError, match="has 40320 unknowns"):
+        reduce_to_basis(8)
 
 
 def test_reduce_to_basis_sizes():
