@@ -65,6 +65,15 @@ CORPUS = {
             "sweep", family, "--max-weight", "8", "--json"]
         for family in ("stuffle", "shuffle")
     },
+    "reduce-half-moon-212-auto": [
+        "reduce", "--half-moon", "2,1,2", "--trace", "--json"],
+    "reduce-peacock-20-21-3-auto": [
+        "reduce", "--peacock", "2,0", "2,1", "3", "--trace", "--json"],
+    "derive-shuffle-21-3": ["derive", "shuffle", "2,1", "3", "--json"],
+    "derive-permutation-2m1-3": [
+        "derive", "permutation", "2,-1", "3", "--json"],
+    "derive-three-point-234-text": ["derive", "three-point", "2", "3", "4"],
+    "derive-trailing-one-221-text": ["derive", "trailing-one", "2,2,1"],
 }
 
 
