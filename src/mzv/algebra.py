@@ -1,9 +1,10 @@
 """Linear combinations of nested-sum products and the quasi-shuffle product.
 
 Values live in the free Q-module on formal products zeta(c1)*...*zeta(cr) of
-compositions.  Nothing here is numeric: coefficients are exact Fractions and
-divergent compositions are carried along as formal symbols (a combination is
-"regularized" while it still contains one).
+compositions.  Nothing here is numeric: a coefficient is whatever exact
+arithmetic made it, an int or (once something divided) a Fraction, never a
+float.  Divergent compositions are carried along as formal symbols (a
+combination is "regularized" while it still contains one).
 """
 
 from __future__ import annotations
@@ -80,16 +81,16 @@ def rho(left: Composition, right: Composition, pattern) -> Composition:
 
 @dataclass(frozen=True)
 class ProductTerm:
-    """coefficient * zeta(f1) * ... * zeta(fr), factors kept sorted."""
+    """coefficient * zeta(f1) * ... * zeta(fr), factors kept sorted.
 
-    coefficient: Fraction
+    The coefficient is exact (int or Fraction) and is stored as given.
+    """
+
+    coefficient: int | Fraction
     factors: tuple[Composition, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        object.__setattr__(
-            self, "factors", tuple(sorted(self.factors, key=lambda c: c.sort_key))
-        )
+        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
 
     @property
     def weight(self) -> int:
@@ -100,7 +101,7 @@ class ProductTerm:
         return tuple(f.sort_key for f in self.factors)
 
     def scaled(self, q) -> "ProductTerm":
-        return ProductTerm(self.coefficient * Fraction(q), self.factors)
+        return ProductTerm(self.coefficient * q, self.factors)
 
     def __str__(self):
         if not self.factors:
@@ -186,7 +187,7 @@ def normalize(comb: ZetaCombination) -> ZetaCombination:
     reps = {}
     for t in comb.terms:
         k = t.factor_key
-        acc[k] = acc.get(k, Fraction(0)) + t.coefficient
+        acc[k] = acc.get(k, 0) + t.coefficient
         reps.setdefault(k, t.factors)
     terms = [
         ProductTerm(c, reps[k]) for k, c in acc.items() if c != 0
@@ -201,12 +202,18 @@ def zeta(*parts) -> ZetaCombination:
         c = parts[0]
     else:
         c = composition(*parts)
-    return ZetaCombination((ProductTerm(Fraction(1), (c,)),))
+    return ZetaCombination((ProductTerm(1, (c,)),))
 
 
 def one(coefficient=1) -> ZetaCombination:
-    """The constant term (empty product of zeta factors)."""
-    return ZetaCombination((ProductTerm(Fraction(coefficient), ()),))
+    """The constant term (empty product of zeta factors).
+
+    An int coefficient stays an int; anything else (a Fraction, or a string
+    such as "1/3") is read as a Fraction.
+    """
+    if not isinstance(coefficient, int):
+        coefficient = Fraction(coefficient)
+    return ZetaCombination((ProductTerm(coefficient, ()),))
 
 
 def stuffle(left: Composition, right: Composition) -> ZetaCombination:
@@ -220,7 +227,7 @@ def stuffle(left: Composition, right: Composition) -> ZetaCombination:
     for a in range(min(m, n) + 1):
         for pattern in interleavings(m - a, n - a, a):
             c = rho(left, right, pattern)
-            out.append(ProductTerm(Fraction(1), (c,)))
+            out.append(ProductTerm(1, (c,)))
     return normalize(ZetaCombination(tuple(out)))
 
 
@@ -261,7 +268,7 @@ def divergent_expansion(x: Composition) -> ZetaCombination:
         out.append(parts[:kappa] + (parts[kappa] + 1,) + parts[kappa + 1:])
         out.append(parts[:kappa + 1] + (1,) + parts[kappa + 1:])
     return normalize(ZetaCombination(tuple(
-        ProductTerm(Fraction(1), (Composition(p),)) for p in out)))
+        ProductTerm(1, (Composition(p),)) for p in out)))
 
 
 _ZETA1_KEY = Composition((1,)).sort_key
@@ -284,7 +291,7 @@ def eliminate_divergent(comb: ZetaCombination) -> ZetaCombination:
     while True:
         for t in new:
             k = t.factor_key
-            entry = acc.setdefault(k, [Fraction(0), t.factors])
+            entry = acc.setdefault(k, [0, t.factors])
             entry[0] += t.coefficient
             if entry[0] == 0:
                 del acc[k]

@@ -117,7 +117,7 @@ def combine_terms(terms):
     reps = {}
     for coeff, d in terms:
         k = canonical_key(d)
-        acc[k] = acc.get(k, Fraction(0)) + Fraction(coeff)
+        acc[k] = acc.get(k, 0) + coeff
         reps.setdefault(k, d)
     return tuple((acc[k], reps[k]) for k in sorted(acc) if acc[k] != 0)
 
@@ -203,9 +203,7 @@ def rewrite_reverse_edge(d: Diagram, edge_index: int):
     reversed_d = d.replace_edges(drop=(edge_index,), add=((b, a, 0),))
     fused = d.replace_edges(drop=(edge_index,)).fuse({a, b})
     dropped = d.replace_edges(drop=(edge_index,))
-    return combine_terms(
-        [(Fraction(-1), reversed_d), (Fraction(1), fused), (Fraction(-1), dropped)]
-    )
+    return combine_terms([(-1, reversed_d), (1, fused), (-1, dropped)])
 
 
 def rewrite_integrate_valence2(d: Diagram, v):
@@ -222,7 +220,7 @@ def rewrite_integrate_valence2(d: Diagram, v):
         raise ValueError("self-loop blocks the convolution")
     merged = d.replace_edges(drop=(i1, i2), add=((a, b, k + l),))
     vs = tuple(w for w in merged.vertices if w != v)
-    return combine_terms([(Fraction(1), Diagram(vs, merged.root, merged.edges))])
+    return combine_terms([(1, Diagram(vs, merged.root, merged.edges))])
 
 
 def rewrite_partial_integration(d: Diagram, v, raise_edge=None):
@@ -257,7 +255,7 @@ def rewrite_partial_integration(d: Diagram, v, raise_edge=None):
         drop=(ii, raise_edge), add=((ea, eb, ek - 1), (ra, rb, rk + 1)))
     minus = d.replace_edges(
         drop=(io, raise_edge), add=((oa, ob, ok - 1), (ra, rb, rk + 1)))
-    return combine_terms([(Fraction(1), plus), (Fraction(-1), minus)])
+    return combine_terms([(1, plus), (-1, minus)])
 
 
 def rewrite_exchange_inner(d: Diagram, v, u_edge=None, v_edge=None):
@@ -293,7 +291,7 @@ def rewrite_exchange_inner(d: Diagram, v, u_edge=None, v_edge=None):
         raise ValueError("side edges must share their head")
     swapped = d.replace_edges(
         drop=(u_edge, v_edge), add=((ua, ub, vk), (va, vb, uk)))
-    return combine_terms([(Fraction(1), swapped)])
+    return combine_terms([(1, swapped)])
 
 
 def _reverse_all(d: Diagram) -> Diagram:
@@ -314,13 +312,13 @@ def rewrite_three_point(d: Diagram, v):
         (i1, (x, _, _)), (i2, (y, _, _)) = ins
         base = d.replace_edges(drop=(i1, i2))
         terms = [
-            (Fraction(-1), base.replace_edges(add=((v, x, 0), (y, x, 0)))),
-            (Fraction(-1), base.replace_edges(add=((v, y, 0), (x, y, 0)))),
-            (Fraction(1), base),
-            (Fraction(1), base.replace_edges(add=((y, x, 0),)).fuse({v, x})),
-            (Fraction(1), base.replace_edges(add=((x, y, 0),)).fuse({v, y})),
-            (Fraction(1), base.replace_edges(add=((v, x, 0),)).fuse({x, y})),
-            (Fraction(-1), base.fuse({v, x, y})),
+            (-1, base.replace_edges(add=((v, x, 0), (y, x, 0)))),
+            (-1, base.replace_edges(add=((v, y, 0), (x, y, 0)))),
+            (1, base),
+            (1, base.replace_edges(add=((y, x, 0),)).fuse({v, x})),
+            (1, base.replace_edges(add=((x, y, 0),)).fuse({v, y})),
+            (1, base.replace_edges(add=((v, x, 0),)).fuse({x, y})),
+            (-1, base.fuse({v, x, y})),
         ]
         return combine_terms(terms)
     if len(outs) == 2 and outs[0][1][1] != outs[1][1][1]:
@@ -480,7 +478,7 @@ def order_expansion(d: Diagram) -> ZetaCombination:
             expo[g] += labels[j]
         if any(k == 0 for k in expo):
             raise IrreducibleDiagramError("free momentum with zero exponent")
-        terms.append(ProductTerm(Fraction(1), (Composition(tuple(expo)),)))
+        terms.append(ProductTerm(1, (Composition(tuple(expo)),)))
     return normalize(ZetaCombination(tuple(terms)))
 
 
@@ -581,7 +579,7 @@ def shuffle_expansion(left, right) -> ZetaCombination:
     if any(k < 1 for k in L + R):
         raise ValueError("branch labels must be >= 1")
     terms = [
-        ProductTerm(Fraction(c), (Composition(suf),))
+        ProductTerm(c, (Composition(suf),))
         for suf, c in _branch_suffixes(L, R)
     ]
     return normalize(ZetaCombination(tuple(terms)))
@@ -663,7 +661,7 @@ def _branch_state_value(trunk, B, C, trace) -> ZetaCombination:
     if any(k == 0 for k in prefix + B + C):
         raise IrreducibleDiagramError("interior zero labels are not reducible")
     terms = [
-        ProductTerm(Fraction(c), (Composition(prefix + suf),))
+        ProductTerm(c, (Composition(prefix + suf),))
         for suf, c in _branch_suffixes(B, C)
     ]
     trace.append("branch recursion produced %d terms" % len(terms))
@@ -724,7 +722,7 @@ def _rightward_terms(t, c):
     """
     p = len(c)
     out = []
-    stack = [(Fraction(1), tuple(t), tuple(c), p)]
+    stack = [(1, tuple(t), tuple(c), p)]
     while stack:
         coeff, t, c, i = stack.pop()
         if c[i - 1] == 0 or t[i] != 0:
@@ -799,12 +797,9 @@ def reduce(d: Diagram, strategy: str = "auto", trace: bool = False):
             comb_ = _structural_value(d, tr)
         except IrreducibleDiagramError:
             tr.append("order expansion not applicable; matching known shapes")
-            if _peacock_structure(d) is not None:
-                try:
-                    comb_ = _reduce_shuffle(d, tr)
-                except IrreducibleDiagramError:
-                    comb_ = _reduce_rightward(d, tr)
-            else:
+            try:
+                comb_ = _reduce_shuffle(d, tr)
+            except IrreducibleDiagramError:
                 comb_ = _reduce_rightward(d, tr)
     else:
         raise ValueError("unknown strategy %r" % strategy)

@@ -36,7 +36,6 @@ class Identity:
     parameters: dict
     lhs: ZetaCombination
     rhs: ZetaCombination
-    derivation: tuple = ()
 
     @property
     def combination(self) -> ZetaCombination:
@@ -87,7 +86,6 @@ def reflection(a: int, b: int) -> Identity:
         permutation_identity((a,), (b,)),
         family="reflection",
         parameters={"a": a, "b": b},
-        derivation=("split the double sum by n > m, n < m, n = m",),
     )
 
 
@@ -100,9 +98,6 @@ def permutation_identity(left, right) -> Identity:
         parameters={"left": left.to_json(), "right": right.to_json()},
         lhs=zeta(left) * zeta(right),
         rhs=stuffle(left, right),
-        derivation=(
-            "split the product domain by the interleaving order of the chains",
-        ),
     )
 
 
@@ -118,17 +113,14 @@ def three_point_identity(a: int, b: int, c: int) -> Identity:
     d = diagrams.build_seashell((a, b, c))
     pieces = diagrams.rewrite_three_point(d, d.root)
     terms = []
-    notes = []
     for coeff, piece in pieces:
         val = diagrams.reduce(piece, strategy="structural")
         terms.extend(t.scaled(coeff) for t in val.terms)
-        notes.append("%s from %s" % (val, piece))
     return Identity(
         family="three-point",
         parameters={"a": a, "b": b, "c": c},
         lhs=zeta(a, b, c),
         rhs=normalize(ZetaCombination(tuple(terms))),
-        derivation=tuple(notes),
     )
 
 
@@ -144,7 +136,6 @@ def shuffle_identity(left, right) -> Identity:
         parameters={"left": left.to_json(), "right": right.to_json()},
         lhs=zeta(left) * zeta(right),
         rhs=diagrams.shuffle_expansion(left, right),
-        derivation=("double-branch recursion on the product diagram",),
     )
 
 
@@ -251,7 +242,6 @@ def partial_integration(ks, variant: str = "rightward") -> Identity:
         parameters={"exponents": list(ks), "variant": variant},
         lhs=lhs,
         rhs=rhs,
-        derivation=("iterated binomial rearrangement, %s sweep" % variant,),
     )
 
 
@@ -281,7 +271,7 @@ def partial_integration_cross_check(ks) -> ZetaCombination:
         if head.depth != 1:
             raise ValueError("no single-sum factor in %s" % t)
         expansion = _leftward_general_rhs((head.parts[0],) + tail.parts)
-        out.extend(expansion.scaled(t.coefficient).terms)
+        out.extend(e.scaled(t.coefficient) for e in expansion.terms)
     return normalize(ZetaCombination(tuple(out)))
 
 
@@ -297,8 +287,6 @@ def partial_integration_length2(a: int, b: int) -> Identity:
         parameters={"a": a, "b": b},
         lhs=zeta(a, b),
         rhs=eliminate_divergent(_rightward_general_rhs((a, b))),
-        derivation=("binomial rearrangement of the inner sum, then "
-                    "zeta(1) elimination",),
     )
 
 
@@ -344,8 +332,6 @@ def partial_integration_length3(a: int, b: int, c: int,
         parameters={"a": a, "b": b, "c": c, "variant": variant},
         lhs=zeta(a, b, c),
         rhs=eliminate_divergent(ZetaCombination(tuple(terms))),
-        derivation=("two binomial rearrangements of the inner sums (%s), "
-                    "then zeta(1) elimination" % variant,),
     )
 
 
@@ -362,7 +348,7 @@ def trailing_one(x) -> Identity:
         raise ValueError("base composition must be admissible")
     target = Composition(x.parts + (1,))
     z = divergent_expansion(x) - _leftward_general_rhs((1,) + x.parts)
-    coeff = Fraction(0)
+    coeff = 0
     rest = []
     for t in z.terms:
         if t.factors == (target,):
@@ -377,9 +363,6 @@ def trailing_one(x) -> Identity:
         parameters={"exponents": list(x.parts)},
         lhs=zeta(target),
         rhs=rhs,
-        derivation=(
-            "equate index insertion with the leftward sweep for "
-            "zeta(1)zeta(%s) and solve" % x,),
     )
 
 

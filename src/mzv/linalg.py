@@ -242,7 +242,7 @@ def instantiate_column(col, assignment) -> ProductTerm:
     factors = tuple(
         composition(*(sum(assignment[s] for s in part) for part in comp))
         for comp in comps)
-    return ProductTerm(Fraction(1), factors)
+    return ProductTerm(1, factors)
 
 
 def instantiate_expression(comp, expression, assignment) -> ZetaCombination:

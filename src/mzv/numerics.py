@@ -166,8 +166,11 @@ def eval_mzv_accel(c: Composition, eps: float) -> PrecisionValue:
     if not c.admissible:
         raise ValueError("divergent composition %s" % c)
     dps = max(30, int(math.ceil(-math.log10(eps))) + 15)
-    total, err = _midpoint_sum(to_word(c), dps)
-    if err > eps:
+    try:
+        total, err = _midpoint_sum(to_word(c), dps)
+    except OverflowError:       # a deep word's tail bound exceeds any float
+        err = math.inf
+    if not err <= eps:          # a NaN bound is refused too
         raise ArithmeticError(
             "requested eps=%g not reached (bound %g)" % (eps, err))
     return PrecisionValue(total, err)

@@ -34,6 +34,12 @@ def test_combination_arithmetic():
     assert normalize(a.scaled(Fraction(1, 2)) + a.scaled(Fraction(1, 2))) == a
     assert (-a).terms[0].coefficient == -1
     assert one(5).terms[0].factors == ()
+    # a coefficient handed in by a caller becomes a Fraction, never a float
+    third = one("1/3").terms[0].coefficient
+    assert type(third) is Fraction and third == Fraction(1, 3)
+    half = zeta(2, 1).scaled(0.5).terms[0].coefficient
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type(one().terms[0].coefficient) is int
 
 
 def test_product_is_formal_juxtaposition():

@@ -102,6 +102,14 @@ def test_eval_oversized_truncation_is_an_input_error(monkeypatch):
     assert "truncation N = 1000000000 exceeds the limit" in err
 
 
+def test_eval_deep_composition_is_refused():
+    code, out, err = run(["eval", "2" + ",1" * 150, "--eps", "1e-12", "--json"])
+    assert code == 2
+    assert out == ""
+    assert "requested eps=1e-12 not reached" in err
+    assert "nan" not in err
+
+
 def test_eval_malformed_composition():
     code, _, err = run(["eval", "2,x"])
     assert code == 2

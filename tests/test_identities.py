@@ -5,6 +5,7 @@ import pytest
 from conftest import brute_combination
 from mzv import (
     FAMILIES,
+    diagrams,
     composition,
     derive,
     eliminate_divergent,
@@ -18,6 +19,7 @@ from mzv import (
     permutation_identity,
     reflection,
     shuffle_identity,
+    stuffle,
     three_point_identity,
     trailing_one,
     verify_identity,
@@ -48,6 +50,38 @@ def test_permutation_identity_signed():
     assert not ident.regularized
     residual = brute_combination(ident.combination, 200)
     assert abs(residual) < 1e-12
+
+
+def _integer_producers():
+    c312 = composition(3, 1, 2)
+    yield "stuffle", stuffle(c312, composition(2, 2))
+    ident = permutation_identity((2, 1), (3,))
+    yield "permutation", ident.lhs + ident.rhs
+    yield "shuffle_expansion", diagrams.shuffle_expansion((2, 1), (3,))
+    for variant in ("rightward", "leftward"):
+        ident = partial_integration((3, 2, 2), variant)
+        yield "partial-int " + variant, ident.lhs + ident.rhs
+        yield ("partial-int %s eliminated" % variant,
+               eliminate_divergent(ident.combination))
+    ident = three_point_identity(2, 3, 4)
+    yield "three-point", ident.lhs + ident.rhs
+    seashell = diagrams.build_seashell((3, 1, 2))
+    for strategy in ("structural", "rightward", "auto"):
+        yield "reduce seashell " + strategy, diagrams.reduce(seashell, strategy)
+    peacock = diagrams.build_peacock((2, 0), (2, 1), (3,))
+    for strategy in ("shuffle", "auto"):
+        yield "reduce peacock " + strategy, diagrams.reduce(peacock, strategy)
+    half_moon = diagrams.build_half_moon(2, 1, 2)
+    yield "reduce half-moon auto", diagrams.reduce(half_moon, "auto")
+
+
+@pytest.mark.parametrize(
+    "name,comb", list(_integer_producers()),
+    ids=[name for name, _ in _integer_producers()])
+def test_integer_coefficients_stay_int(name, comb):
+    # no division happens on these paths, so every coefficient is an int
+    assert comb.terms
+    assert all(type(t.coefficient) is int for t in comb.terms), comb
 
 
 def test_permutation_sweep_weight_six():

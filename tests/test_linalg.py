@@ -186,6 +186,13 @@ def test_three_point_rows_shape_and_truth():
         three_point_rows(("a", "b"))
 
 
+def test_rows_handed_to_row_reduce_hold_fractions():
+    # row_reduce divides by its pivots; an int row would make that a float
+    rows = assemble_permutation_system("abc").rows + three_point_rows()
+    values = [v for row in rows for v in row.values()]
+    assert values and all(type(v) is Fraction for v in values)
+
+
 def test_three_point_rows_leave_rank_unchanged():
     mat = assemble_permutation_system(generic_symbols(3))
     extended = ExactMatrix(

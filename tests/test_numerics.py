@@ -145,6 +145,24 @@ def test_accel_caches_are_bounded():
         assert cached.cache_info().maxsize == numerics._CACHE_SIZE
 
 
+def test_accel_refuses_deep_composition_without_overflow():
+    # the tail bound of a 151-letter half-word is beyond the float range
+    deep = composition(2, *[1] * 150)
+    with pytest.raises(ArithmeticError) as info:
+        eval_mzv_accel(deep, 1e-12)
+    assert type(info.value) is ArithmeticError
+    assert "requested eps=1e-12 not reached (bound inf)" in str(info.value)
+
+
+def test_accel_refuses_nan_bound(monkeypatch):
+    def nan_bound(word, dps):
+        return mp.mpf(1), math.nan
+
+    monkeypatch.setattr(numerics, "_midpoint_sum", nan_bound)
+    with pytest.raises(ArithmeticError, match="not reached"):
+        eval_mzv_accel(composition(2), 1e-12)
+
+
 def test_eval_combination_residual():
     # the depth-two reflection rearranged: 2 zeta(2,2) + zeta(4) = zeta(2)^2
     comb = normalize(
@@ -269,6 +287,8 @@ def test_lnz_coefficients_symbolic():
     assert len(co) == 8
     for n, comb in enumerate(co, start=1):
         assert comb == zeta(n).scaled(Fraction(1, n))
+    third = lnz_coefficients(3)[2].terms[0].coefficient
+    assert type(third) is Fraction and third == Fraction(1, 3)
 
 
 def test_lnz_coefficients_match_loggamma():
