@@ -27,6 +27,10 @@ CORPUS = {
     "rank-pattern-abb": ["rank", "--pattern", "a,b,b", "--json"],
     "rank-pattern-aabc": ["rank", "--pattern", "a,a,b,c", "--json"],
     "rank-pattern-abbcc": ["rank", "--pattern", "a,b,b,c,c", "--json"],
+    "rank-pattern-aabbcd": ["rank", "--pattern", "a,a,b,b,c,d", "--json"],
+    "rank-pattern-aabbcc": ["rank", "--pattern", "a,a,b,b,c,c", "--json"],
+    "rank-pattern-abcdee": ["rank", "--pattern", "a,b,c,d,e,e", "--json"],
+    "rank-length-4-text": ["rank", "--length", "4"],
     **{
         "reduce-seashell-%s-%s" % (comp.replace(",", ""), strategy): [
             "reduce", "--seashell", comp, "--strategy", strategy,

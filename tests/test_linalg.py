@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import os
 import pathlib
@@ -136,6 +137,18 @@ def test_reduce_to_basis_sizes():
         assert len(br.expressions) == rank
         assert all(comp[0] == ("a",) for comp in br.basis)
         assert all(comp[0] != ("a",) for comp in br.expressions)
+
+
+def test_reduce_to_basis_length4_digest():
+    # sha256 of the exact expressions and basis, written by the sparse
+    # Fraction elimination; any change to the solved system changes it
+    br = reduce_to_basis(4)
+    text = repr((
+        sorted((comp, sorted(expr.items()))
+               for comp, expr in br.expressions.items()),
+        sorted(br.basis)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6fa11a373271db6d3f674a13602597b478d94f1e9b093d328266bc9b6ed4aed6")
 
 
 def test_reflection_expression_pinned():
