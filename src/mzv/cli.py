@@ -122,11 +122,11 @@ def cmd_verify(args):
 
 
 def cmd_rank(args):
-    if args.pattern:
+    if args.pattern is not None:
         symbols = tuple(t.strip() for t in args.pattern.split(","))
         if not all(symbols):
             raise ValueError("malformed pattern %r" % args.pattern)
-    elif args.length:
+    elif args.length is not None:
         symbols = linalg.generic_symbols(args.length)
     else:
         raise ValueError("rank needs --length or --pattern")
@@ -275,8 +275,9 @@ def build_parser():
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("rank", help="rank of a permutation identity system")
-    p.add_argument("--length", type=int, help="number of generic exponents")
-    p.add_argument("--pattern", help='degenerate exponents, e.g. "a,b,b"')
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--length", type=int, help="number of generic exponents")
+    g.add_argument("--pattern", help='degenerate exponents, e.g. "a,b,b"')
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_rank)
 

@@ -1,4 +1,4 @@
-"""Exact-rational rank analysis of the permutation-identity system.
+"""Rank analysis of the permutation-identity system, certified from both sides.
 
 Nested sums over l formal exponents satisfy one quasi-shuffle relation for
 every ordered split of the exponent tuple.  The unknowns of the system are
@@ -6,6 +6,15 @@ the l! (distinct) permutations of the full-length sum; products and the
 lower-length sums produced by merging exponents are known quantities and sit
 in right-hand-side columns.  Rank therefore means: rank of the coefficient
 matrix over the unknown columns alone.
+
+Rank is computed modulo a word-size prime and then certified over Q.  The
+rank mod p is a lower bound for the rational rank.  Each free column of the
+mod-p reduced form gives a kernel vector; lifted to integers by rational
+reconstruction and checked exactly against every row, these vectors bound
+the rank from above.  When the two bounds meet the rank is exact; otherwise
+the sparse Fraction elimination ``row_reduce`` decides, so no answer depends
+on the prime.  ``row_reduce`` also serves basis reduction and the chord
+solver of ``diagrams``, which need the exact reduced rows.
 """
 
 from __future__ import annotations
@@ -16,12 +25,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import ProductTerm, ZetaCombination, interleavings, merge_parts, normalize
 from .compositions import composition
 
 
 # The rank --length 6 system: the largest that any test or workload ranks.
 MAX_UNKNOWNS = 720
+
+# Prime of the modular rank: a product of two residues fits in int64.
+PRIME = 2 ** 31 - 1
+# Rational reconstruction returns a/b with |a|, b <= this; 2 * bound^2 < PRIME
+# makes the fraction unique.
+RECONSTRUCTION_BOUND = math.isqrt((PRIME - 1) // 2)
 
 
 def check_system_size(symbols):
@@ -86,12 +103,7 @@ def _split_row(u, v):
     v_comp = tuple((s,) for s in v)
     row = {product_column((u_comp, v_comp)): Fraction(1)}
     for comp, count in symbolic_stuffle(u_comp, v_comp).items():
-        col = zeta_column(comp)
-        val = row.get(col, Fraction(0)) - count
-        if val:
-            row[col] = val
-        else:
-            row.pop(col, None)
+        row[zeta_column(comp)] = Fraction(-count)
     return row
 
 
@@ -122,11 +134,124 @@ class ExactMatrix:
         return [c for c in self.columns if c not in known]
 
     def rank(self) -> int:
-        if self.unknowns is None:
-            return len(row_reduce(self.rows, self.columns)[0])
-        keep = set(self.unknowns)
-        rows = [{c: v for c, v in r.items() if c in keep} for r in self.rows]
-        return len(row_reduce(rows, self.unknowns)[0])
+        """Rank over Q on the unknown columns (all columns if unset)."""
+        columns = self.columns if self.unknowns is None else self.unknowns
+        rank = certified_rank(self.rows, columns)
+        if rank is None:
+            keep = set(columns)
+            rows = [{c: v for c, v in r.items() if c in keep}
+                    for r in self.rows]
+            rank = len(row_reduce(rows, columns)[0])
+        return rank
+
+
+def _integer_rows(rows, index):
+    """The distinct nonzero rows restricted to ``index``, each scaled to
+    coprime integers, as (column indices, values) in column order."""
+    distinct = {}
+    for r in rows:
+        items = sorted((index[c], v) for c, v in r.items() if c in index and v)
+        if not items:
+            continue
+        scale = math.lcm(*(v.denominator for _, v in items))
+        values = [v.numerator * (scale // v.denominator) for _, v in items]
+        g = math.gcd(*values)
+        distinct[tuple(i for i, _ in items), tuple(v // g for v in values)] = 0
+    return list(distinct)
+
+
+def _reduce_mod_p(m):
+    """Gauss-Jordan elimination of the int64 matrix ``m`` mod PRIME, in place.
+
+    Leaves the reduced row echelon form in ``m`` and returns its pivot
+    columns; pivot row i is row i of ``m``.
+    """
+    pivots = []
+    for j in range(m.shape[1]):
+        r = len(pivots)
+        if r == m.shape[0]:
+            break
+        nz = np.flatnonzero(m[r:, j])
+        if not len(nz):
+            continue
+        k = r + nz[0]
+        if k != r:
+            m[[r, k]] = m[[k, r]]
+        m[r, j:] = m[r, j:] * pow(int(m[r, j]), PRIME - 2, PRIME) % PRIME
+        hit = np.flatnonzero(m[:, j])
+        hit = hit[hit != r]
+        if len(hit):
+            m[hit, j:] = (m[hit, j:] - m[hit, j, None] * m[r, j:]) % PRIME
+        pivots.append(j)
+    return pivots
+
+
+def rational_reconstruction(x):
+    """The fraction a/b congruent to ``x`` mod PRIME with |a|, b at most
+    RECONSTRUCTION_BOUND, as (a, b); None if there is none."""
+    r0, r1, t0, t1 = PRIME, x % PRIME, 0, 1
+    while r1 > RECONSTRUCTION_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > RECONSTRUCTION_BOUND or math.gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def certified_rank(rows, columns):
+    """Rank over Q of sparse rational rows on ``columns``, or None.
+
+    The rank of the integer-scaled rows mod PRIME is a lower bound.  Each
+    free column f of their reduced form mod PRIME gives the kernel vector
+    e_f - sum_i R[i, f] e_pivot(i); its entries are lifted by rational
+    reconstruction and scaled to integers.  Every lifted vector is nonzero
+    in its own free column and zero in the others, so if all of them
+    annihilate every row exactly, the kernel over Q has at least that many
+    dimensions and the rank mod PRIME is the rank over Q.  Returns None when
+    a reconstruction or the exact check fails.
+    """
+    index = {c: i for i, c in enumerate(columns)}
+    distinct = _integer_rows(rows, index)
+    if not distinct:
+        return 0
+    lengths = [len(cols) for cols, _ in distinct]
+    row_of = np.repeat(np.arange(len(distinct)), lengths)
+    col_of = np.fromiter(itertools.chain.from_iterable(
+        cols for cols, _ in distinct), np.int64, len(row_of))
+    values = [v for _, vals in distinct for v in vals]
+    m = np.zeros((len(distinct), len(columns)), np.int64)
+    m[row_of, col_of] = [v % PRIME for v in values]
+    pivots = _reduce_mod_p(m)
+    free = sorted(set(range(len(columns))) - set(pivots))
+    if not free:
+        return len(pivots)
+
+    residues, where = np.unique(
+        -m[:len(pivots), free].ravel() % PRIME, return_inverse=True)
+    lifted = [rational_reconstruction(int(x)) for x in residues]
+    if None in lifted:
+        return None
+    shape = (len(pivots), len(free))
+    num = np.array([a for a, _ in lifted], object)[where].reshape(shape)
+    den = np.array([b for _, b in lifted], object)[where].reshape(shape)
+    scale = np.array([math.lcm(*col) for col in den.T.tolist()], object)
+    kernel = np.zeros((len(columns), len(free)), object)
+    kernel[pivots] = num * (scale // den)
+    kernel[free, np.arange(len(free))] = scale
+
+    # A.V row by row: the products of each row's entries with the matching
+    # kernel rows, summed over the row's run of entries.
+    top = max(abs(v) for v in values) * abs(kernel).max() * len(columns)
+    dtype = np.int64 if top < 2 ** 62 else object
+    kernel = kernel.astype(dtype)
+    products = np.array(values, dtype)[:, None] * kernel[col_of]
+    starts = np.cumsum([0] + lengths[:-1])
+    if np.add.reduceat(products, starts, axis=0).any():
+        return None
+    return len(pivots)
 
 
 def row_reduce(rows, columns):
@@ -172,12 +297,20 @@ def permutation_unknowns(symbols):
 def assemble_permutation_system(symbols) -> ExactMatrix:
     """One row per ordered split: the product column minus its quasi-shuffle
     expansion.  Repeated symbol names yield the degenerate (collapsed)
-    system."""
+    system.
+
+    The quasi-shuffle commutes and the product column is unordered, so the
+    row of (v, u) is a copy of the row of (u, v), built once per pair.
+    """
     symbols = tuple(symbols)
     rows = []
     labels = []
+    built = {}
     for u, v in ordered_splits(symbols):
-        rows.append(_split_row(u, v))
+        twin = built.get((v, u))
+        row = _split_row(u, v) if twin is None else dict(twin)
+        built[(u, v)] = row
+        rows.append(row)
         labels.append((u, v))
     return ExactMatrix(rows, labels, unknowns=permutation_unknowns(symbols))
 
@@ -215,7 +348,11 @@ def reduce_to_basis(l: int) -> BasisReduction:
     pivot_cols = [c for c in mat.unknowns if c[1][0] != (symbols[0],)]
     basis = tuple(c[1] for c in mat.unknowns if c[1][0] == (symbols[0],))
 
-    pivots, rest = row_reduce(mat.rows, pivot_cols)
+    # row (v, u) repeats row (u, v); a repeated row only ever reduces to zero
+    distinct = {}
+    for r in mat.rows:
+        distinct.setdefault(frozenset(r.items()), r)
+    pivots, rest = row_reduce(list(distinct.values()), pivot_cols)
     for col in pivot_cols:
         if col not in pivots:
             raise ArithmeticError("no pivot row for column %s" % (col,))

@@ -137,6 +137,21 @@ def test_rank_needs_a_system():
     assert "rank needs" in err
 
 
+def test_rank_length_zero_is_out_of_range():
+    code, out, err = run(["rank", "--length", "0"])
+    assert code == 2
+    assert out == ""
+    assert "supported symbol counts are 1..9" in err
+
+
+def test_rank_length_and_pattern_exclude_each_other():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["rank", "--length", "3", "--pattern", "a,b"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --length" in err.getvalue()
+
+
 @pytest.mark.parametrize("argv, count", [
     (["rank", "--length", "7"], 5040),
     (["rank", "--pattern", "a,b,c,d,e,f,f"], 2520),

@@ -24,12 +24,17 @@ from mzv import (
 )
 from mzv.algebra import ProductTerm, ZetaCombination
 from mzv.linalg import (
+    PRIME,
+    RECONSTRUCTION_BOUND,
+    _split_row,
+    certified_rank,
     check_system_size,
     generic_symbols,
     instantiate_column,
     instantiate_expression,
     ordered_splits,
     product_column,
+    rational_reconstruction,
     row_reduce,
     symbolic_stuffle,
     zeta_column,
@@ -92,6 +97,16 @@ def test_assembled_system_shape():
         assert len(prods) == 1
         assert row[prods[0]] == 1
         assert len(label) == 2
+
+
+def test_split_rows_are_symmetric():
+    for symbols in ("abcd", "aabc"):
+        mat = assemble_permutation_system(symbols)
+        by_label = dict(zip(mat.row_labels, mat.rows))
+        for u, v in ordered_splits(tuple(symbols)):
+            assert _split_row(u, v) == _split_row(v, u)
+            assert by_label[(u, v)] == by_label[(v, u)]
+            assert u == v or by_label[(u, v)] is not by_label[(v, u)]
 
 
 def test_generic_rank_targets():
@@ -329,3 +344,89 @@ def test_permutation_system_is_independent_of_hash_seed():
             [sys.executable, "-c", code], env=env, capture_output=True,
             check=True, timeout=120).stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_rational_reconstruction():
+    assert rational_reconstruction(0) == (0, 1)
+    assert rational_reconstruction(-7) == (-7, 1)
+    assert rational_reconstruction(3 * pow(5, PRIME - 2, PRIME)) == (3, 5)
+    b = RECONSTRUCTION_BOUND
+    assert rational_reconstruction(-b * pow(b - 1, PRIME - 2, PRIME)) == (
+        -b, b - 1)
+    assert rational_reconstruction(b + 1) is None
+    assert rational_reconstruction(40000) is None
+
+
+def restricted_rank(mat):
+    keep = set(mat.unknowns)
+    rows = [{c: v for c, v in r.items() if c in keep} for r in mat.rows]
+    return len(row_reduce(rows, mat.unknowns)[0])
+
+
+def test_rank_below_mod_p_falls_back():
+    # PRIME vanishes mod p, so the rank mod p (1) is below the rank over Q
+    rows = [{"x": Fraction(1), "y": Fraction(PRIME)}, {"x": Fraction(1)}]
+    assert certified_rank(rows, ["x", "y"]) is None
+    assert ExactMatrix(rows, ["r1", "r2"]).rank() == 2 == dense_rank(
+        rows, ["x", "y"])
+
+
+def test_kernel_beyond_reconstruction_bound_falls_back():
+    # the kernel vector (40000, 1, 0, 0) cannot be reconstructed
+    rows = [{"x": Fraction(1), "y": Fraction(-40000)},
+            {"z": Fraction(1), "w": Fraction(2, 3)},
+            {"w": Fraction(3), "v": Fraction(-1)}]
+    columns = ["x", "y", "z", "w", "v"]
+    assert certified_rank(rows, columns) is None
+    assert ExactMatrix(rows, ["r1", "r2", "r3"]).rank() == 3 == dense_rank(
+        rows, columns)
+
+
+def test_repeated_and_scaled_rows_count_once():
+    rows = [{"x": Fraction(1, 2), "y": Fraction(1, 3)},
+            {"x": Fraction(3), "y": Fraction(2)},
+            {"y": Fraction(0), "z": Fraction(5)},
+            {}]
+    assert certified_rank(rows, ["x", "y", "z"]) == 2
+    assert certified_rank(rows, ["y"]) == 1
+    assert certified_rank([], ["x"]) == 0
+
+
+def test_large_entries_are_checked_in_python_ints():
+    big = Fraction(2 ** 70 + 1)
+    rows = [{"x": big, "y": -big, "z": Fraction(1)}, {"z": Fraction(1)}]
+    assert certified_rank(rows, ["x", "y", "z"]) == 2
+
+
+sparse_rows = st.lists(st.dictionaries(
+    st.integers(0, 6),
+    st.builds(Fraction,
+              st.one_of(st.integers(-4, 4), st.integers(-2 ** 40, 2 ** 40)),
+              st.integers(1, 6)).filter(bool),
+    max_size=4), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows, st.integers(1, 7))
+def test_rank_matches_dense(rows, ncols):
+    columns = list(range(ncols))
+    mat = ExactMatrix(rows, list(range(len(rows))), unknowns=tuple(columns))
+    assert mat.rank() == dense_rank(rows, columns)
+
+
+# Symbol multiplicities of the degenerate systems the benchmark ranks.
+BENCHMARK_SHAPES = ((2, 1), (3,), (2, 1, 1), (2, 2), (3, 1), (2, 1, 1, 1),
+                    (2, 2, 1), (3, 1, 1), (3, 2), (2, 2, 1, 1), (2, 2, 2),
+                    (3, 2, 1))
+
+
+def test_permutation_systems_are_certified_without_fallback():
+    for l in range(2, 6):
+        mat = assemble_permutation_system(generic_symbols(l))
+        expected = math.factorial(l) - math.factorial(l - 1)
+        assert certified_rank(mat.rows, mat.unknowns) == expected
+    for shape in BENCHMARK_SHAPES:
+        symbols = "".join(s * m for s, m in zip("abcd", shape))
+        mat = assemble_permutation_system(symbols)
+        assert certified_rank(mat.rows, mat.unknowns) == restricted_rank(
+            mat), symbols
