@@ -9,6 +9,7 @@ combination is "regularized" while it still contains one).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +24,16 @@ BOTH = frozenset({1, 2})
 # merged composition, each tagged with the operand(s) contributing to it.
 
 
+# Every stuffle and every permutation-system row asks for the same few slot
+# counts, so the patterns are built once.  256 entries hold all 220 triples
+# of at most 9 slots, enough for any permutation system of up to 9 symbols
+# and any stuffle of total weight 11 (depths summing to at most 9).  The
+# triples of n slots hold 3^n patterns between them, so the bound keeps a
+# long-lived process from holding every large pattern set it asked for.
+@functools.lru_cache(maxsize=256)
 def interleavings(a1: int, a2: int, a12: int):
-    """All patterns with a1 left-only, a2 right-only and a12 merged slots."""
+    """All patterns with a1 left-only, a2 right-only and a12 merged slots,
+    as one tuple shared by every caller."""
     if min(a1, a2, a12) < 0:
         raise ValueError("slot counts must be >= 0")
     n = a1 + a2 + a12
@@ -38,7 +47,8 @@ def interleavings(a1: int, a2: int, a12: int):
             for i in right_pos:
                 slots[i] = RIGHT
             out.add(tuple(slots))
-    return out
+    # The set's own order, which every caller's output order follows.
+    return tuple(out)
 
 
 def merge_parts(left_parts, right_parts, pattern, combine):

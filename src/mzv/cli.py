@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -32,6 +34,18 @@ def _default_digits():
     return digits
 
 
+def _positive_float(text):
+    """argparse type for accuracy targets: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            "must be a positive finite number, got %r" % text)
+    return value
+
+
 def _print_json(obj):
     print(json.dumps(obj, sort_keys=True))
 
@@ -46,8 +60,10 @@ def _parse_int_list(text, what):
 
 def cmd_eval(args):
     c = parse_composition(args.composition)
-    digits = args.digits if args.digits else _default_digits() + 4
-    if args.trunc:
+    if args.digits is not None and args.digits < 1:
+        raise ValueError("--digits must be positive, got %d" % args.digits)
+    digits = args.digits if args.digits is not None else _default_digits() + 4
+    if args.trunc is not None:
         pv = numerics.eval_mzv_direct(c, args.trunc)
         method = "direct"
     elif c.signs is not None:
@@ -58,7 +74,8 @@ def cmd_eval(args):
     else:
         if not c.admissible:
             raise ValueError("%s diverges; no numeric value" % c.zeta_str())
-        eps = args.eps if args.eps else 10.0 ** (-_default_digits())
+        eps = (args.eps if args.eps is not None
+               else 10.0 ** (-_default_digits()))
         pv = numerics.eval_mzv_accel(c, eps)
         method = "accelerated"
     if args.json:
@@ -109,8 +126,11 @@ def cmd_verify(args):
             raise ValueError("cannot read identity file: %s" % exc)
         except json.JSONDecodeError as exc:
             raise ValueError("identity file is not valid JSON: %s" % exc)
-    identity = identities.identity_from_json(payload)
-    eps = args.eps if args.eps else 10.0 ** (-_default_digits())
+    try:
+        identity = identities.identity_from_json(payload)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("malformed identity file: %r" % exc)
+    eps = args.eps if args.eps is not None else 10.0 ** (-_default_digits())
     report = _verification_report(identity, eps)
     if args.json:
         _print_json(report)
@@ -163,7 +183,10 @@ def _diagram_from_args(args):
         raise ValueError("cannot read diagram file: %s" % exc)
     except json.JSONDecodeError as exc:
         raise ValueError("diagram file is not valid JSON: %s" % exc)
-    return diagrams.diagram_from_json(payload)
+    try:
+        return diagrams.diagram_from_json(payload)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("malformed diagram file: %r" % exc)
 
 
 def cmd_reduce(args):
@@ -196,7 +219,7 @@ def _sweep_pairs(max_weight):
 
 
 def cmd_sweep(args):
-    eps = args.eps if args.eps else 1e-9
+    eps = args.eps if args.eps is not None else 1e-9
     failures = []
     worst = 0.0
     count = 0
@@ -245,7 +268,14 @@ def cmd_sweep(args):
     return 1 if failures else 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The ``mzv`` argument parser, built once per process.
+
+    It holds nothing that can change between calls: the precision default
+    is read from the environment when a command runs, and argparse looks
+    up ``sys.stdout``/``sys.stderr`` when it prints, so redirection works.
+    """
     parser = argparse.ArgumentParser(
         prog="mzv",
         description="Nested harmonic sums: evaluation, identities, diagrams.")
@@ -253,7 +283,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="numeric value of one nested sum")
     p.add_argument("composition", help='exponent list, e.g. "2,1" or "2,-1"')
-    p.add_argument("--eps", type=float, help="accuracy target")
+    p.add_argument("--eps", type=_positive_float, help="accuracy target")
     p.add_argument("--trunc", type=int, metavar="N",
                    help="truncated direct sum over indices up to N")
     p.add_argument("--digits", type=int, help="printed digits")
@@ -270,7 +300,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="check an identity file numerically")
     p.add_argument("file", help='identity JSON (from derive --json), or "-"')
-    p.add_argument("--eps", type=float, help="accuracy target")
+    p.add_argument("--eps", type=_positive_float, help="accuracy target")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
@@ -300,7 +330,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="batch-verify a family up to a weight")
     p.add_argument("family", choices=["stuffle", "shuffle", "partial-int"])
     p.add_argument("--max-weight", type=int, default=8)
-    p.add_argument("--eps", type=float, help="accuracy target per identity")
+    p.add_argument("--eps", type=_positive_float,
+                   help="accuracy target per identity")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_sweep)
 

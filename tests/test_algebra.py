@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from mzv import (
     stuffle,
     zeta,
 )
+from mzv.algebra import BOTH, LEFT, RIGHT, interleavings
+from mzv.linalg import ordered_splits, symbolic_stuffle
 
 
 def test_zeta_constructor():
@@ -168,3 +172,43 @@ def test_json_round_trip():
     from mzv import combination_from_json
     comb = normalize(zeta(2, 1).scaled(Fraction(3, 2)) - zeta(2) * zeta(3))
     assert combination_from_json(comb.to_json()) == comb
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_interleavings_are_the_multinomial_patterns(n):
+    for a1 in range(n + 1):
+        for a2 in range(n + 1 - a1):
+            a12 = n - a1 - a2
+            patterns = interleavings(a1, a2, a12)
+            assert len(patterns) == math.factorial(n) // (
+                math.factorial(a1) * math.factorial(a2) * math.factorial(a12))
+            assert len(set(patterns)) == len(patterns)
+            for p in patterns:
+                assert (p.count(LEFT), p.count(RIGHT), p.count(BOTH)) == (
+                    a1, a2, a12)
+
+
+def test_interleavings_are_one_shared_tuple():
+    patterns = interleavings(2, 1, 1)
+    assert isinstance(patterns, tuple)
+    assert interleavings(2, 1, 1) is patterns
+
+
+def _brute_quasi_shuffle(u, v):
+    """u * v = u1 (u' * v) + v1 (u * v') + (u1 v1)(u' * v'), as counts."""
+    if not u or not v:
+        return Counter([u + v])
+    out = Counter()
+    for head, rest in ((u[0], (u[1:], v)), (v[0], (u, v[1:])),
+                       (tuple(sorted(u[0] + v[0])), (u[1:], v[1:]))):
+        for comp, count in _brute_quasi_shuffle(*rest).items():
+            out[(head,) + comp] += count
+    return out
+
+
+def test_symbolic_stuffle_matches_the_recursive_definition():
+    for u, v in ordered_splits(("a", "b", "c", "d")):
+        u_comp = tuple((s,) for s in u)
+        v_comp = tuple((s,) for s in v)
+        assert symbolic_stuffle(u_comp, v_comp) == dict(
+            _brute_quasi_shuffle(u_comp, v_comp))

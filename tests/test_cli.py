@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -18,6 +19,7 @@ from mzv import (
     shuffle_expansion,
     zeta,
 )
+from mzv import cli
 from mzv.cli import main
 from mzv.identities import Identity
 
@@ -224,6 +226,24 @@ def test_verify_missing_or_malformed_file(tmp_path):
     assert run(["verify", str(f)])[0] == 2
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (["verify"], []),
+    (["verify"], {}),
+    (["verify"], {"family": "x", "lhs": [{"coefficient": "1"}], "rhs": []}),
+    (["reduce", "--file"], []),
+    (["reduce", "--file"], {}),
+    (["reduce", "--file"], {"vertices": 3}),
+])
+def test_malformed_json_file_is_an_input_error(tmp_path, argv, payload):
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(argv + [str(f)])
+    assert code == 2
+    assert out == ""
+    what = "identity" if argv[0] == "verify" else "diagram"
+    assert "mzv: error: malformed %s file" % what in err
+
+
 def test_reduce_seashell_human():
     code, out, _ = run(["reduce", "--seashell", "2,1"])
     assert code == 0
@@ -283,6 +303,87 @@ def test_sweep_rejects_unknown_family():
     with pytest.raises(SystemExit) as exc:
         run(["sweep", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "2", "--eps", "0"],
+    ["eval", "2", "--eps", "-1"],
+    ["eval", "2", "--eps", "nan"],
+    ["eval", "2", "--eps", "inf"],
+    ["verify", "-", "--eps", "0"],
+    ["sweep", "stuffle", "--max-weight", "4", "--eps", "0"],
+])
+def test_eps_must_be_positive_and_finite(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --eps: must be a positive finite number" in err.getvalue()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "2", "--trunc", "0"], "truncation too small"),
+    (["eval", "2", "--trunc", "-5"], "truncation too small"),
+    (["eval", "2", "--digits", "0"], "--digits must be positive"),
+    (["eval", "2", "--digits", "-3"], "--digits must be positive"),
+])
+def test_nonpositive_trunc_and_digits_are_refused(argv, message):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.fixture
+def fresh_parser():
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(monkeypatch, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "mzv":
+            built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["rank", "--length", "2"], ["derive", "reflection", "2", "3"],
+                 ["eval", "2,1"], ["rank", "--pattern", "a,b"]):
+        assert run(argv)[0] == 0
+    assert len(built) == 1
+
+
+def test_usage_error_leaves_the_parser_intact(fresh_parser):
+    expected = run(["rank", "--length", "4", "--json"])
+    cli.build_parser.cache_clear()
+    with contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit) as exc:
+        main(["rank", "--length", "3", "--pattern", "a,b"])
+    assert exc.value.code == 2
+    assert run(["rank", "--length", "4", "--json"]) == expected
+
+
+def test_precision_environment_is_read_per_call(monkeypatch):
+    monkeypatch.setenv("MZV_PRECISION_DIGITS", "6")
+    assert run(["eval", "2,1"])[1] == "1.202056903\n"
+    monkeypatch.setenv("MZV_PRECISION_DIGITS", "10")
+    assert run(["eval", "2,1"])[1] == "1.2020569031596\n"
+
+
+def test_derive_arguments_do_not_carry_over():
+    parser = cli.build_parser()
+    first = parser.parse_args(["derive", "permutation", "2", "3"])
+    second = parser.parse_args(["derive", "trailing-one"])
+    assert first.args == ["2", "3"]
+    assert second.args == [] and second.args is not first.args
+    assert run(["derive", "permutation", "2", "3"])[0] == 0
+    code, out, _ = run(["derive", "trailing-one", "2,1"])
+    assert code == 0
+    assert out == "%s\n" % derive("trailing-one", ["2,1"])
 
 
 def run_console(*args, **env):
