@@ -166,6 +166,22 @@ def test_reduce_to_basis_length4_digest():
         "6fa11a373271db6d3f674a13602597b478d94f1e9b093d328266bc9b6ed4aed6")
 
 
+def test_reduce_to_basis_length5_digest():
+    # the same sha256 at length 5, written by the sparse Fraction
+    # elimination, and one more of the expressions in their own order, so
+    # the key order of every solved row is pinned as well
+    br = reduce_to_basis(5)
+    text = repr((
+        sorted((comp, sorted(expr.items()))
+               for comp, expr in br.expressions.items()),
+        sorted(br.basis)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c7c9da6d8cbb32457be5d311c504ffdaf698290c333db6d17c12bf3ebd042c66")
+    text = repr((list(br.expressions.items()), br.basis))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1fe2c45ebb75ddf770aaef877a8741bc22f4bb7c8f31f6dc7596b9349b3662b0")
+
+
 def test_reflection_expression_pinned():
     br = reduce_to_basis(2)
     expr = br.expressions[(("b",), ("a",))]
