@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,12 +25,12 @@ BOTH = frozenset({1, 2})
 # merged composition, each tagged with the operand(s) contributing to it.
 
 
-# Every stuffle and every permutation-system row asks for the same few slot
-# counts, so the patterns are built once.  256 entries hold all 220 triples
-# of at most 9 slots, enough for any permutation system of up to 9 symbols
-# and any stuffle of total weight 11 (depths summing to at most 9).  The
-# triples of n slots hold 3^n patterns between them, so the bound keeps a
-# long-lived process from holding every large pattern set it asked for.
+# The patterns of a slot-count triple are built once and shared.  256
+# entries hold all 220 triples of at most 9 slots, enough for any
+# permutation system of up to 9 symbols and any stuffle of total weight 11
+# (depths summing to at most 9).  The triples of n slots hold 3^n patterns
+# between them, so the bound keeps a long-lived process from holding every
+# large pattern set it asked for.
 @functools.lru_cache(maxsize=256)
 def interleavings(a1: int, a2: int, a12: int):
     """All patterns with a1 left-only, a2 right-only and a12 merged slots,
@@ -51,42 +52,41 @@ def interleavings(a1: int, a2: int, a12: int):
     return tuple(out)
 
 
-def merge_parts(left_parts, right_parts, pattern, combine):
-    """Fill a pattern with parts from the two operands, combining on BOTH slots.
+# The quasi-shuffle of two operands depends on their part counts alone, so
+# each (m, n) pair is turned into index getters once and every stuffle with
+# those counts only picks parts.  The bound is that of interleavings.
+@functools.lru_cache(maxsize=256)
+def stuffle_template(m: int, n: int):
+    """The quasi-shuffle of m left parts with n right parts, as one getter
+    per term in the order of ``interleavings``.
 
-    The operands are consumed in order; ``combine`` is only called for merged
-    slots, so the same walker serves integer parts (combine = add exponents,
-    multiply signs) and formal-symbol parts (combine = multiset union).
+    The getters index one tuple of parts: the m left parts, the n right
+    parts, then left part i merged with right part j at m + n + i*n + j.
+    Each returns the term's tuple of parts; a one-part term takes a slice,
+    since ``itemgetter`` of a single index returns the part itself.  A
+    pattern is recovered from its indices, so no term repeats here: a
+    multiplicity in a stuffle comes from equal parts in the operands.
     """
-    li = iter(left_parts)
-    ri = iter(right_parts)
-    out = []
-    for slot in pattern:
-        if slot == LEFT:
-            out.append(next(li))
-        elif slot == RIGHT:
-            out.append(next(ri))
-        else:
-            out.append(combine(next(li), next(ri)))
-    for leftover in (li, ri):
-        if next(leftover, None) is not None:
-            raise ValueError("pattern does not exhaust the operands")
-    return tuple(out)
-
-
-def rho(left: Composition, right: Composition, pattern) -> Composition:
-    """Map an interleaving pattern to its merged composition.
-
-    Merged slots add exponents and multiply signs.
-    """
-    lparts = [(p, left.sign(i)) for i, p in enumerate(left.parts)]
-    rparts = [(p, right.sign(i)) for i, p in enumerate(right.parts)]
-    merged = merge_parts(
-        lparts, rparts, pattern, lambda a, b: (a[0] + b[0], a[1] * b[1])
-    )
-    return Composition(
-        tuple(p for p, _ in merged), tuple(s for _, s in merged)
-    )
+    template = []
+    for a in range(min(m, n) + 1):
+        for pattern in interleavings(m - a, n - a, a):
+            i = j = 0
+            slots = []
+            for slot in pattern:
+                if slot == LEFT:
+                    slots.append(i)
+                    i += 1
+                elif slot == RIGHT:
+                    slots.append(m + j)
+                    j += 1
+                else:
+                    slots.append(m + n + i * n + j)
+                    i += 1
+                    j += 1
+            if len(slots) == 1:
+                slots = [slice(slots[0], slots[0] + 1)]
+            template.append(operator.itemgetter(*slots))
+    return tuple(template)
 
 
 @dataclass(frozen=True)
@@ -230,14 +230,19 @@ def stuffle(left: Composition, right: Composition) -> ZetaCombination:
     """Quasi-shuffle product of two nested sums.
 
     Splits the double summation domain by the interleaving order of the two
-    index chains; ties merge slots via rho.
+    index chains; a tie merges two slots, adding exponents and multiplying
+    signs.
     """
-    m, n = left.depth, right.depth
+    lparts = [(p, left.sign(i)) for i, p in enumerate(left.parts)]
+    rparts = [(p, right.sign(i)) for i, p in enumerate(right.parts)]
+    parts = (*lparts, *rparts,
+             *((p + q, s * t) for p, s in lparts for q, t in rparts))
     out = []
-    for a in range(min(m, n) + 1):
-        for pattern in interleavings(m - a, n - a, a):
-            c = rho(left, right, pattern)
-            out.append(ProductTerm(1, (c,)))
+    for take in stuffle_template(left.depth, right.depth):
+        merged = take(parts)
+        c = Composition(tuple(p for p, _ in merged),
+                        tuple(s for _, s in merged))
+        out.append(ProductTerm(1, (c,)))
     return normalize(ZetaCombination(tuple(out)))
 
 

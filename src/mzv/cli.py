@@ -155,7 +155,7 @@ def cmd_rank(args):
     rank = system.rank()
     if args.json:
         _print_json({
-            "columns": len(system.columns),
+            "columns": len(set().union(*system.rows)),
             "length": len(symbols),
             "rank": rank,
             "rows": len(system.rows),
@@ -248,6 +248,10 @@ def cmd_sweep(args):
                                  "terms": len(residual.terms)})
     else:
         raise ValueError("sweep families: stuffle, shuffle, partial-int")
+    if not count:
+        # an empty sweep checked nothing, so it must not report a pass
+        raise ValueError("--max-weight %d leaves no %s identity to check"
+                         % (args.max_weight, args.family))
     summary = {
         "count": count,
         "failures": failures,

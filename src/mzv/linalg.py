@@ -12,9 +12,14 @@ rank mod p is a lower bound for the rational rank.  Each free column of the
 mod-p reduced form gives a kernel vector; lifted to integers by rational
 reconstruction and checked exactly against every row, these vectors bound
 the rank from above.  When the two bounds meet the rank is exact; otherwise
-the sparse Fraction elimination ``row_reduce`` decides, so no answer depends
-on the prime.  ``row_reduce`` also serves basis reduction and the chord
-solver of ``diagrams``, which need the exact reduced rows.
+the exact elimination ``row_reduce`` decides, so no answer depends on the
+prime.  ``row_reduce`` also serves basis reduction and the chord solver of
+``diagrams``, which need the exact reduced rows.
+
+Both hot kernels work on plain integers.  A split's row picks its terms
+from the cached stuffle template of its part counts and counts them as
+ints; ``row_reduce`` eliminates fraction-free, each row integer numerators
+over one common denominator, and makes Fractions only for what it returns.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import ProductTerm, ZetaCombination, interleavings, merge_parts, normalize
+from .algebra import ProductTerm, ZetaCombination, normalize, stuffle_template
 from .compositions import composition
 
 
@@ -73,15 +78,15 @@ def product_column(comps):
 
 
 def symbolic_stuffle(left, right):
-    """Quasi-shuffle of two symbolic compositions; returns comp -> count."""
-    out = {}
-    m, n = len(left), len(right)
-    for a in range(min(m, n) + 1):
-        for pattern in interleavings(m - a, n - a, a):
-            comp = merge_parts(
-                left, right, pattern, lambda x, y: tuple(sorted(x + y)))
-            out[comp] = out.get(comp, 0) + 1
-    return out
+    """Quasi-shuffle of two symbolic compositions; returns comp -> count,
+    in the order each comp first appears.
+
+    A merged part is the sorted multiset union of its two parts.
+    """
+    parts = (*left, *right,
+             *(tuple(sorted(x + y)) for x in left for y in right))
+    return Counter([take(parts)
+                    for take in stuffle_template(len(left), len(right))])
 
 
 def ordered_splits(symbols):
@@ -98,12 +103,21 @@ def ordered_splits(symbols):
                     yield u, v
 
 
+# Shared entries of the split rows: every row holds a 1 and mostly -1s.
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
+
 def _split_row(u, v):
     u_comp = tuple((s,) for s in u)
     v_comp = tuple((s,) for s in v)
-    row = {product_column((u_comp, v_comp)): Fraction(1)}
-    for comp, count in symbolic_stuffle(u_comp, v_comp).items():
-        row[zeta_column(comp)] = Fraction(-count)
+    row = {product_column((u_comp, v_comp)): _ONE}
+    counts = symbolic_stuffle(u_comp, v_comp)
+    entry = {c: _MINUS_ONE if c == 1 else Fraction(-c)
+             for c in set(counts.values())}
+    for comp, count in counts.items():
+        # the parts are tuples already: this is zeta_column(comp)
+        row["z", comp] = entry[count]
     return row
 
 
@@ -261,31 +275,77 @@ def row_reduce(rows, columns):
     row that holds it (the first one on ties), scaled so the pivot entry is 1,
     and is then cleared from every other row, earlier pivot rows included; a
     column that no remaining row holds gets no pivot.  Returns ({column: pivot
-    row}, the rows left without a pivot).  The input rows are not mutated.
+    row}, the rows left without a pivot), with Fraction entries.  The input
+    rows are not mutated.
+
+    The work is fraction-free: a row is held as integer numerators over one
+    positive common denominator, the two without a common factor.  Clearing
+    a column scales the row only by the part of the pivot's denominator that
+    its own entry does not cancel, so rows and pivots of integers stay
+    integers throughout.  The arithmetic is exact, so every entry and every
+    zero is that of elimination over Fractions, and so is each row's key
+    order: an entry that stays keeps its place, one that cancels is removed
+    and one that fills in is appended in the pivot row's order.
     """
-    rest = [dict(r) for r in rows]
+    rest = []
+    for r in rows:
+        den = math.lcm(*(v.denominator for v in r.values()))
+        rest.append([{c: v.numerator * (den // v.denominator)
+                      for c, v in r.items()}, den])
     pivots = {}
     for col in columns:
-        best = None
-        for i, r in enumerate(rest):
-            if col in r and (best is None or len(r) < len(rest[best])):
-                best = i
-        if best is None:
+        holding = [i for i, (r, _) in enumerate(rest) if col in r]
+        if not holding:
             continue
-        piv = rest.pop(best)
-        pval = piv[col]
-        piv = {c: v / pval for c, v in piv.items()}
-        for r in itertools.chain(rest, pivots.values()):
+        # min keeps the first of equally short rows
+        piv = rest.pop(min(holding, key=lambda i: len(rest[i][0])))[0]
+        # piv / piv[col], over the positive denominator |piv[col]| / g
+        g = math.gcd(*piv.values())
+        if piv[col] < 0:
+            g = -g
+        if g != 1:
+            piv = {c: v // g for c, v in piv.items()}
+        pden = piv[col]
+        for row in itertools.chain(rest, pivots.values()):
+            r, den = row
             f = r.get(col)
             if f:
+                # r - (f / den) * piv: the numerators scaled by pden / g,
+                # less (f / g) * piv, over den * pden / g
+                g = math.gcd(f, pden)
+                scale, f = pden // g, f // g
+                if scale != 1:
+                    for c in r:
+                        r[c] *= scale
+                    den *= scale
+                get = r.get
                 for c, v in piv.items():
-                    nv = r.get(c, 0) - f * v
+                    nv = get(c, 0) - f * v
                     if nv:
                         r[c] = nv
-                    else:
-                        r.pop(c, None)
-        pivots[col] = piv
-    return pivots, rest
+                    else:           # only an entry r held can cancel
+                        del r[c]
+                if den != 1:
+                    g = math.gcd(den, *r.values())
+                    if g != 1:
+                        for c in r:
+                            r[c] //= g
+                        den //= g
+                    row[1] = den
+        pivots[col] = [piv, pden]
+
+    # Equal entries share one Fraction: they are few (mostly small integers)
+    # and making a Fraction costs far more than looking one up.
+    made = {}
+
+    def fractions(row):
+        r, den = row
+        share = made.setdefault(den, {})
+        return {c: share.get(v) or share.setdefault(v, Fraction(v, den))
+                for c, v in r.items()}
+
+    return ({col: fractions(p) for col, p in pivots.items()},
+            [fractions(r) for r in rest])
 
 
 def permutation_unknowns(symbols):

@@ -17,8 +17,23 @@ from mzv import (
     stuffle,
     zeta,
 )
-from mzv.algebra import BOTH, LEFT, RIGHT, interleavings
-from mzv.linalg import ordered_splits, symbolic_stuffle
+from mzv.algebra import (
+    BOTH,
+    LEFT,
+    RIGHT,
+    ProductTerm,
+    ZetaCombination,
+    interleavings,
+    stuffle_template,
+)
+from mzv.compositions import Composition
+from mzv.linalg import (
+    _split_row,
+    ordered_splits,
+    product_column,
+    symbolic_stuffle,
+    zeta_column,
+)
 
 
 def test_zeta_constructor():
@@ -212,3 +227,107 @@ def test_symbolic_stuffle_matches_the_recursive_definition():
         v_comp = tuple((s,) for s in v)
         assert symbolic_stuffle(u_comp, v_comp) == dict(
             _brute_quasi_shuffle(u_comp, v_comp))
+
+
+# The slot walker the stuffle templates replaced, kept as their reference:
+# it fills one pattern of interleavings with the operands' parts.
+def _merge_parts(left_parts, right_parts, pattern, combine):
+    li = iter(left_parts)
+    ri = iter(right_parts)
+    out = []
+    for slot in pattern:
+        if slot == LEFT:
+            out.append(next(li))
+        elif slot == RIGHT:
+            out.append(next(ri))
+        else:
+            out.append(combine(next(li), next(ri)))
+    for leftover in (li, ri):
+        assert next(leftover, None) is None
+    return tuple(out)
+
+
+def _reference_patterns(m, n):
+    for a in range(min(m, n) + 1):
+        yield from interleavings(m - a, n - a, a)
+
+
+def _reference_symbolic_stuffle(left, right):
+    out = {}
+    for pattern in _reference_patterns(len(left), len(right)):
+        comp = _merge_parts(left, right, pattern,
+                            lambda x, y: tuple(sorted(x + y)))
+        out[comp] = out.get(comp, 0) + 1
+    return out
+
+
+def _reference_split_row(u, v):
+    u_comp = tuple((s,) for s in u)
+    v_comp = tuple((s,) for s in v)
+    row = {product_column((u_comp, v_comp)): Fraction(1)}
+    for comp, count in _reference_symbolic_stuffle(u_comp, v_comp).items():
+        row[zeta_column(comp)] = Fraction(-count)
+    return row
+
+
+@pytest.mark.parametrize("symbols", ["abcdef", "abcdee", "aabbcd", "aaabbc"])
+def test_split_rows_match_the_merge_parts_reference(symbols):
+    # every split, items in order: the row's key order is the system's
+    for u, v in ordered_splits(tuple(symbols)):
+        u_comp = tuple((s,) for s in u)
+        v_comp = tuple((s,) for s in v)
+        assert list(symbolic_stuffle(u_comp, v_comp).items()) == list(
+            _reference_symbolic_stuffle(u_comp, v_comp).items())
+        row = _split_row(u, v)
+        assert list(row.items()) == list(_reference_split_row(u, v).items())
+        assert all(type(x) is Fraction for x in row.values())
+
+
+@pytest.mark.parametrize("left, right", [
+    ((("a", "b"), ("c",)), (("a",),)),
+    ((("a",),), (("a", "b"), ("c",))),
+    ((("b", "c"),), (("a", "b"), ("a",), ("c", "d"))),
+    ((("a", "b"), ("a", "b")), (("a", "b"), ("b",))),
+    ((("a",), ("b",), ("c",)), (("a", "b", "c"),)),
+    ((), (("a",), ("b",))),
+    ((("a",),), ()),
+])
+def test_symbolic_stuffle_of_multi_symbol_parts(left, right):
+    assert list(symbolic_stuffle(left, right).items()) == list(
+        _reference_symbolic_stuffle(left, right).items())
+
+
+def _reference_stuffle(left, right):
+    def signed(c):
+        return [(p, c.sign(i)) for i, p in enumerate(c.parts)]
+
+    terms = []
+    for pattern in _reference_patterns(left.depth, right.depth):
+        merged = _merge_parts(signed(left), signed(right), pattern,
+                              lambda x, y: (x[0] + y[0], x[1] * y[1]))
+        terms.append(ProductTerm(1, (Composition(
+            tuple(p for p, _ in merged), tuple(s for _, s in merged)),)))
+    return normalize(ZetaCombination(tuple(terms)))
+
+
+signed_compositions = st.lists(
+    st.integers(1, 4).flatmap(lambda k: st.sampled_from((k, -k))),
+    min_size=1, max_size=4).map(lambda parts: composition(*parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_compositions, signed_compositions)
+def test_stuffle_matches_the_merge_parts_reference(left, right):
+    got = stuffle(left, right)
+    want = _reference_stuffle(left, right)
+    assert got.terms == want.terms
+    assert [type(t.coefficient) for t in got.terms] == [
+        type(t.coefficient) for t in want.terms]
+
+
+def test_stuffle_template_is_built_once_per_part_count_pair():
+    template = stuffle_template(3, 2)
+    assert stuffle_template(3, 2) is template
+    assert len(template) == len(tuple(_reference_patterns(3, 2)))
+    # a one-part term is still a tuple of parts
+    assert stuffle_template(1, 1)[-1](("x", "y", "xy")) == ("xy",)

@@ -299,6 +299,15 @@ def test_sweep_partial_int_json():
     assert payload["failures"] == []
 
 
+@pytest.mark.parametrize("family, max_weight", [
+    ("stuffle", "-1"), ("shuffle", "3"), ("partial-int", "0")])
+def test_empty_sweep_is_refused(family, max_weight):
+    code, out, err = run(["sweep", family, "--max-weight", max_weight])
+    assert code == 2
+    assert out == ""
+    assert "--max-weight %s leaves no %s identity" % (max_weight, family) in err
+
+
 def test_sweep_rejects_unknown_family():
     with pytest.raises(SystemExit) as exc:
         run(["sweep", "bogus"])

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import math
 import os
 import pathlib
@@ -344,6 +345,84 @@ def test_row_reduce_rank_matches_dense(matrix, data):
     assert len(pivots) == dense_rank(rows, columns)
     assert dense_rank(list(pivots.values()) + rest, every) == dense_rank(
         rows, every)
+
+
+def fraction_row_reduce(rows, columns):
+    """The sparse Fraction elimination that row_reduce replaced, kept as its
+    oracle: every entry, zero and key order of row_reduce must match it."""
+    rest = [dict(r) for r in rows]
+    pivots = {}
+    for col in columns:
+        best = None
+        for i, r in enumerate(rest):
+            if col in r and (best is None or len(r) < len(rest[best])):
+                best = i
+        if best is None:
+            continue
+        piv = rest.pop(best)
+        pval = piv[col]
+        piv = {c: v / pval for c, v in piv.items()}
+        for r in itertools.chain(rest, pivots.values()):
+            f = r.get(col)
+            if f:
+                for c, v in piv.items():
+                    nv = r.get(c, 0) - f * v
+                    if nv:
+                        r[c] = nv
+                    else:
+                        r.pop(c, None)
+        pivots[col] = piv
+    return pivots, rest
+
+
+def assert_same_reduction(got, want):
+    """Equal pivots and rest, in the same order and with the same key order
+    in every row, all held as Fractions."""
+    (pivots, rest), (want_pivots, want_rest) = got, want
+    assert list(pivots) == list(want_pivots)
+    for col, row in want_pivots.items():
+        assert list(pivots[col].items()) == list(row.items())
+    assert [list(r.items()) for r in rest] == [
+        list(r.items()) for r in want_rest]
+    values = [v for r in list(pivots.values()) + rest for v in r.values()]
+    assert all(type(v) is Fraction for v in values)
+
+
+entries = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                    st.integers(1, 4))
+sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, 7), entries, max_size=6), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows, st.data())
+def test_row_reduce_matches_the_fraction_elimination(rows, data):
+    # combinations of the drawn rows: their entries cancel to zero in some
+    # columns, so rows shrink and tie in length
+    for _ in range(data.draw(st.integers(0, 4)) if rows else 0):
+        i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        scale = data.draw(entries)
+        mixed = {c: rows[i].get(c, 0) + scale * rows[j].get(c, 0)
+                 for c in {**rows[i], **rows[j]}}
+        rows.append({c: v for c, v in mixed.items() if v})
+    # column 8 is in no row; any subset of the columns, in any order
+    order = data.draw(st.permutations(range(9)))
+    columns = order[:data.draw(st.integers(0, 9))]
+    before = copy.deepcopy(rows)
+    assert_same_reduction(row_reduce(rows, columns),
+                          fraction_row_reduce(before, columns))
+    assert rows == before
+
+
+@pytest.mark.parametrize("symbols", ["abcd", "aabcd", "abcde"])
+def test_row_reduce_matches_the_fraction_elimination_on_systems(symbols):
+    # the permutation rows and the three-point rows, with every unknown
+    # pivoted last-first and the right-hand sides after them
+    mat = assemble_permutation_system(symbols)
+    rows = mat.rows + three_point_rows()
+    columns = list(reversed(mat.unknowns)) + mat.rhs_columns[:40]
+    assert_same_reduction(row_reduce(rows, columns),
+                          fraction_row_reduce(rows, columns))
 
 
 def test_permutation_system_is_independent_of_hash_seed():
