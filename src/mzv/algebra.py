@@ -25,16 +25,8 @@ BOTH = frozenset({1, 2})
 # merged composition, each tagged with the operand(s) contributing to it.
 
 
-# The patterns of a slot-count triple are built once and shared.  256
-# entries hold all 220 triples of at most 9 slots, enough for any
-# permutation system of up to 9 symbols and any stuffle of total weight 11
-# (depths summing to at most 9).  The triples of n slots hold 3^n patterns
-# between them, so the bound keeps a long-lived process from holding every
-# large pattern set it asked for.
-@functools.lru_cache(maxsize=256)
 def interleavings(a1: int, a2: int, a12: int):
-    """All patterns with a1 left-only, a2 right-only and a12 merged slots,
-    as one tuple shared by every caller."""
+    """All patterns with a1 left-only, a2 right-only and a12 merged slots."""
     if min(a1, a2, a12) < 0:
         raise ValueError("slot counts must be >= 0")
     n = a1 + a2 + a12
@@ -54,7 +46,12 @@ def interleavings(a1: int, a2: int, a12: int):
 
 # The quasi-shuffle of two operands depends on their part counts alone, so
 # each (m, n) pair is turned into index getters once and every stuffle with
-# those counts only picks parts.  The bound is that of interleavings.
+# those counts only picks parts; interleavings, called only from here, builds
+# each pattern set once per pair.  256 entries hold every pair of positive
+# depths summing to at most 22, far more than a permutation system of up to
+# 9 symbols or a stuffle of total weight 11 asks for.  The getters of a pair
+# grow exponentially with m + n, so the bound keeps a long-lived process from
+# holding every large template it asked for.
 @functools.lru_cache(maxsize=256)
 def stuffle_template(m: int, n: int):
     """The quasi-shuffle of m left parts with n right parts, as one getter

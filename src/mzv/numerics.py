@@ -4,11 +4,12 @@ Two independent evaluators are kept side by side on purpose: a truncated
 nested-sum evaluator (numpy, accumulated in 80-bit longdouble and returned as
 a float64, rigorous tail bound) and a high-precision evaluator based on
 splitting the iterated-integral word at the midpoint (the Hölder convolution
-with p = 2 of Borwein, Bradley, Broadhurst and Lisoněk).  The latter sums
-each half on fixed-point integer rows and bounds their floor error along with
-the series tail; its two caches share one bounded LRU policy.  Identity
-verification always reports a residual together with the propagated bound,
-never a bare float.
+with p = 2 of Borwein, Bradley, Broadhurst and Lisoněk).  The former reads
+1/n from one read-only row per process, built on first use for the largest
+truncation asked so far.  The latter sums each half on fixed-point integer
+rows and bounds their floor error along with the series tail; its two caches
+share one bounded LRU policy.  Identity verification always reports a
+residual together with the propagated bound, never a bare float.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .compositions import Composition, from_word, to_word
 
 FLOAT_SLACK = 1e-12  # headroom for float64 roundoff in the direct evaluator
 MAX_TRUNCATION = 10 ** 7  # direct-sum arrays are 16 bytes per index
+_reciprocals = None  # 1/n for n = 1..len, read-only; see eval_mzv_direct
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,13 @@ class PropagatorValue:
 def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
     """Truncated nested sum over n1 > ... > nm, all indices <= N.
 
-    Cost O(N m): one cumulative-sum pass per depth level.
+    Cost O(N m): per depth level, k - 1 multiplications by 1/n for a part k,
+    one by the inner level's sums and one cumulative sum.  One 1/n row is
+    shared by every call in the process, built for the largest N asked so
+    far (16 N bytes, 160 MB at MAX_TRUNCATION); 1/n does not depend on N, so
+    its prefix has the bits of a row built for a smaller N.
     """
+    global _reciprocals
     if not c.admissible:
         raise ValueError("divergent composition %s" % c)
     if N < 2:
@@ -63,11 +70,16 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
     # N = 10^6, where plain float64 cumsum noise reaches 1e-11.  Powers are
     # chains of multiplications by 1/n: numpy's longdouble ** is slow for
     # exponents >= 4, and the chain differs from it by < 1e-18 relative.
-    r = np.longdouble(1) / np.arange(1, N + 1, dtype=np.longdouble)
+    if _reciprocals is None or len(_reciprocals) < N:
+        _reciprocals = np.longdouble(1) / np.arange(1, N + 1,
+                                                    dtype=np.longdouble)
+        _reciprocals.flags.writeable = False
+    r = _reciprocals[:N]
     csum = None
     for j in reversed(range(c.depth)):
-        x = r.copy()
-        for _ in range(c.parts[j] - 1):
+        k = c.parts[j]
+        x = r * r if k > 1 else r.copy()
+        for _ in range(k - 2):
             x *= r
         if c.sign(j) == -1:
             x[::2] *= -1                 # odd n
@@ -278,19 +290,17 @@ def propagator_real_closed_form(k: int, u):
 def eval_propagator(k: int, u, N: int) -> PropagatorValue:
     """Partial Fourier sum sum_{n<=N} e^(2 pi i n u) / (2 pi i n)^k.
 
-    The sum is taken at u exactly, u = p/q as a Fraction (a float u is its
-    exact binary value).  The terms 1/n^k are added as fixed-point integers
-    floor(2^B / n^k) into the residue classes of n mod q, which share the
-    phase e^(2 pi i n p/q); at most min(q, N + 1) classes are then combined
-    in mpmath at 40 digits.  Also returns the Bernoulli closed-form real part.
-
-    A float u is slow: its denominator is 2^54, so each n <= N is a class of
-    its own and costs one mpmath expjpi.  eval_propagator(4, 0.3, 10**4)
-    took 0.4-0.6 s, against under 0.02 s for Fraction(3, 10) (2-core Xeon,
-    Python 3.11); pass a Fraction where u is a known rational.
+    The sum is taken at u exactly, u = p/q as an int or a Fraction.  The
+    terms 1/n^k are added as fixed-point integers floor(2^B / n^k) into the
+    residue classes of n mod q, which share the phase e^(2 pi i n p/q); at
+    most min(q, N + 1) classes are then combined in mpmath at 40 digits.
+    Also returns the Bernoulli closed-form real part.
     """
     if k < 2:
         raise ValueError("k >= 2 required for absolute convergence")
+    if isinstance(u, float):
+        # its exact value has denominator 2^54: one class, one expjpi per n
+        raise TypeError("u must be an int or a Fraction, not %r" % u)
     u = Fraction(u)
     if not -1 < u < 1:
         raise ValueError("u must lie in (-1, 1)")

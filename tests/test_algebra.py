@@ -203,12 +203,6 @@ def test_interleavings_are_the_multinomial_patterns(n):
                     a1, a2, a12)
 
 
-def test_interleavings_are_one_shared_tuple():
-    patterns = interleavings(2, 1, 1)
-    assert isinstance(patterns, tuple)
-    assert interleavings(2, 1, 1) is patterns
-
-
 def _brute_quasi_shuffle(u, v):
     """u * v = u1 (u' * v) + v1 (u * v') + (u1 v1)(u' * v'), as counts."""
     if not u or not v:

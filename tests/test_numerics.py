@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -62,8 +63,52 @@ def test_direct_refuses_oversized_truncation_before_allocating(monkeypatch):
         raise AssertionError("array allocated for an oversized truncation")
 
     monkeypatch.setattr(numerics.np, "arange", no_arrays)
+    monkeypatch.setattr(numerics, "_reciprocals", None)
     with pytest.raises(ValueError, match="exceeds the limit"):
         eval_mzv_direct(composition(3), MAX_TRUNCATION + 1)
+    assert numerics._reciprocals is None
+
+
+# The fresh-row loop the shared 1/n row replaced, kept as its reference: the
+# same longdouble operations in the same order, so values must match bitwise.
+def fresh_row_direct(c, N):
+    r = np.longdouble(1) / np.arange(1, N + 1, dtype=np.longdouble)
+    csum = None
+    for j in reversed(range(c.depth)):
+        x = r.copy()
+        for _ in range(c.parts[j] - 1):
+            x *= r
+        if c.sign(j) == -1:
+            x[::2] *= -1
+        if csum is not None:
+            x[1:] *= csum[:-1]
+            x[0] = 0
+        csum = np.cumsum(x, out=x)
+    return float(csum[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.sampled_from((1, -1))),
+                min_size=1, max_size=4),
+       st.lists(st.integers(2, 3000), min_size=3, max_size=3, unique=True))
+def test_direct_shared_row_matches_fresh_row(signed_parts, sizes):
+    c = composition(*(p * s for p, s in signed_parts))
+    assume(c.admissible)
+    small, middle, large = sorted(sizes)
+    numerics._reciprocals = None
+    longest = 0
+    for N in (middle, large, small):    # build, grow, then a shorter prefix
+        assert eval_mzv_direct(c, N).value == fresh_row_direct(c, N)
+        longest = max(longest, N)
+        assert len(numerics._reciprocals) == longest
+
+
+def test_direct_shared_row_is_read_only():
+    eval_mzv_direct(composition(2), 100)
+    with pytest.raises(ValueError, match="read-only"):
+        numerics._reciprocals[0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        numerics._reciprocals[:50][0] = 2
 
 
 def test_direct_bound_monotone():
@@ -241,15 +286,19 @@ def literal_propagator(k, u, N):
             for n in range(1, N + 1))
 
 
-# a float u sums at its exact binary value, whose denominator is 2^54
 @pytest.mark.parametrize("u", [0, Fraction(1, 2), Fraction(-1, 2),
-                               Fraction(3, 20), Fraction(-7, 19), 0.3])
+                               Fraction(3, 20), Fraction(-7, 19)])
 def test_propagator_matches_literal_loop(u):
     for k in (2, 3, 4):
         for N in (1, 2, 19, 200):
             pv = eval_propagator(k, u, N)
             with mp.workdps(50):
                 assert abs(pv.value - literal_propagator(k, u, N)) <= 1e-35
+
+
+def test_propagator_refuses_float_u():
+    with pytest.raises(TypeError, match="Fraction"):
+        eval_propagator(4, 0.3, 10 ** 4)
 
 
 def test_propagator_derivative_finite_difference():
