@@ -56,6 +56,22 @@ def brute_mzv_exact(c, N=25):
     return S[N + 1]
 
 
+def all_compositions(max_weight):
+    """Every unsigned composition of weight 1..max_weight, admissible or
+    not, as tuples of parts."""
+    out = []
+    for weight in range(1, max_weight + 1):
+        for cuts in itertools.product((False, True), repeat=weight - 1):
+            parts = [1]
+            for cut in cuts:
+                if cut:
+                    parts.append(1)
+                else:
+                    parts[-1] += 1
+            out.append(tuple(parts))
+    return out
+
+
 def brute_term(term, N=200):
     """Truncated value of one ProductTerm."""
     val = float(term.coefficient)

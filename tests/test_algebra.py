@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_combination, brute_mzv, brute_mzv_exact
+from conftest import (
+    all_compositions,
+    brute_combination,
+    brute_mzv,
+    brute_mzv_exact,
+)
 from mzv import (
     EliminationError,
     composition,
@@ -128,9 +133,11 @@ def test_regularized_flag():
 
 
 def test_divergent_expansion_is_the_stuffle_with_one():
-    for parts in [(2,), (2, 1), (3, 2)]:
+    comps = all_compositions(9)
+    assert len(comps) == 511
+    for parts in comps:
         c = composition(*parts)
-        assert divergent_expansion(c) == stuffle(composition(1), c)
+        assert divergent_expansion(c) == stuffle(composition(1), c), parts
 
 
 def test_eliminate_divergent():

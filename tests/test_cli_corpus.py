@@ -55,12 +55,24 @@ CORPUS = {
             "--json"]
         for variant in ("rightward", "alternative")
     },
+    **{
+        "derive-partial-int-%s-leftward" % comp.replace(",", ""): [
+            "derive", "partial-int", comp, "--variant", "leftward", "--json"]
+        for comp in ("3,1,2", "1,2,2")
+    },
+    "derive-partial-int-3-413-alternative": [
+        "derive", "partial-int-3", "4", "1", "3", "--variant", "alternative",
+        "--json"],
     "derive-trailing-one-31": ["derive", "trailing-one", "3,1", "--json"],
+    "derive-trailing-one-213": ["derive", "trailing-one", "2,1,3", "--json"],
     "reduce-seashell-2112-rightward": [
         "reduce", "--seashell", "2,1,1,2", "--strategy", "rightward",
         "--trace", "--json"],
-    "sweep-partial-int-7": [
-        "sweep", "partial-int", "--max-weight", "7", "--json"],
+    **{
+        "sweep-partial-int-%d" % w: [
+            "sweep", "partial-int", "--max-weight", str(w), "--json"]
+        for w in (7, 9)
+    },
     "eval-312-eps-1e-12": ["eval", "3,1,2", "--eps", "1e-12", "--json"],
     "eval-51112-eps-1e-15": ["eval", "5,1,1,1,2", "--eps", "1e-15", "--json"],
     "eval-22-eps-1e-30": ["eval", "2,2", "--eps", "1e-30", "--json"],

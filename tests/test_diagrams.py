@@ -1,11 +1,15 @@
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from conftest import brute_diagram, brute_diagram_richardson
+from conftest import all_compositions, brute_diagram, brute_diagram_richardson
 from mzv import (
     Diagram,
     IrreducibleDiagramError,
+    ProductTerm,
+    ZetaCombination,
     build_half_moon,
     build_peacock,
     build_seashell,
@@ -13,8 +17,10 @@ from mzv import (
     diagram_from_json,
     eliminate_divergent,
     eval_combination,
+    from_word,
     normalize,
     one,
+    partial_integration,
     partial_integration_length2,
     partial_integration_length3,
     reduce,
@@ -25,6 +31,7 @@ from mzv import (
     rewrite_three_point,
     shuffle_expansion,
     stuffle,
+    to_word,
     zeta,
 )
 from mzv.cli import main
@@ -138,6 +145,42 @@ def test_shuffle_expansion_matches_stuffle_value():
         sh = shuffle_expansion(left, right)
         st = stuffle(composition(*left), composition(*right))
         assert abs(numeric(sh) - numeric(st)) < 1e-10, (left, right)
+
+
+@lru_cache(maxsize=None)
+def word_shuffle(u, v):
+    """Shuffle product of two words as a Counter of words, by peeling off
+    the first letter of either word."""
+    if not u or not v:
+        return Counter({u + v: 1})
+    out = Counter()
+    for w, c in word_shuffle(u[1:], v).items():
+        out[u[:1] + w] += c
+    for w, c in word_shuffle(u, v[1:]).items():
+        out[v[:1] + w] += c
+    return out
+
+
+def reference_shuffle(left, right):
+    u, v = to_word(composition(*left)), to_word(composition(*right))
+    return normalize(ZetaCombination(tuple(
+        ProductTerm(c, (from_word(w),))
+        for w, c in word_shuffle(u, v).items())))
+
+
+def test_shuffle_expansion_is_the_word_shuffle():
+    comps = all_compositions(8)
+    pairs = [(u, v) for u in comps for v in comps if sum(u) + sum(v) <= 8]
+    assert len(pairs) == 769
+    for u, v in pairs:
+        assert shuffle_expansion(u, v) == reference_shuffle(u, v), (u, v)
+
+
+def test_leftward_partial_integration_is_the_word_shuffle():
+    for ks in all_compositions(9):
+        if len(ks) >= 2:
+            got = partial_integration(ks, "leftward").rhs
+            assert got == reference_shuffle(ks[:1], ks[1:]), ks
 
 
 def test_reverse_edge_preserves_cycle_value():
