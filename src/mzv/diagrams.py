@@ -29,11 +29,7 @@ from .linalg import row_reduce
 
 
 class IrreducibleDiagramError(ValueError):
-    """Raised when no reduction rule applies; carries what was reduced so far."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Raised when no reduction rule applies."""
 
 
 @dataclass(frozen=True)
@@ -545,6 +541,11 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
 
 # --- shuffle-structure reduction -------------------------------------------
 
+# The branch recursion nests one call per branch part; beyond this many parts
+# it would run into Python's recursion limit.
+MAX_BRANCH_PARTS = 256
+
+
 @lru_cache(maxsize=None)
 def _branch_suffixes(B, C):
     """Expansion of the double-branch state whose trunk ends in a zero label.
@@ -553,6 +554,9 @@ def _branch_suffixes(B, C):
     (suffix, coefficient) pairs; the recursion integrates the trunk end by
     parts and pushes the resulting zero label up the opposite branch.
     """
+    if len(B) + len(C) > MAX_BRANCH_PARTS:
+        raise ValueError("the branch recursion takes at most %d parts, got %d"
+                         % (MAX_BRANCH_PARTS, len(B) + len(C)))
     items = {}
     for X, Y in ((B, C), (C, B)):
         x1, y1 = X[0], Y[0]

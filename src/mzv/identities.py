@@ -4,7 +4,8 @@ Every emitter returns an Identity holding two combinations of equal value.
 Families based on splitting the summation domain (reflection, permutation)
 hold for signed exponents too; the partial-integration families trade the
 outermost or innermost exponent against its neighbours through binomial
-rearrangement and are stated for unsigned exponents.
+rearrangement and are stated for unsigned exponents; the leftward sweep is
+the shuffle product of the diagrams module's double-branch recursion.
 """
 
 from __future__ import annotations
@@ -182,47 +183,14 @@ def _rightward_general_rhs(ks) -> ZetaCombination:
     return normalize(ZetaCombination(tuple(terms)))
 
 
-def _leftward_general_rhs(ks) -> ZetaCombination:
-    """Expansion of zeta(k1) zeta(k2..km) that absorbs the leading exponent.
-
-    All coefficients are positive; the expansion runs over descending index
-    chains bounded by k1.
-    """
-    m = len(ks)
-    k = (0,) + tuple(ks)
-    terms = []
-
-    def head_coeff(n, stop):
-        return prod(comb(k[lam] + n[lam - 2] - n[lam - 1] - 1, k[lam] - 1)
-                    for lam in range(2, stop + 1))
-
-    for kappa in range(1, m):
-        for chain in _descending_chains(k[1], kappa - 1):
-            for v in range(1, k[kappa + 1] + 1):
-                n = (k[1],) + chain + (v,)
-                coeff = comb(k[kappa + 1] + n[kappa - 1] - v - 1,
-                             n[kappa - 1] - 1) * head_coeff(n, kappa)
-                arg = tuple(k[lam + 1] + n[lam - 1] - n[lam]
-                            for lam in range(1, kappa + 1)) \
-                    + (v,) + k[kappa + 2:]
-                terms.append(ProductTerm(coeff, (Composition(arg),)))
-
-    for chain in _descending_chains(k[1], m - 1):
-        n = (k[1],) + chain
-        arg = tuple(k[lam + 1] + n[lam - 1] - n[lam]
-                    for lam in range(1, m)) + (n[m - 1],)
-        terms.append(ProductTerm(head_coeff(n, m), (Composition(arg),)))
-    return normalize(ZetaCombination(tuple(terms)))
-
-
 def partial_integration(ks, variant: str = "rightward") -> Identity:
     """Generic-depth partial integration, stated raw.
 
     rightward: zeta(ks) equals an expansion whose product block may carry
-    zeta(1) factors; leftward: zeta(k1) zeta(k2..km) equals a positive
-    expansion into single sums.  Divergent pieces are kept (the identity is
-    exact term by term under the formal regularization); apply
-    eliminate_divergent to the combination for a finite statement.
+    zeta(1) factors; leftward: zeta(k1) zeta(k2..km) equals its shuffle
+    product.  Divergent pieces are kept (the identity is exact term by term
+    under the formal regularization); apply eliminate_divergent to the
+    combination for a finite statement.
     """
     c = _as_composition(ks)
     _check_unsigned(c, "partial integration")
@@ -234,7 +202,7 @@ def partial_integration(ks, variant: str = "rightward") -> Identity:
         rhs = _rightward_general_rhs(ks)
     elif variant == "leftward":
         lhs = zeta(ks[0]) * zeta(Composition(ks[1:]))
-        rhs = _leftward_general_rhs(ks)
+        rhs = diagrams.shuffle_expansion(ks[:1], ks[1:])
     else:
         raise ValueError("variant must be rightward or leftward")
     return Identity(
@@ -249,9 +217,9 @@ def partial_integration_cross_check(ks) -> ZetaCombination:
     """Substitute leftward expansions into the rightward identity.
 
     Every two-factor product in the rightward expansion of zeta(ks) is an
-    instance of the leftward left-hand side; replacing each by its leftward
-    right-hand side must cancel everything.  Returns the normalized residual
-    (empty when the two sweeps are consistent).
+    instance of the leftward left-hand side; replacing each by its shuffle
+    product must cancel everything.  Returns the normalized residual (empty
+    when the rightward closed form and the shuffle recursion agree).
     """
     c = _as_composition(ks)
     _check_unsigned(c, "partial integration")
@@ -270,7 +238,7 @@ def partial_integration_cross_check(ks) -> ZetaCombination:
             head, tail = tail, head
         if head.depth != 1:
             raise ValueError("no single-sum factor in %s" % t)
-        expansion = _leftward_general_rhs((head.parts[0],) + tail.parts)
+        expansion = diagrams.shuffle_expansion(head, tail)
         out.extend(e.scaled(t.coefficient) for e in expansion.terms)
     return normalize(ZetaCombination(tuple(out)))
 
@@ -294,22 +262,25 @@ def partial_integration_length3(a: int, b: int, c: int,
                                 variant: str = "rightward") -> Identity:
     """zeta(a, b, c) expressed through depth <= 3 sums and products.
 
-    The two variants move the innermost exponent through the chain in a
-    different order and give genuinely different right-hand sides of the
-    same value.
+    "rightward" is a closed form of its own; "alternative" is the generic
+    rightward expansion with its divergent pieces eliminated.  The two give
+    genuinely different right-hand sides of the same value.
     """
     if a < 2 or b < 1 or c < 1:
         raise ValueError("needs a >= 2, b >= 1, c >= 1")
-    w = a + b + c
-    terms = []
+    if variant == "alternative":
+        rhs = _rightward_general_rhs((a, b, c))
+    elif variant == "rightward":
+        w = a + b + c
+        terms = []
 
-    def add(coeff, *factors):
-        terms.append(
-            ProductTerm(coeff, tuple(Composition(f) for f in factors)))
+        def add(coeff, *factors):
+            terms.append(
+                ProductTerm(coeff, tuple(Composition(f) for f in factors)))
 
-    for n in range(1, b + 1):
-        add((-1) ** (c % 2) * comb(b + c - n - 1, c - 1), (a, n, b + c - n))
-    if variant == "rightward":
+        for n in range(1, b + 1):
+            add((-1) ** (c % 2) * comb(b + c - n - 1, c - 1),
+                (a, n, b + c - n))
         for n in range(1, c + 1):
             for m in range(1, a + 1):
                 add((-1) ** (b % 2) * comb(b + c - n - 1, b - 1)
@@ -317,37 +288,30 @@ def partial_integration_length3(a: int, b: int, c: int,
             for m in range(1, b + c - n + 1):
                 add((-1) ** ((b + m) % 2) * comb(b + c - n - 1, b - 1)
                     * comb(w - m - n - 1, a - 1), (m,), (w - m - n, n))
-    elif variant == "alternative":
-        for n in range(1, c + 1):
-            for m in range(1, a + 1):
-                add((-1) ** (c % 2) * comb(b + c - n - 1, b - 1)
-                    * comb(a - m + n - 1, n - 1), (m, a - m + n, b + c - n))
-            for m in range(1, n + 1):
-                add((-1) ** ((c - m) % 2) * comb(a - m + n - 1, a - 1)
-                    * comb(b + c - n - 1, b - 1), (m,), (a - m + n, b + c - n))
+        rhs = ZetaCombination(tuple(terms))
     else:
         raise ValueError("variant must be rightward or alternative")
     return Identity(
         family="partial-int-3",
         parameters={"a": a, "b": b, "c": c, "variant": variant},
         lhs=zeta(a, b, c),
-        rhs=eliminate_divergent(ZetaCombination(tuple(terms))),
+        rhs=eliminate_divergent(rhs),
     )
 
 
 def trailing_one(x) -> Identity:
     """Finite form for a sum whose innermost exponent is 1.
 
-    Equates the two expansions of zeta(1) zeta(x) (index insertion versus
-    the leftward sweep) and solves for the trailing-one term; the single
-    divergent piece cancels between them.
+    Hoffman's relation: the stuffle and the shuffle product of zeta(1) and
+    zeta(x) agree, so their difference is solved for the trailing-one term;
+    the single divergent piece cancels between them.
     """
     x = _as_composition(x)
     _check_unsigned(x, "trailing-one")
     if not x.admissible:
         raise ValueError("base composition must be admissible")
     target = Composition(x.parts + (1,))
-    z = divergent_expansion(x) - _leftward_general_rhs((1,) + x.parts)
+    z = divergent_expansion(x) - diagrams.shuffle_expansion((1,), x)
     coeff = 0
     rest = []
     for t in z.terms:

@@ -409,10 +409,13 @@ def reduce_to_basis(l: int) -> BasisReduction:
     basis = tuple(c[1] for c in mat.unknowns if c[1][0] == (symbols[0],))
 
     # row (v, u) repeats row (u, v); a repeated row only ever reduces to zero
-    distinct = {}
-    for r in mat.rows:
-        distinct.setdefault(frozenset(r.items()), r)
-    pivots, rest = row_reduce(list(distinct.values()), pivot_cols)
+    seen = set()
+    distinct = []
+    for (u, v), r in zip(mat.row_labels, mat.rows):
+        if (v, u) not in seen:
+            seen.add((u, v))
+            distinct.append(r)
+    pivots, rest = row_reduce(distinct, pivot_cols)
     for col in pivot_cols:
         if col not in pivots:
             raise ArithmeticError("no pivot row for column %s" % (col,))

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -306,6 +307,40 @@ def test_empty_sweep_is_refused(family, max_weight):
     assert code == 2
     assert out == ""
     assert "--max-weight %s leaves no %s identity" % (max_weight, family) in err
+
+
+def _deep_command(family, parts):
+    """A command whose branch recursion gets ``parts`` parts."""
+    def ones(n):
+        return ",".join(["2"] + ["1"] * (n - 1))
+    return {
+        "shuffle": ["derive", "shuffle", "2", ones(parts - 1)],
+        "leftward": ["derive", "partial-int", ones(parts),
+                     "--variant", "leftward"],
+        "trailing-one": ["derive", "trailing-one", ones(parts - 1)],
+        "peacock": ["reduce", "--peacock", "0", ones(parts // 2),
+                    ones(parts - parts // 2)],
+    }[family]
+
+
+DEEP_FAMILIES = ["shuffle", "leftward", "trailing-one", "peacock"]
+
+
+@pytest.mark.parametrize("family", DEEP_FAMILIES)
+def test_deep_branch_recursion_is_refused(family):
+    t0 = time.monotonic()
+    code, out, err = run(_deep_command(family, 300))
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "at most 256 parts, got 300" in err
+
+
+@pytest.mark.parametrize("family", DEEP_FAMILIES)
+def test_branch_recursion_below_the_limit_derives(family):
+    code, out, _ = run(_deep_command(family, 255))
+    assert code == 0
+    assert out
 
 
 def test_sweep_rejects_unknown_family():

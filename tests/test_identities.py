@@ -218,6 +218,17 @@ def test_trailing_one_sweep():
         assert verify_identity(ident, eps=1e-9)["pass"], c
 
 
+def test_trailing_one_is_hoffmans_relation():
+    # lhs - rhs is stuffle(1, x) - shuffle(1, x) divided by the coefficient
+    # of zeta(x, 1) there
+    for x in iter_admissible(9):
+        hoffman = normalize(stuffle(composition(1), x)
+                            - diagrams.shuffle_expansion((1,), x))
+        coeff = dict((t.factors, t.coefficient) for t in hoffman.terms)[
+            (composition(*x.parts, 1),)]
+        assert trailing_one(x).combination.scaled(coeff) == hoffman, x
+
+
 def test_three_point_seven_terms():
     ident = three_point_identity(2, 3, 4)
     assert len(ident.rhs.terms) == 7
