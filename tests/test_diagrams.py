@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +21,7 @@ from mzv import (
     eliminate_divergent,
     eval_combination,
     from_word,
+    iter_admissible,
     normalize,
     one,
     partial_integration,
@@ -346,6 +350,24 @@ def test_rightward_matches_length3_emitter():
     r = reduce(build_seashell((2, 1, 1)), strategy="rightward")
     p = partial_integration_length3(2, 1, 1, variant="rightward")
     assert r == p.rhs
+
+
+def test_rightward_sweep_digest():
+    # sha256 of the value JSON and the trace lines of every rightward
+    # reduction over the admissible seashells of weight <= 10 and depth >= 2
+    # and the half-moons with labels in 1..4 (fans whose last chord is
+    # nonzero), written by the per-path partial-integration walk
+    diagrams = [build_seashell(c) for c in iter_admissible(10, min_depth=2)]
+    diagrams += [build_half_moon(*labels)
+                 for labels in itertools.product(range(1, 5), repeat=3)]
+    assert len(diagrams) == 502 + 64
+    lines = []
+    for d in diagrams:
+        comb, trace = reduce(d, strategy="rightward", trace=True)
+        lines.append(json.dumps(comb.to_json(), sort_keys=True))
+        lines.extend(trace)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "91da6e9f0dcd9912b4023cbff1d9b217fbcb9740b5a84384586f747836778243")
 
 
 def test_auto_falls_back_on_loaded_half_moon():
