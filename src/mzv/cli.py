@@ -17,7 +17,7 @@ import sys
 
 from mpmath import mp
 
-from . import algebra, diagrams, identities, linalg, numerics
+from . import diagrams, identities, linalg, numerics
 from .compositions import iter_admissible, parse_composition
 
 
@@ -99,22 +99,6 @@ def cmd_derive(args):
     return 0
 
 
-def _verification_report(identity, eps):
-    extra = {}
-    if identity.regularized:
-        # Raw partial-integration identities carry zeta(1) symbols; trade
-        # them for admissible terms before putting numbers in.
-        comb = algebra.eliminate_divergent(identity.combination)
-        report = numerics.verify_identity(comb, eps=eps)
-        report["identity"] = {"family": identity.family,
-                             "parameters": identity.parameters}
-        extra["eliminated"] = True
-    else:
-        report = numerics.verify_identity(identity, eps=eps)
-    report.update(extra)
-    return report
-
-
 def cmd_verify(args):
     if args.file == "-":
         payload = json.load(sys.stdin)
@@ -131,7 +115,7 @@ def cmd_verify(args):
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError("malformed identity file: %r" % exc)
     eps = args.eps if args.eps is not None else 10.0 ** (-_default_digits())
-    report = _verification_report(identity, eps)
+    report = numerics.verify_identity(identity, eps=eps)
     if args.json:
         _print_json(report)
     else:

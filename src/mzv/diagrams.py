@@ -546,32 +546,45 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
 MAX_BRANCH_PARTS = 256
 
 
+def _integration_exits(x, z):
+    """Iterated partial integration of exponents x and z against a raised edge.
+
+    Each step raises the edge by one unit taken from x, or from z with a minus
+    sign, until one of them runs out (z, if both start at zero).  Returns the
+    exits where z ran out, then those where x did, as (units left, units
+    raised, paths); a path to an exit is signed (-1) ** (units taken from z).
+    """
+    if z == 0:
+        return ((x, 0, 1),), ()
+    if x == 0:
+        return (), ((z, 0, 1),)
+    return (tuple((r, x + z - r, comb(x + z - r - 1, z - 1))
+                  for r in range(1, x + 1)),
+            tuple((s, x + z - s, comb(x + z - s - 1, x - 1))
+                  for s in range(1, z + 1)))
+
+
 @lru_cache(maxsize=None)
 def _branch_suffixes(B, C):
     """Expansion of the double-branch state whose trunk ends in a zero label.
 
     The state equals sum coeff * zeta(trunk . suffix) over the returned
     (suffix, coefficient) pairs; the recursion integrates the trunk end by
-    parts and pushes the resulting zero label up the opposite branch.
+    parts against both branch heads and pushes the resulting zero label up
+    the branch whose head ran out.
     """
     if len(B) + len(C) > MAX_BRANCH_PARTS:
         raise ValueError("the branch recursion takes at most %d parts, got %d"
                          % (MAX_BRANCH_PARTS, len(B) + len(C)))
     items = {}
-    for X, Y in ((B, C), (C, B)):
-        x1, y1 = X[0], Y[0]
-        for nu in range(1, x1 + 1):
-            coeff = comb(x1 + y1 - nu - 1, y1 - 1)
-            head = x1 + y1 - nu
+    exits = _integration_exits(B[0], C[0])
+    for (X, Y), side in zip(((B, C), (C, B)), exits):
+        for nu, head, coeff in side:
             X2 = (nu,) + X[1:]
-            Y2 = Y[1:]
-            if not Y2:
-                suf = (head,) + X2
-                items[suf] = items.get(suf, 0) + coeff
-            else:
-                for suf, c2 in _branch_suffixes(Y2, X2):
-                    key = (head,) + suf
-                    items[key] = items.get(key, 0) + coeff * c2
+            tails = _branch_suffixes(Y[1:], X2) if len(Y) > 1 else ((X2, 1),)
+            for suf, c2 in tails:
+                key = (head,) + suf
+                items[key] = items.get(key, 0) + coeff * c2
     return tuple(sorted(items.items()))
 
 
@@ -724,9 +737,8 @@ def _rightward_terms(t, c):
     Returns ProductTerms; each terminal state is a fully ordered cycle (all
     chords zero) or a leading factor split.
     """
-    p = len(c)
     out = []
-    stack = [(1, tuple(t), tuple(c), p)]
+    stack = [(1, tuple(t), tuple(c), len(c))]
     while stack:
         coeff, t, c, i = stack.pop()
         if c[i - 1] == 0 or t[i] != 0:
@@ -735,27 +747,23 @@ def _rightward_terms(t, c):
         else:
             raise_chord = False
             y, z = t[i], c[i - 1]
-        inner = [(coeff, t[i - 1], y, z)]
-        while inner:
-            cf, x, y, z = inner.pop()
-            if z == 0:
-                nt = t[:i - 1] + (x, y) + t[i + 1:]
-                nc = c[:i - 1] + (0,) + c[i:]
-                assert all(k == 0 for k in nc)
-                out.append(ProductTerm(cf, (Composition(nt),)))
-            elif x == 0:
-                big, rem = (y, z) if raise_chord else (z, y)
-                if i == 1:
-                    tail = (rem,) + t[i + 1:]
-                    out.append(ProductTerm(
-                        cf, (Composition((big,)), Composition(tail))))
-                else:
-                    nt = t[:i - 1] + (0, rem) + t[i + 1:]
-                    nc = c[:i - 2] + (big, 0) + c[i:]
-                    stack.append((cf, nt, nc, i - 1))
+        spent_z, spent_x = _integration_exits(t[i - 1], z)
+        for r, moved, n in spent_z:
+            nt = t[:i - 1] + (r, y + moved) + t[i + 1:]
+            nc = c[:i - 1] + (0,) + c[i:]
+            assert all(k == 0 for k in nc)
+            out.append(ProductTerm((-1) ** z * n * coeff, (Composition(nt),)))
+        for s, moved, n in spent_x:
+            cf = (-1) ** (z - s) * n * coeff
+            big, rem = (y + moved, s) if raise_chord else (s, y + moved)
+            if i == 1:
+                tail = (rem,) + t[i + 1:]
+                out.append(ProductTerm(
+                    cf, (Composition((big,)), Composition(tail))))
             else:
-                inner.append((cf, x - 1, y + 1, z))
-                inner.append((-cf, x, y + 1, z - 1))
+                nt = t[:i - 1] + (0, rem) + t[i + 1:]
+                nc = c[:i - 2] + (big, 0) + c[i:]
+                stack.append((cf, nt, nc, i - 1))
     return out
 
 

@@ -20,6 +20,7 @@ from . import diagrams
 from .algebra import (
     ProductTerm,
     ZetaCombination,
+    combination_from_json,
     divergent_expansion,
     eliminate_divergent,
     normalize,
@@ -383,16 +384,14 @@ def _derive_shuffle(args, variant):
 
 
 FAMILIES = {
-    "reflection": (_derive_reflection, "a b"),
-    "permutation": (_derive_permutation, "left right"),
-    "three-point": (_derive_three_point, "a b c"),
-    "partial-int-2": (_derive_partial2, "a b"),
-    "partial-int-3": (_derive_partial3,
-                      "a b c  [--variant rightward|alternative]"),
-    "partial-int": (_derive_partial,
-                    "k1,...,km  [--variant rightward|leftward]"),
-    "trailing-one": (_derive_trailing_one, "k1,...,km"),
-    "shuffle": (_derive_shuffle, "left right"),
+    "reflection": _derive_reflection,
+    "permutation": _derive_permutation,
+    "three-point": _derive_three_point,
+    "partial-int-2": _derive_partial2,
+    "partial-int-3": _derive_partial3,
+    "partial-int": _derive_partial,
+    "trailing-one": _derive_trailing_one,
+    "shuffle": _derive_shuffle,
 }
 
 
@@ -401,13 +400,11 @@ def derive(family: str, args, variant: str = None) -> Identity:
     if family not in FAMILIES:
         raise ValueError("unknown family %r (have: %s)"
                          % (family, ", ".join(sorted(FAMILIES))))
-    fn, _ = FAMILIES[family]
-    return fn(list(args), variant)
+    return FAMILIES[family](list(args), variant)
 
 
 def identity_from_json(obj) -> Identity:
     """Rebuild an Identity from its to_json form."""
-    from .algebra import combination_from_json
     return Identity(
         family=obj["family"],
         parameters=obj.get("parameters", {}),

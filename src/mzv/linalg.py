@@ -38,6 +38,8 @@ from .compositions import composition
 
 # The rank --length 6 system: the largest that any test or workload ranks.
 MAX_UNKNOWNS = 720
+# Splits run over all 2^l subsets: ten symbols take seconds at one unknown.
+MAX_SYMBOLS = 9
 
 # Prime of the modular rank: a product of two residues fits in int64.
 PRIME = 2 ** 31 - 1
@@ -47,11 +49,15 @@ RECONSTRUCTION_BOUND = math.isqrt((PRIME - 1) // 2)
 
 
 def check_system_size(symbols):
-    """Refuse a permutation system with more than MAX_UNKNOWNS unknowns.
+    """Refuse a permutation system with more than MAX_SYMBOLS symbols or
+    more than MAX_UNKNOWNS unknowns.
 
     The count l! / prod m_i! comes from the symbol multiplicities, so an
     oversized system is refused before any row is built.
     """
+    if len(symbols) > MAX_SYMBOLS:
+        raise ValueError("permutation system has %d symbols, above the limit %d"
+                         % (len(symbols), MAX_SYMBOLS))
     n = math.factorial(len(symbols))
     for m in Counter(symbols).values():
         n //= math.factorial(m)
@@ -61,8 +67,8 @@ def check_system_size(symbols):
 
 
 def generic_symbols(l: int):
-    if not 1 <= l <= 9:
-        raise ValueError("supported symbol counts are 1..9")
+    if not 1 <= l <= MAX_SYMBOLS:
+        raise ValueError("supported symbol counts are 1..%d" % MAX_SYMBOLS)
     return tuple("abcdefghi"[:l])
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .algebra import ZetaCombination, normalize
+from .algebra import ZetaCombination, eliminate_divergent, normalize, zeta
 from .compositions import Composition, from_word, to_word
 
 FLOAT_SLACK = 1e-12  # headroom for float64 roundoff in the direct evaluator
@@ -223,11 +223,15 @@ def eval_combination(comb: ZetaCombination, eps: float) -> PrecisionValue:
 def verify_identity(identity, eps: float = 1e-10) -> dict:
     """Numerically test that an identity's combination vanishes.
 
-    Accepts an identity object (with .combination) or a bare combination.
+    Accepts an identity object (with .combination) or a bare combination; a
+    regularized one loses its zeta(1) terms first and is marked "eliminated".
     Pass requires the residual to sit inside the propagated bound *and* the
     bound to meet the requested eps, so a sloppy evaluation cannot pass.
     """
     comb = getattr(identity, "combination", identity)
+    eliminated = identity.regularized
+    if eliminated:
+        comb = eliminate_divergent(comb)
     pv = eval_combination(comb, eps)
     residual = abs(pv.value)
     ok = bool(residual <= pv.bound and pv.bound <= eps)
@@ -243,6 +247,8 @@ def verify_identity(identity, eps: float = 1e-10) -> dict:
             "family": family,
             "parameters": getattr(identity, "parameters", {}),
         }
+    if eliminated:
+        report["eliminated"] = True
     return report
 
 
@@ -327,6 +333,4 @@ def lnz_coefficients(nmax: int):
 
     The n = 1 entry carries the divergent zeta(1) and is flagged regularized.
     """
-    from .algebra import zeta
-
     return [zeta(n).scaled(Fraction(1, n)) for n in range(1, nmax + 1)]

@@ -170,6 +170,16 @@ def test_rank_refuses_oversized_system_before_assembly(monkeypatch, argv, count)
     assert "permutation system has %d unknowns, above the limit 720" % count in err
 
 
+def test_rank_refuses_too_many_symbols_at_once():
+    # one unknown, but the splits of twelve symbols would take minutes
+    t0 = time.monotonic()
+    code, out, err = run(["rank", "--pattern", ",".join("a" * 12)])
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "permutation system has 12 symbols, above the limit 9" in err
+
+
 def test_derive_human_output():
     code, out, _ = run(["derive", "reflection", "2", "3"])
     assert code == 0

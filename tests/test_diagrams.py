@@ -39,7 +39,7 @@ from mzv import (
     zeta,
 )
 from mzv.cli import main
-from mzv.diagrams import canonical_key, order_expansion
+from mzv.diagrams import _integration_exits, canonical_key, order_expansion
 
 
 def value(d, strategy="structural"):
@@ -368,6 +368,39 @@ def test_rightward_sweep_digest():
         lines.extend(trace)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "91da6e9f0dcd9912b4023cbff1d9b217fbcb9740b5a84384586f747836778243")
+
+
+def walk_end_states(x, z):
+    """The per-path partial-integration walk the rightward sweep once ran.
+
+    Each path moves one unit from x, or with a minus sign from z, onto the
+    raised edge y until one of them runs out (z, if both start at zero);
+    returns the signed number of paths reaching each end state.
+    """
+    ends = Counter()
+    stack = [(1, x, 0, z)]
+    while stack:
+        cf, x, y, z = stack.pop()
+        if z == 0:
+            ends["z spent", x, y] += cf
+        elif x == 0:
+            ends["x spent", z, y] += cf
+        else:
+            stack.append((cf, x - 1, y + 1, z))
+            stack.append((-cf, x, y + 1, z - 1))
+    return ends
+
+
+def test_integration_exits_sum_the_walk():
+    for x in range(9):
+        for z in range(9):
+            spent_z, spent_x = _integration_exits(x, z)
+            exits = {("z spent", r, moved): (-1) ** z * n
+                     for r, moved, n in spent_z}
+            exits.update({("x spent", s, moved): (-1) ** (z - s) * n
+                          for s, moved, n in spent_x})
+            assert len(exits) == len(spent_z) + len(spent_x)
+            assert exits == walk_end_states(x, z), (x, z)
 
 
 def test_auto_falls_back_on_loaded_half_moon():

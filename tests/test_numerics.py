@@ -19,6 +19,7 @@ from mzv import (
     lnz_coefficients,
     normalize,
     numerics,
+    partial_integration,
     permutation_identity,
     propagator_real_closed_form,
     verify_identity,
@@ -229,6 +230,21 @@ def test_verify_identity_report():
     bad = normalize(broken.lhs - broken.rhs.scaled(Fraction(1000001, 1000000)))
     rep = verify_identity(bad, eps=1e-10)
     assert rep["pass"] is False
+
+
+def test_verify_identity_eliminates_regularized_input():
+    raw = partial_integration((2, 1), variant="rightward")
+    assert raw.regularized
+    rep = verify_identity(raw)
+    assert rep["pass"] is True
+    assert rep["eliminated"] is True
+    assert rep["identity"] == {"family": raw.family,
+                               "parameters": raw.parameters}
+    # a bare regularized combination is eliminated the same way
+    bare = verify_identity(raw.combination)
+    assert bare["eliminated"] is True
+    assert bare["residual"] == rep["residual"]
+    assert "eliminated" not in verify_identity(permutation_identity((2,), (3,)))
 
 
 def test_bernoulli_numbers():
