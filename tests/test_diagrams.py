@@ -6,6 +6,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_compositions, brute_diagram, brute_diagram_richardson
 from mzv import (
@@ -39,7 +41,14 @@ from mzv import (
     zeta,
 )
 from mzv.cli import main
-from mzv.diagrams import _integration_exits, canonical_key, order_expansion
+from mzv.compositions import Composition
+from mzv.diagrams import (
+    _hamiltonian_cycles,
+    _integration_exits,
+    canonical_key,
+    order_expansion,
+)
+from mzv.linalg import row_reduce
 
 
 def value(d, strategy="structural"):
@@ -121,6 +130,169 @@ def test_order_expansion_parallel_zero_chords_underdetermined():
     with pytest.raises(IrreducibleDiagramError,
                        match="chord momenta underdetermined"):
         order_expansion(d)
+
+
+def test_order_expansion_free_momentum_with_zero_exponent():
+    # a feasible ordering cell groups the two label-1 cycle edges away from
+    # the zero-labelled ones, leaving a group whose exponent is 0
+    d = Diagram(tuple(range(6)), 0,
+                ((0, 4, 0), (0, 4, 0), (1, 5, 0), (2, 1, 0), (3, 0, 1),
+                 (3, 5, 0), (4, 2, 0), (5, 2, 0), (5, 3, 1)))
+    with pytest.raises(IrreducibleDiagramError,
+                       match="^free momentum with zero exponent$"):
+        order_expansion(d)
+
+
+def test_order_expansion_chord_sign_change_in_a_cell():
+    d = Diagram(tuple(range(4)), 0,
+                ((0, 2, 0), (0, 3, 0), (1, 0, 3), (1, 3, 0), (2, 1, 0),
+                 (2, 3, 2), (3, 1, 1)))
+    with pytest.raises(
+            IrreducibleDiagramError,
+            match="^chord momentum changes sign inside an ordering cell$"):
+        order_expansion(d)
+
+
+def fraction_order_expansion(d):
+    """The order expansion as it once ran: every chord form a tuple of
+    Fractions, one coefficient-1 term per feasible ordering cell."""
+
+    def ordered_partitions(P):
+        def rgs(prefix, mx):
+            if len(prefix) == P:
+                yield prefix
+                return
+            for g in range(mx + 2):
+                yield from rgs(prefix + [g], max(mx, g))
+
+        for part in rgs([], -1):
+            dd = max(part) + 1
+            for perm in itertools.permutations(range(dd)):
+                yield dd, tuple(perm[g] for g in part)
+
+    candidates = []
+    for cyc in _hamiltonian_cycles(d):
+        cyc_set = set(cyc)
+        if all(d.edges[i][2] == 0
+               for i in range(len(d.edges)) if i not in cyc_set):
+            candidates.append(cyc)
+    if not candidates:
+        raise IrreducibleDiagramError(
+            "no cycle through all vertices with zero-labeled chords")
+    cyc = min(candidates)
+    cyc_set = set(cyc)
+    chords = [i for i in range(len(d.edges)) if i not in cyc_set]
+    rows = {v: {} for v in d.vertices}
+    for i, (a, b, _) in enumerate(d.edges):
+        if a != b:
+            rows[a][i] = Fraction(-1)
+            rows[b][i] = Fraction(1)
+    pivots, rest = row_reduce(rows.values(), chords)
+    if len(pivots) < len(chords):
+        raise IrreducibleDiagramError("chord momenta underdetermined")
+    chord_forms = {
+        i: tuple(-pivots[i].get(e, Fraction(0)) for e in cyc) for i in chords}
+    constraints = [
+        tuple(r.get(e, Fraction(0)) for e in cyc) for r in rest if r]
+    labels = [d.edges[i][2] for i in cyc]
+    terms = []
+    for dd, assign in ordered_partitions(len(cyc)):
+        ok = True
+        for form in constraints:
+            sums = [Fraction(0)] * dd
+            for j, g in enumerate(assign):
+                sums[g] += form[j]
+            if any(s != 0 for s in sums):
+                ok = False
+                break
+        if not ok:
+            continue
+        feasible = True
+        for i in chords:
+            form = chord_forms[i]
+            a = [Fraction(0)] * dd
+            for j, g in enumerate(assign):
+                a[g] += form[j]
+            if any(x.denominator != 1 for x in a):
+                raise IrreducibleDiagramError("non-integer chord decomposition")
+            partial = list(itertools.accumulate(a))
+            total = partial[-1]
+            if all(s >= 0 for s in partial[:-1]) and total >= 0:
+                if sum(partial[:-1]) + total >= 1:
+                    continue
+                feasible = False
+                break
+            if all(s <= 0 for s in partial[:-1]) and total <= 0:
+                feasible = False
+                break
+            raise IrreducibleDiagramError(
+                "chord momentum changes sign inside an ordering cell")
+        if not feasible:
+            continue
+        expo = [0] * dd
+        for j, g in enumerate(assign):
+            expo[g] += labels[j]
+        if any(k == 0 for k in expo):
+            raise IrreducibleDiagramError("free momentum with zero exponent")
+        terms.append(ProductTerm(1, (Composition(tuple(expo)),)))
+    return normalize(ZetaCombination(tuple(terms)))
+
+
+@st.composite
+def cycles_with_zero_chords(draw):
+    """A directed Hamiltonian cycle with labels 0..3 (one in six a 0) plus up
+    to n zero chords between distinct vertices (loops when n = 1)."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(n)))
+    labels = draw(st.lists(st.sampled_from((0, 1, 1, 2, 2, 3)),
+                           min_size=n, max_size=n))
+    edges = [(order[i], order[(i + 1) % n], labels[i]) for i in range(n)]
+    vertex = st.integers(0, n - 1)
+    chord = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1] or n == 1)
+    chords = draw(st.lists(chord, max_size=n))
+    edges += [(a, b, 0) for a, b in chords]
+    return Diagram(tuple(range(n)), draw(vertex), tuple(edges))
+
+
+def expansion_outcome(expand, d):
+    try:
+        return expand(d)
+    except IrreducibleDiagramError as e:
+        return "refused: %s" % e
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycles_with_zero_chords())
+def test_order_expansion_matches_the_fraction_loop(d):
+    assert (expansion_outcome(order_expansion, d)
+            == expansion_outcome(fraction_order_expansion, d)), d.edges
+
+
+def test_structural_and_auto_digest():
+    # sha256 of reduce(d, s), the value JSON or the refusal, for s in
+    # structural and auto over every seashell of weight <= 11 and depth <= 5
+    # and every half-moon with labels in 0..5, written by the Fraction loop
+    diagrams = [build_seashell(c) for c in all_compositions(11) if len(c) <= 5]
+    diagrams += [build_half_moon(*labels)
+                 for labels in itertools.product(range(6), repeat=3)]
+    assert len(diagrams) == 1023 + 216
+    digests = {}
+    for strategy in ("structural", "auto"):
+        lines = []
+        for d in diagrams:
+            try:
+                comb = reduce(d, strategy=strategy)
+            except ValueError as e:
+                lines.append("%s: %s" % (type(e).__name__, e))
+            else:
+                lines.append(json.dumps(comb.to_json(), sort_keys=True))
+        digests[strategy] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digests == {
+        "structural":
+            "b1f29d12635807f29fc41635c697260faccf9937a2a2f95c8bc42f0a4fed2b14",
+        "auto":
+            "9f06b81680d4a09e1da23ffa46610c405b6d28cfa719ed1f23535f0be8d87770",
+    }
 
 
 def test_disconnected_diagram_factorizes():

@@ -74,6 +74,43 @@ def test_ordered_splits_counts():
     assert len(list(ordered_splits(("a", "b", "b")))) == 6
 
 
+def permuted_ordered_splits(symbols):
+    """The split enumerator as it once ran: every permutation of both sides
+    of every mask, duplicates dropped by a set of the pairs yielded."""
+    n = len(symbols)
+    seen = set()
+    for mask in range(1, 2 ** n - 1):
+        left = tuple(symbols[i] for i in range(n) if mask >> i & 1)
+        right = tuple(symbols[i] for i in range(n) if not mask >> i & 1)
+        for u in sorted(set(itertools.permutations(left))):
+            for v in sorted(set(itertools.permutations(right))):
+                if (u, v) not in seen:
+                    seen.add((u, v))
+                    yield u, v
+
+
+def letter_patterns(max_length):
+    """Every word of up to max_length symbols over at most three letters,
+    up to renaming the letters (a first, then b, then c)."""
+    words = [()]
+    for _ in range(max_length):
+        words = [w + (s,) for w in words
+                 for s in "abc"[:len(set(w)) + 1]]
+        yield from words
+
+
+def test_ordered_splits_match_the_permutation_enumerator():
+    # every letter order up to 6 symbols; sorted words a..ab..bc..c up to 8
+    patterns = list(letter_patterns(6))
+    patterns += [w for w in letter_patterns(8) if 6 < len(w)
+                 and list(w) == sorted(w)]
+    patterns.append(tuple("abcdef"))
+    assert len(patterns) == 1 + 2 + 5 + 14 + 41 + 122 + 22 + 29 + 1
+    for symbols in patterns:
+        assert (list(ordered_splits(symbols))
+                == list(permuted_ordered_splits(symbols))), symbols
+
+
 def test_exact_matrix_rank_plumbing():
     rows = [
         {"x": Fraction(1), "y": Fraction(1)},
