@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .algebra import (
     ProductTerm,
@@ -374,27 +373,38 @@ def _hamiltonian_cycles(d: Diagram):
 
 
 def _solve_chords(d: Diagram, cycle):
-    """Express chord momenta as exact linear forms in the cycle momenta.
+    """Express chord momenta as integer linear forms in the cycle momenta.
 
-    Returns (chord indices, forms, constraint forms); every form is a tuple of
-    Fractions indexed by cycle position.  Raises when the linear system leaves
-    a chord momentum free.
+    Returns (chord forms, constraint forms) indexed by cycle position: a
+    chord form is (d, numerators), the chord momentum being the numerators'
+    combination divided by d > 0; a constraint is a tuple of integers whose
+    combination must vanish.  The incidence matrix of a directed graph is
+    totally unimodular, so d is always 1.  Raises when the linear system
+    leaves a chord momentum free.
     """
     cyc_set = set(cycle)
     chords = [i for i in range(len(d.edges)) if i not in cyc_set]
     rows = {v: {} for v in d.vertices}
     for i, (a, b, _) in enumerate(d.edges):
         if a != b:
-            rows[a][i] = Fraction(-1)
-            rows[b][i] = Fraction(1)
+            rows[a][i] = -1
+            rows[b][i] = 1
     pivots, rest = row_reduce(rows.values(), chords)
     if len(pivots) < len(chords):
         raise IrreducibleDiagramError("chord momenta underdetermined")
-    chord_forms = {
-        i: tuple(-pivots[i].get(e, Fraction(0)) for e in cycle) for i in chords}
+
+    def numerators(row, scale):
+        return tuple(row[e].numerator * (scale // row[e].denominator)
+                     if e in row else 0 for e in cycle)
+
+    chord_forms = []
+    for i in chords:
+        den = lcm(*(v.denominator for v in pivots[i].values()))
+        chord_forms.append((den, numerators(pivots[i], -den)))
     constraints = [
-        tuple(r.get(e, Fraction(0)) for e in cycle) for r in rest if r]
-    return chords, chord_forms, constraints
+        numerators(r, lcm(*(v.denominator for v in r.values())))
+        for r in rest if r]
+    return chord_forms, constraints
 
 
 def _ordered_partitions(P):
@@ -420,7 +430,9 @@ def order_expansion(d: Diagram) -> ZetaCombination:
     Enumerates the relative orderings (with ties) of the cycle momenta; in
     every ordering cell each chord momentum is a fixed integer combination of
     the ordered group values, and the cell contributes a nested sum iff all
-    chords stay positive on the whole cell.
+    chords stay positive on the whole cell.  The chord forms are integers
+    (the incidence matrix is totally unimodular), so the cell loop adds ints
+    only, and the cells that share an exponent tuple make one term.
     """
     candidates = []
     for cyc in _hamiltonian_cycles(d):
@@ -432,50 +444,43 @@ def order_expansion(d: Diagram) -> ZetaCombination:
         raise IrreducibleDiagramError(
             "no cycle through all vertices with zero-labeled chords")
     cyc = min(candidates)
-    chords, chord_forms, constraints = _solve_chords(d, cyc)
-    P = len(cyc)
+    chord_forms, constraints = _solve_chords(d, cyc)
     labels = [d.edges[i][2] for i in cyc]
-    terms = []
-    for dd, assign in _ordered_partitions(P):
-        ok = True
+    cells = {}
+    for dd, assign in _ordered_partitions(len(cyc)):
         for form in constraints:
-            sums = [Fraction(0)] * dd
-            for j, g in enumerate(assign):
-                sums[g] += form[j]
-            if any(s != 0 for s in sums):
-                ok = False
+            sums = [0] * dd
+            for c, g in zip(form, assign):
+                sums[g] += c
+            if any(sums):
                 break
-        if not ok:
-            continue
-        feasible = True
-        for i in chords:
-            form = chord_forms[i]
-            a = [Fraction(0)] * dd
-            for j, g in enumerate(assign):
-                a[g] += form[j]
-            if any(x.denominator != 1 for x in a):
-                raise IrreducibleDiagramError("non-integer chord decomposition")
-            partial = list(itertools.accumulate(a))
-            total = partial[-1]
-            if all(s >= 0 for s in partial[:-1]) and total >= 0:
-                if sum(partial[:-1]) + total >= 1:
-                    continue       # positive on the whole cell
-                feasible = False   # identically zero on the cell
-                break
-            if all(s <= 0 for s in partial[:-1]) and total <= 0:
-                feasible = False
-                break
-            raise IrreducibleDiagramError(
-                "chord momentum changes sign inside an ordering cell")
-        if not feasible:
-            continue
-        expo = [0] * dd
-        for j, g in enumerate(assign):
-            expo[g] += labels[j]
-        if any(k == 0 for k in expo):
-            raise IrreducibleDiagramError("free momentum with zero exponent")
-        terms.append(ProductTerm(1, (Composition(tuple(expo)),)))
-    return normalize(ZetaCombination(tuple(terms)))
+        else:
+            for den, form in chord_forms:
+                a = [0] * dd
+                for c, g in zip(form, assign):
+                    a[g] += c
+                if den != 1:
+                    if any(x % den for x in a):
+                        raise IrreducibleDiagramError(
+                            "non-integer chord decomposition")
+                    a = [x // den for x in a]
+                partial = list(itertools.accumulate(a))
+                if max(partial) <= 0:
+                    break      # zero or negative on the cell
+                if min(partial) < 0:
+                    raise IrreducibleDiagramError(
+                        "chord momentum changes sign inside an ordering cell")
+            else:
+                expo = [0] * dd
+                for k, g in zip(labels, assign):
+                    expo[g] += k
+                if 0 in expo:
+                    raise IrreducibleDiagramError(
+                        "free momentum with zero exponent")
+                expo = tuple(expo)
+                cells[expo] = cells.get(expo, 0) + 1
+    return normalize(ZetaCombination(tuple(
+        ProductTerm(n, (Composition(expo),)) for expo, n in cells.items())))
 
 
 def _structural_value(d: Diagram, trace) -> ZetaCombination:
