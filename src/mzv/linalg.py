@@ -95,18 +95,44 @@ def symbolic_stuffle(left, right):
                     for take in stuffle_template(len(left), len(right))])
 
 
+def _distinct_permutations(items):
+    """The distinct permutations of items, in lexicographic order."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        # next permutation: raise the last ascent, reverse the tail after it
+        i = len(a) - 2
+        while i >= 0 and not a[i] < a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while not a[i] < a[j]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
 def ordered_splits(symbols):
-    """All pairs of nonempty ordered tuples partitioning the symbol multiset."""
+    """All pairs of nonempty ordered tuples partitioning the symbol multiset.
+
+    Masks run in increasing order; a mask yields its sides' distinct
+    permutations in lexicographic order, unless a smaller mask took the same
+    left sub-multiset and with it the same pairs.
+    """
     n = len(symbols)
-    seen = set()
+    taken = set()
     for mask in range(1, 2 ** n - 1):
         left = tuple(symbols[i] for i in range(n) if mask >> i & 1)
+        key = tuple(sorted(left))
+        if key in taken:
+            continue
+        taken.add(key)
         right = tuple(symbols[i] for i in range(n) if not mask >> i & 1)
-        for u in sorted(set(itertools.permutations(left))):
-            for v in sorted(set(itertools.permutations(right))):
-                if (u, v) not in seen:
-                    seen.add((u, v))
-                    yield u, v
+        rights = list(_distinct_permutations(right))
+        for u in _distinct_permutations(key):
+            for v in rights:
+                yield u, v
 
 
 # Shared entries of the split rows: every row holds a 1 and mostly -1s.
