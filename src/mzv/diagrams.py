@@ -376,11 +376,11 @@ def _solve_chords(d: Diagram, cycle):
     """Express chord momenta as integer linear forms in the cycle momenta.
 
     Returns (chord forms, constraint forms) indexed by cycle position: a
-    chord form is (d, numerators), the chord momentum being the numerators'
-    combination divided by d > 0; a constraint is a tuple of integers whose
-    combination must vanish.  The incidence matrix of a directed graph is
-    totally unimodular, so d is always 1.  Raises when the linear system
-    leaves a chord momentum free.
+    chord form is (den, numerators), the chord momentum being the
+    numerators' combination divided by den > 0; a constraint is a tuple of
+    integers whose combination must vanish.  The incidence matrix of a
+    directed graph is totally unimodular, so den is always 1.  Raises when
+    the linear system leaves a chord momentum free.
     """
     cyc_set = set(cycle)
     chords = [i for i in range(len(d.edges)) if i not in cyc_set]

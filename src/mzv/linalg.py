@@ -123,14 +123,13 @@ def ordered_splits(symbols):
     n = len(symbols)
     taken = set()
     for mask in range(1, 2 ** n - 1):
-        left = tuple(symbols[i] for i in range(n) if mask >> i & 1)
-        key = tuple(sorted(left))
-        if key in taken:
+        left = tuple(sorted(symbols[i] for i in range(n) if mask >> i & 1))
+        if left in taken:
             continue
-        taken.add(key)
+        taken.add(left)
         right = tuple(symbols[i] for i in range(n) if not mask >> i & 1)
         rights = list(_distinct_permutations(right))
-        for u in _distinct_permutations(key):
+        for u in _distinct_permutations(left):
             for v in rights:
                 yield u, v
 
