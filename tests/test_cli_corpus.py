@@ -76,6 +76,10 @@ CORPUS = {
     "eval-312-eps-1e-12": ["eval", "3,1,2", "--eps", "1e-12", "--json"],
     "eval-51112-eps-1e-15": ["eval", "5,1,1,1,2", "--eps", "1e-15", "--json"],
     "eval-22-eps-1e-30": ["eval", "2,2", "--eps", "1e-30", "--json"],
+    "eval-233-trunc-1000000": [
+        "eval", "--json", "--trunc", "1000000", "--", "2,3,3"],
+    "eval-m3m11-trunc-100000": [
+        "eval", "--json", "--trunc", "100000", "--", "-3,-1,1"],
     **{
         "sweep-%s-8" % family: [
             "sweep", family, "--max-weight", "8", "--json"]

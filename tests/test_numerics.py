@@ -59,6 +59,140 @@ def test_direct_matches_exact_truncated_sum(parts, signs, N):
     assert abs(Fraction(value) - brute_mzv_exact(c, N)) <= FLOAT_SLACK
 
 
+# float.hex of value and bound, "composition N value bound", written by the
+# whole-array evaluator; the sizes straddle 4096 and 16384 and reach 10^6.
+DIRECT_PINS = """
+2 2 0x1.4000000000000p+0 0x1.000000000232fp-1
+2 4095 0x1.a50a65a52dd28p+0 0x1.00100111a79a8p-12
+2 4096 0x1.a50a66a52dd28p+0 0x1.0000001197998p-12
+2 4097 0x1.a50a67a50dd58p+0 0x1.ffe002230f350p-13
+2 16383 0x1.a516661d30728p+0 0x1.000400565ea60p-14
+2 16384 0x1.a516662d30728p+0 0x1.000000465e660p-14
+2 16385 0x1.a516663d2ff29p+0 0x1.fff800acbc4c1p-15
+2 65537 0x1.a5196626b07b0p+0 0x1.fffe0234f32e2p-17
+2 100000 0x1.a519be5fbb2fdp+0 0x1.4f8b5ac129bf3p-17
+2 1000000 0x1.a51a555e39694p+0 0x1.0c6f8ba2f85a0p-20
+-1 2 -0x1.0000000000000p-1 0x1.5555555557884p-1
+-1 4095 -0x1.62f4306fa39ebp-1 0x1.00000008cbcccp-11
+-1 4096 -0x1.62d4306fa39ebp-1 0x1.ffe00211779b8p-12
+-1 4097 -0x1.62f42e6fc39cbp-1 0x1.ffc0081097b98p-12
+-1 16383 -0x1.62e82ff7a39efp-1 0x1.000000232f330p-13
+-1 16384 -0x1.62e02ff7a39efp-1 0x1.fff800665de60p-14
+-1 16385 -0x1.62e82fd7a41efp-1 0x1.fff000c65a662p-14
+-1 65537 -0x1.62e52fee23a0fp-1 0x1.fffc012179881p-16
+-1 100000 -0x1.62e3882a2e519p-1 0x1.4f8a7dc141758p-16
+-1 1000000 -0x1.62e41f28ac8afp-1 0x1.0c6f713f933f6p-19
+5 2 0x1.0800000000000p+0 0x1.00000000465e6p-6
+5 4095 0x1.097418eca7ccap+0 0x1.19b9a8155ef12p-40
+5 4096 0x1.097418eca7ccap+0 0x1.19b99812dea11p-40
+5 4097 0x1.097418eca7ccap+0 0x1.19b988155e512p-40
+5 16383 0x1.097418eca7ccdp+0 0x1.1979d816dec91p-40
+5 16384 0x1.097418eca7ccdp+0 0x1.1979d812dea11p-40
+5 16385 0x1.097418eca7ccdp+0 0x1.1979d80edec91p-40
+5 65537 0x1.097418eca7ccdp+0 0x1.19799852dda11p-40
+5 100000 0x1.097418eca7ccdp+0 0x1.1979981eacf19p-40
+5 1000000 0x1.097418eca7ccdp+0 0x1.19799812deee7p-40
+2,1 2 0x1.0000000000000p-2 0x1.58b90bfbea014p+0
+2,1 4095 0x1.331baa43e7981p+0 0x1.4a3dc7c269031p-9
+2,1 4096 0x1.331bb328fd1f8p+0 0x1.4a2b23f5edaa6p-9
+2,1 4097 0x1.331bbc0d061cfp+0 0x1.4a18825dc89bbp-9
+2,1 16383 0x1.338cdff9e239fp+0 0x1.768d042d8b883p-11
+2,1 16384 0x1.338ce09e62356p+0 0x1.7687a9fa7af7dp-11
+2,1 16385 0x1.338ce142dd4d0p+0 0x1.76824ff03b5ccp-11
+2,1 65537 0x1.33ad557ad9417p+0 0x1.a2e2ad3015c52p-13
+2,1 100000 0x1.33b16c286cb74p+0 0x1.1b62f77addb41p-13
+2,1 1000000 0x1.33b8fe0fc71afp+0 0x1.09571adb71f26p-16
+3,3 2 0x1.0000000000000p-3 0x1.18b90bfbed4dap-2
+3,3 4095 0x1.b5dc29885d5d4p-3 0x1.3a50b31566849p-22
+3,3 4096 0x1.b5dc2988f73a4p-3 0x1.3a2b6a5220bbep-22
+3,3 4097 0x1.b5dc298990fa7p-3 0x1.3a06284bddd5bp-22
+3,3 16383 0x1.b5dc2e0aa29a9p-3 0x1.6696c45399b7dp-26
+3,3 16384 0x1.b5dc2e0aa5020p-3 0x1.668c0fd80f769p-26
+3,3 16385 0x1.b5dc2e0aa7696p-3 0x1.66815bd8f8152p-26
+3,3 65537 0x1.b5dc2e52c374dp-3 0x1.93278891b11e3p-30
+3,3 100000 0x1.b5dc2e5581a43p-3 0x1.663f0f4e99d7ap-31
+3,3 1000000 0x1.b5dc2e578d050p-3 0x1.309e207c4b4b9p-37
+-2,1 2 0x1.0000000000000p-2 0x1.dd8d06d0bd74cp-2
+-2,1 4095 0x1.33b9dcb891000p-3 0x1.2a2b358b54386p-20
+-2,1 4096 0x1.33ba23e13d3b6p-3 0x1.2a07f3551551ep-20
+-2,1 4097 0x1.33b9dcc0f5502p-3 0x1.29e4b77a4e488p-20
+-2,1 16383 0x1.33b9fdbcf6ac4p-3 0x1.5688c36b473dfp-24
+-2,1 16384 0x1.33ba02e0f687fp-3 0x1.567e8f692fec8p-24
+-2,1 16385 0x1.33b9fdbd1dcb5p-3 0x1.56745bdd8443fp-24
+-2,1 65537 0x1.33ba002055527p-3 0x1.82effc0947949p-28
+-2,1 100000 0x1.33ba0063c5a15p-3 0x1.581560fa96444p-29
+-2,1 1000000 0x1.33ba004f3faedp-3 0x1.0d6ecc778fd82p-35
+2,3,3 2 0x0.0p+0 0x1.0818eafbaa90ep+2
+2,3,3 4095 0x1.1ae2fe629d59ep-4 0x1.ade8f5b3412ffp-6
+2,3,3 4096 0x1.1ae301ce55acfp-4 0x1.add33ff5bcabfp-6
+2,3,3 4097 0x1.1ae30539a0934p-4 0x1.adbd8ca43e4f2p-6
+2,3,3 16383 0x1.1b0c0ca14a722p-4 0x1.13fbeae4798d7p-7
+2,3,3 16384 0x1.1b0c0cd805f7ep-4 0x1.13f85639f981ap-7
+2,3,3 16385 0x1.1b0c0d0ebfc7dp-4 0x1.13f4c1a97152ap-7
+2,3,3 65537 0x1.1b164feadf2a2p-4 0x1.58b5d7a0c8389p-9
+2,3,3 100000 0x1.1b177db55fb03p-4 0x1.e14b4e9aa90d3p-10
+2,3,3 1000000 0x1.1b198239f6b31p-4 0x1.07544bfa1505dp-12
+-3,-1,1 2 0x0.0p+0 0x1.4e10916863cc5p-2
+-3,-1,1 4095 -0x1.8af9858be1799p-6 0x1.5b6ba62b89fb9p-29
+-3,-1,1 4096 -0x1.8af9858aec985p-6 0x1.5b2f3863e2bd4p-29
+-3,-1,1 4097 -0x1.8af9858be3848p-6 0x1.5af2d8dd95203p-29
+-3,-1,1 16383 -0x1.8af9859173ae4p-6 0x1.d31a8eb704b3ep-35
+-3,-1,1 16384 -0x1.8af985916fd79p-6 0x1.d3066a26f55fep-35
+-3,-1,1 16385 -0x1.8af9859173b0ap-6 0x1.d2f246c99343ap-35
+-3,-1,1 65537 -0x1.8af985918d98fp-6 0x1.1ee6ca5ffe3e8p-39
+-3,-1,1 100000 -0x1.8af985918de9cp-6 0x1.719d8b5671362p-40
+-3,-1,1 1000000 -0x1.8af985918e113p-6 0x1.19993a25b4cfap-40
+4,1,2 2 0x0.0p+0 0x1.67e9d043f665bp-3
+4,1,2 4095 0x1.ff80d889bfd95p-7 0x1.f2cc44756fc9cp-32
+4,1,2 4096 0x1.ff80d889c5f67p-7 0x1.f27568117da21p-32
+4,1,2 4097 0x1.ff80d889cc121p-7 0x1.f21ea037e7f56p-32
+4,1,2 16383 0x1.ff80d8ab33f73p-7 0x1.68669a20d98b9p-37
+4,1,2 16384 0x1.ff80d8ab33fe7p-7 0x1.6858473d8d89ep-37
+4,1,2 16385 0x1.ff80d8ab3405bp-7 0x1.6849f534b4ac1p-37
+4,1,2 65537 0x1.ff80d8abd1b0bp-7 0x1.4cf5894dec6f1p-40
+4,1,2 100000 0x1.ff80d8abd3bbdp-7 0x1.28f81053cc66ap-40
+4,1,2 1000000 0x1.ff80d8abd4927p-7 0x1.197f1bdb1614bp-40
+2,2,2,2 2 0x0.0p+0 0x1.d9cea51fe9dc3p+3
+2,2,2,2 4095 0x1.aba4c53d1480dp-6 0x1.1ae2b0c631911p-2
+2,2,2,2 4096 0x1.aba4d16f1c85ap-6 0x1.1ad60c35750fdp-2
+2,2,2,2 4097 0x1.aba4dd9f9ea1fp-6 0x1.1ac968f817d9fp-2
+2,2,2,2 16383 0x1.ac3731f09d06fp-6 0x1.9a1df6495860ep-4
+2,2,2,2 16384 0x1.ac3732b3e47c6p-6 0x1.9a192bc8b00e6p-4
+2,2,2,2 16385 0x1.ac37337725d7fp-6 0x1.9a146168fc514p-4
+2,2,2,2 65537 0x1.ac5bd0b45abeap-6 0x1.1d8bf0ee14c2ep-5
+2,2,2,2 100000 0x1.ac6005ae5d151p-6 0x1.9b3c820662e7ep-6
+2,2,2,2 1000000 0x1.ac6738fde1ffep-6 0x1.067f3a56356c0p-8
+-2,1,-1,3 2 0x0.0p+0 0x1.06e6f16f1365ep+1
+-2,1,-1,3 4095 0x1.da5e47b6883efp-8 0x1.947ce0b5335cdp-14
+-2,1,-1,3 4096 0x1.da607236deed7p-8 0x1.9452785187a14p-14
+-2,1,-1,3 4097 0x1.da5e47f73cbe0p-8 0x1.942816f7faf53p-14
+-2,1,-1,3 16383 0x1.da5f48862f262p-8 0x1.329c0da608dd2p-17
+-2,1,-1,3 16384 0x1.da5f718a21fafp-8 0x1.3293d0ad4e483p-17
+-2,1,-1,3 16385 0x1.da5f488764e65p-8 0x1.328b940daf5b5p-17
+-2,1,-1,3 65537 0x1.da5f5b8d822edp-8 0x1.b9cf14620628cp-21
+-2,1,-1,3 100000 0x1.da5f5db1ebae4p-8 0x1.a4b9fe1c74935p-22
+-2,1,-1,3 1000000 0x1.da5f5d0a8b13ap-8 0x1.bf04c9bcc9ab4p-28
+3,-1,2,1 2 0x0.0p+0 0x1.8e328547ddc4ep+0
+3,-1,2,1 4095 -0x1.df31d13786cdcp-10 0x1.dd2a0e863a68ep-16
+3,-1,2,1 4096 -0x1.df31d139a4202p-10 0x1.dcf77aae9e5d2p-16
+3,-1,2,1 4097 -0x1.df31d13bbc417p-10 0x1.dcc4ef4d79471p-16
+3,-1,2,1 16383 -0x1.df31e1027bbbfp-10 0x1.61d0a2804cb58p-19
+3,-1,2,1 16384 -0x1.df31e102842a1p-10 0x1.61c70d6bd1c4fp-19
+3,-1,2,1 16385 -0x1.df31e1028c92fp-10 0x1.61bd78bf93807p-19
+3,-1,2,1 65537 -0x1.df31e1ff1ecccp-10 0x1.f55bb8f8a0143p-23
+3,-1,2,1 100000 -0x1.df31e208ba469p-10 0x1.db5d5d8f2606fp-24
+3,-1,2,1 1000000 -0x1.df31e20fe3765p-10 0x1.efa27d95c894fp-30
+"""
+
+
+def test_direct_matches_hex_pins():
+    for line in DIRECT_PINS.split("\n")[1:-1]:
+        parts, N, value, bound = line.split()
+        c = composition(*map(int, parts.split(",")))
+        pv = eval_mzv_direct(c, int(N))
+        assert (pv.value.hex(), pv.bound.hex()) == (value, bound), line
+
+
 def test_direct_refuses_oversized_truncation_before_allocating(monkeypatch):
     def no_arrays(*args, **kwargs):
         raise AssertionError("array allocated for an oversized truncation")
