@@ -424,6 +424,11 @@ def _ordered_partitions(P):
             yield dd, tuple(perm[g] for g in part)
 
 
+# Ordered set partitions of P positions number 4,683 at 6, 47,293 at 7 and
+# 545,835 at 8 (Fubini numbers): about 0.3 s at 7 and 3 s at 8.
+MAX_ORDER_POSITIONS = 7
+
+
 def order_expansion(d: Diagram) -> ZetaCombination:
     """Value of a cycle-plus-zero-chords diagram by splitting the momentum cone.
 
@@ -432,8 +437,13 @@ def order_expansion(d: Diagram) -> ZetaCombination:
     the ordered group values, and the cell contributes a nested sum iff all
     chords stay positive on the whole cell.  The chord forms are integers
     (the incidence matrix is totally unimodular), so the cell loop adds ints
-    only, and the cells that share an exponent tuple make one term.
+    only, and the cells that share an exponent tuple make one term.  Refuses
+    more than MAX_ORDER_POSITIONS cycle positions before enumerating.
     """
+    if len(d.vertices) > MAX_ORDER_POSITIONS:
+        raise IrreducibleDiagramError(
+            "order expansion over %d cycle positions exceeds the limit %d"
+            % (len(d.vertices), MAX_ORDER_POSITIONS))
     candidates = []
     for cyc in _hamiltonian_cycles(d):
         cyc_set = set(cyc)

@@ -6,7 +6,8 @@ a float64, rigorous tail bound) and a high-precision evaluator based on
 splitting the iterated-integral word at the midpoint (the Hölder convolution
 with p = 2 of Borwein, Bradley, Broadhurst and Lisoněk).  The former reads
 1/n from one read-only row per process, built on first use for the largest
-truncation asked so far.  The latter sums each half on fixed-point integer
+truncation asked so far, and walks it in fixed blocks, so its other arrays do
+not grow with the truncation.  The latter sums each half on fixed-point integer
 rows and bounds their floor error along with the series tail; its two caches
 share one bounded LRU policy.  Identity verification always reports a
 residual together with the propagated bound, never a bare float.
@@ -27,7 +28,8 @@ from .algebra import ZetaCombination, eliminate_divergent, normalize, zeta
 from .compositions import Composition, from_word, to_word
 
 FLOAT_SLACK = 1e-12  # headroom for float64 roundoff in the direct evaluator
-MAX_TRUNCATION = 10 ** 7  # direct-sum arrays are 16 bytes per index
+MAX_TRUNCATION = 10 ** 7  # the shared 1/n row is 16 bytes per index
+BLOCK = 1 << 14  # indices per block of the direct evaluator, 256 KB a row
 _reciprocals = None  # 1/n for n = 1..len, read-only; see eval_mzv_direct
 
 
@@ -52,11 +54,16 @@ class PropagatorValue:
 def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
     """Truncated nested sum over n1 > ... > nm, all indices <= N.
 
-    Cost O(N m): per depth level, k - 1 multiplications by 1/n for a part k,
-    one by the inner level's sums and one cumulative sum.  One 1/n row is
-    shared by every call in the process, built for the largest N asked so
-    far (16 N bytes, 160 MB at MAX_TRUNCATION); 1/n does not depend on N, so
-    its prefix has the bits of a row built for a smaller N.
+    Cost O(N m), walked in blocks of BLOCK indices.  Per block, r^2 .. r^K
+    for the largest part K are one chain of K - 1 multiplications by r = 1/n;
+    each depth level, innermost first, then takes its power, one product with
+    the inner level's sums and one cumulative sum, continuing from the sums
+    that end the previous block.  Every element sees the longdouble roundings
+    of one whole-row pass, in the same order.  One 1/n row is shared by every
+    call in the process, built for the largest N asked so far (16 N bytes,
+    160 MB at MAX_TRUNCATION); 1/n does not depend on N, so its prefix has
+    the bits of a row built for a smaller N.  Apart from it the working set
+    is (K + 1) BLOCK longdoubles.
     """
     global _reciprocals
     if not c.admissible:
@@ -71,23 +78,34 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
     # chains of multiplications by 1/n: numpy's longdouble ** is slow for
     # exponents >= 4, and the chain differs from it by < 1e-18 relative.
     if _reciprocals is None or len(_reciprocals) < N:
-        _reciprocals = np.longdouble(1) / np.arange(1, N + 1,
-                                                    dtype=np.longdouble)
+        _reciprocals = np.arange(1, N + 1, dtype=np.longdouble)
+        np.divide(1, _reciprocals, out=_reciprocals)
         _reciprocals.flags.writeable = False
-    r = _reciprocals[:N]
-    csum = None
-    for j in reversed(range(c.depth)):
-        k = c.parts[j]
-        x = r * r if k > 1 else r.copy()
-        for _ in range(k - 2):
-            x *= r
-        if c.sign(j) == -1:
-            x[::2] *= -1                 # odd n
-        if csum is not None:
-            x[1:] *= csum[:-1]           # inner indices strictly below n
-            x[0] = 0
-        csum = np.cumsum(x, out=x)
-    value = float(csum[-1])
+    powers = np.empty((max(c.parts) - 1, BLOCK), dtype=np.longdouble)
+    rows = np.empty((2, BLOCK), dtype=np.longdouble)
+    last = [0] * c.depth    # each level's sum over the blocks done so far
+    for s in range(0, N, BLOCK):
+        r = _reciprocals[s:min(s + BLOCK, N)]
+        chain = [r]             # chain[k - 1] = r^k
+        for p in powers[:, :len(r)]:
+            chain.append(np.multiply(chain[-1], r, out=p))
+        inner = None
+        for j in reversed(range(c.depth)):
+            x = rows[j % 2, :len(r)]
+            x[:] = chain[c.parts[j] - 1]
+            if c.sign(j) == -1:
+                x[s % 2::2] *= -1        # odd n
+            if inner is not None:
+                x[1:] *= inner[:-1]      # inner indices strictly below n
+                if s:
+                    x[0] *= inner_last
+                else:
+                    x[0] = 0
+            if s:
+                x[0] = last[j] + x[0]
+            inner = np.cumsum(x, out=x)
+            inner_last, last[j] = last[j], x[-1]
+    value = float(last[0])
 
     m = c.depth
     k1 = c.parts[0]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +43,9 @@ from mzv import (
 )
 from mzv.cli import main
 from mzv.compositions import Composition
+from mzv import diagrams
 from mzv.diagrams import (
+    MAX_ORDER_POSITIONS,
     _hamiltonian_cycles,
     _integration_exits,
     canonical_key,
@@ -293,6 +296,29 @@ def test_structural_and_auto_digest():
         "auto":
             "9f06b81680d4a09e1da23ffa46610c405b6d28cfa719ed1f23535f0be8d87770",
     }
+
+
+def test_structural_takes_the_longest_cycle_it_allows():
+    parts = (2,) + (1,) * (MAX_ORDER_POSITIONS - 1)
+    assert value(build_seashell(parts)) == normalize(zeta(*parts))
+
+
+@pytest.mark.parametrize("parts", [(2,) + (1,) * 7, (2,) + (1,) * 9,
+                                   (3, 2, 1, 1, 2, 1, 1, 2)])
+def test_structural_refuses_long_cycles_before_enumerating(parts, monkeypatch):
+    def no_cells(P):
+        raise AssertionError("ordering cells enumerated for %d positions" % P)
+
+    monkeypatch.setattr(diagrams, "_ordered_partitions", no_cells)
+    d = build_seashell(parts)
+    start = time.perf_counter()
+    with pytest.raises(IrreducibleDiagramError,
+                       match="%d cycle positions exceeds the limit %d"
+                       % (len(parts), MAX_ORDER_POSITIONS)):
+        reduce(d, strategy="structural")
+    # auto falls through to the shuffle recursion, which gives the nested sum
+    assert reduce(d, strategy="auto") == normalize(zeta(*parts))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_disconnected_diagram_factorizes():

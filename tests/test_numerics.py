@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from mzv import (
     zeta,
 )
 from mzv.compositions import from_word, iter_admissible, to_word
-from mzv.numerics import FLOAT_SLACK, MAX_TRUNCATION
+from mzv.numerics import BLOCK, FLOAT_SLACK, MAX_TRUNCATION
 
 
 def test_direct_against_closed_forms():
@@ -193,19 +194,49 @@ def test_direct_matches_hex_pins():
         assert (pv.value.hex(), pv.bound.hex()) == (value, bound), line
 
 
+def fixed_point_nested_sum(c, N, bits=200):
+    """The truncated nested sum as cumulative sums of integers at scale
+    2^-bits, read as a 40-digit mpf.  Every term is one floor, so the sum is
+    off by less than N m (2 + ln N)^m units of 2^-bits, below 1e-50 here."""
+    row = itertools.repeat(1 << bits)
+    for j in reversed(range(c.depth)):
+        sign = c.sign(j)
+        row = [0, *itertools.accumulate(
+            (sign if n % 2 else 1) * p // n ** c.parts[j]
+            for n, p in zip(range(1, N + 1), row))]
+    with mp.workdps(40):
+        return mp.ldexp(mp.mpf(row[-1]), -bits)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.sampled_from((1, -1))),
+                min_size=1, max_size=4),
+       st.integers(1, 64))
+def test_direct_across_a_block_boundary_matches_high_precision(signed_parts,
+                                                               past):
+    c = composition(*(p * s for p, s in signed_parts))
+    assume(c.admissible)
+    N = BLOCK + past
+    value = eval_mzv_direct(c, N).value
+    with mp.workdps(40):
+        assert abs(value - fixed_point_nested_sum(c, N)) <= FLOAT_SLACK
+
+
 def test_direct_refuses_oversized_truncation_before_allocating(monkeypatch):
     def no_arrays(*args, **kwargs):
         raise AssertionError("array allocated for an oversized truncation")
 
     monkeypatch.setattr(numerics.np, "arange", no_arrays)
+    monkeypatch.setattr(numerics.np, "empty", no_arrays)
     monkeypatch.setattr(numerics, "_reciprocals", None)
     with pytest.raises(ValueError, match="exceeds the limit"):
         eval_mzv_direct(composition(3), MAX_TRUNCATION + 1)
     assert numerics._reciprocals is None
 
 
-# The fresh-row loop the shared 1/n row replaced, kept as its reference: the
-# same longdouble operations in the same order, so values must match bitwise.
+# The whole-array loop on a fresh 1/n row, kept as the reference of the
+# blocked loop on the shared row: the same longdouble operations in the same
+# order, so values must match bitwise.
 def fresh_row_direct(c, N):
     r = np.longdouble(1) / np.arange(1, N + 1, dtype=np.longdouble)
     csum = None
@@ -225,7 +256,10 @@ def fresh_row_direct(c, N):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 6), st.sampled_from((1, -1))),
                 min_size=1, max_size=4),
-       st.lists(st.integers(2, 3000), min_size=3, max_size=3, unique=True))
+       st.lists(st.one_of(st.integers(2, 3000),
+                          st.integers(BLOCK - 2, BLOCK + 2),
+                          st.integers(2 * BLOCK - 2, 2 * BLOCK + 2)),
+                min_size=3, max_size=3, unique=True))
 def test_direct_shared_row_matches_fresh_row(signed_parts, sizes):
     c = composition(*(p * s for p, s in signed_parts))
     assume(c.admissible)
