@@ -54,16 +54,17 @@ class PropagatorValue:
 def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
     """Truncated nested sum over n1 > ... > nm, all indices <= N.
 
-    Cost O(N m), walked in blocks of BLOCK indices.  Per block, r^2 .. r^K
-    for the largest part K are one chain of K - 1 multiplications by r = 1/n;
-    each depth level, innermost first, then takes its power, one product with
-    the inner level's sums and one cumulative sum, continuing from the sums
-    that end the previous block.  Every element sees the longdouble roundings
-    of one whole-row pass, in the same order.  One 1/n row is shared by every
-    call in the process, built for the largest N asked so far (16 N bytes,
-    160 MB at MAX_TRUNCATION); 1/n does not depend on N, so its prefix has
-    the bits of a row built for a smaller N.  Apart from it the working set
-    is (K + 1) BLOCK longdoubles.
+    Cost O(N m), walked in blocks of BLOCK indices.  Per block, the powers
+    r^k of the parts are kept from one chain of K - 1 multiplications by
+    r = 1/n, K the largest part; each depth level, innermost first, then
+    copies its power, takes one product with the inner level's sums and one
+    cumulative sum, continuing from the sums that end the previous block.
+    Every element sees the longdouble roundings of one whole-row pass, in
+    the same order.  One 1/n row is shared by every call in the process,
+    built for the largest N asked so far (16 N bytes, 160 MB at
+    MAX_TRUNCATION); 1/n does not depend on N, so its prefix has the bits of
+    a row built for a smaller N.  Apart from it the working set is one
+    BLOCK-long row per distinct part above 1, and two more.
     """
     global _reciprocals
     if not c.admissible:
@@ -81,26 +82,27 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
         _reciprocals = np.arange(1, N + 1, dtype=np.longdouble)
         np.divide(1, _reciprocals, out=_reciprocals)
         _reciprocals.flags.writeable = False
-    powers = np.empty((max(c.parts) - 1, BLOCK), dtype=np.longdouble)
+    ks = sorted(set(c.parts) - {1})
+    powers = np.empty((len(ks), BLOCK), dtype=np.longdouble)
     rows = np.empty((2, BLOCK), dtype=np.longdouble)
     last = [0] * c.depth    # each level's sum over the blocks done so far
     for s in range(0, N, BLOCK):
         r = _reciprocals[s:min(s + BLOCK, N)]
-        chain = [r]             # chain[k - 1] = r^k
-        for p in powers[:, :len(r)]:
-            chain.append(np.multiply(chain[-1], r, out=p))
+        power, top = {1: r}, 1  # power[k] = r^k, one chain of products by r
+        for k, p in zip(ks, powers[:, :len(r)]):
+            np.multiply(power[top], r, out=p)
+            for _ in range(k - top - 1):
+                p *= r
+            power[k], top = p, k
         inner = None
         for j in reversed(range(c.depth)):
             x = rows[j % 2, :len(r)]
-            x[:] = chain[c.parts[j] - 1]
+            x[:] = power[c.parts[j]]
             if c.sign(j) == -1:
                 x[s % 2::2] *= -1        # odd n
             if inner is not None:
                 x[1:] *= inner[:-1]      # inner indices strictly below n
-                if s:
-                    x[0] *= inner_last
-                else:
-                    x[0] = 0
+                x[0] = x[0] * inner_last if s else 0
             if s:
                 x[0] = last[j] + x[0]
             inner = np.cumsum(x, out=x)

@@ -272,6 +272,20 @@ def test_direct_shared_row_matches_fresh_row(signed_parts, sizes):
         assert len(numerics._reciprocals) == longest
 
 
+def test_direct_buffers_are_one_row_per_distinct_part(monkeypatch):
+    # a row per power up to the largest part would be 39 rows here
+    sizes = []
+
+    def recorded_empty(shape, dtype):
+        sizes.append(np.prod(shape))
+        return np.zeros(shape, dtype)
+
+    monkeypatch.setattr(numerics.np, "empty", recorded_empty)
+    c = composition(40, 2, 40)
+    assert eval_mzv_direct(c, BLOCK + 1).value == fresh_row_direct(c, BLOCK + 1)
+    assert sum(sizes) == 4 * BLOCK
+
+
 def test_direct_shared_row_is_read_only():
     eval_mzv_direct(composition(2), 100)
     with pytest.raises(ValueError, match="read-only"):
