@@ -94,6 +94,13 @@ CORPUS = {
         "derive", "permutation", "2,-1", "3", "--json"],
     "derive-three-point-234-text": ["derive", "three-point", "2", "3", "4"],
     "derive-trailing-one-221-text": ["derive", "trailing-one", "2,2,1"],
+    **{
+        "verify-" + name: [
+            "verify", "--json", "--eps", "1e-12",
+            str(CORPUS_DIR / ("derive-%s.out" % name))]
+        for name in ("partial-int-312-rightward", "partial-int-122-leftward",
+                     "partial-int-221-leftward")
+    },
 }
 
 

@@ -62,6 +62,7 @@ def test_direct_matches_exact_truncated_sum(parts, signs, N):
 
 # float.hex of value and bound, "composition N value bound", written by the
 # whole-array evaluator; the sizes straddle 4096 and 16384 and reach 10^6.
+# The last line's part is far past the point where 1/n^k underflows.
 DIRECT_PINS = """
 2 2 0x1.4000000000000p+0 0x1.000000000232fp-1
 2 4095 0x1.a50a65a52dd28p+0 0x1.00100111a79a8p-12
@@ -183,6 +184,7 @@ DIRECT_PINS = """
 3,-1,2,1 65537 -0x1.df31e1ff1ecccp-10 0x1.f55bb8f8a0143p-23
 3,-1,2,1 100000 -0x1.df31e208ba469p-10 0x1.db5d5d8f2606fp-24
 3,-1,2,1 1000000 -0x1.df31e20fe3765p-10 0x1.efa27d95c894fp-30
+3000000 100 0x1.0000000000000p+0 0x1.19799812dea11p-40
 """
 
 
