@@ -6,7 +6,6 @@ from .algebra import (
     ProductTerm,
     ZetaCombination,
     combination_from_json,
-    divergent_expansion,
     eliminate_divergent,
     normalize,
     one,

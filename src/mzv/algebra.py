@@ -255,13 +255,11 @@ def combination_from_json(obj) -> ZetaCombination:
 
 # --- divergence elimination -------------------------------------------------
 #
-# zeta(1) times an admissible sum obeys
-#   zeta(1) zeta(k1..kn) = zeta(1,k1..kn)
-#       + sum_kappa [ zeta(..,k_kappa+1,..) + zeta(..,k_kappa,1,..) ]
-# (split the extra summation index into the gaps of the existing chain).
-# Substituting this wherever a zeta(1) factor occurs removes all divergent
-# *factors*; the surviving divergent compositions must then cancel among
-# themselves, otherwise the combination is not in the eliminable family.
+# Stuffle regularization (Ihara, Kaneko and Zagier 2006; Hoffman 1997): a
+# divergent zeta(1^m, v), v admissible or empty, is a polynomial in the symbol
+# T = zeta(1) with convergent coefficients, fixed by
+#   stuffle((1), (1^(m-1), v)) = m zeta(1^m, v) + terms with fewer leading 1s,
+# read as T * zeta(1^(m-1), v).  A combination's value is its T^0 coefficient.
 
 
 class EliminationError(ValueError):
@@ -270,66 +268,45 @@ class EliminationError(ValueError):
         self.residual = residual
 
 
-def divergent_expansion(x: Composition) -> ZetaCombination:
-    """zeta(1)*zeta(x) rewritten as zeta(1,x) plus admissible corrections."""
-    if x.signs is not None:
-        raise EliminationError("elimination handles unsigned factors only")
-    parts = x.parts
-    out = [(1,) + parts]
-    for kappa in range(len(parts)):
-        out.append(parts[:kappa] + (parts[kappa] + 1,) + parts[kappa + 1:])
-        out.append(parts[:kappa + 1] + (1,) + parts[kappa + 1:])
-    return normalize(ZetaCombination(tuple(
-        ProductTerm(1, (Composition(p),)) for p in out)))
+_T = Composition((1,))
 
 
-_ZETA1_KEY = Composition((1,)).sort_key
-
-
-def _collected(acc) -> ZetaCombination:
-    return normalize(ZetaCombination(tuple(
-        ProductTerm(c, f) for c, f in acc.values())))
+# The recursion visits every composition of the weight of c and below: 1023
+# divergent ones up to weight 11, which a smaller bound would thrash on.
+@functools.lru_cache(maxsize=1 << 12)
+def _stuffle_regularized(c: Composition) -> ZetaCombination:
+    """zeta(c) as a combination whose factors are admissible or T = zeta(1)."""
+    if c.admissible or c == _T:
+        return zeta(c)
+    rest = Composition(c.parts[1:], c.signs and c.signs[1:])
+    out = list((zeta(_T) * _stuffle_regularized(rest)).terms)
+    for t in stuffle(_T, rest).terms:
+        if t.factors == (c,):
+            m = t.coefficient
+        else:
+            out.extend(u.scaled(-t.coefficient)
+                       for u in _stuffle_regularized(t.factors[0]).terms)
+    if m > 1:
+        out = [t.scaled(Fraction(1, m)) for t in out]
+    return normalize(ZetaCombination(tuple(out)))
 
 
 def eliminate_divergent(comb: ZetaCombination) -> ZetaCombination:
-    """Rewrite away zeta(1) factors; fail if divergent terms survive.
-
-    Equal in value to the input under any regularization that respects the
-    defining sums, since only exact rearrangement identities are substituted.
-    The term with the smallest factor key is rewritten first.
-    """
-    acc = {}            # factor key -> [coefficient, factors]
-    new = comb.terms
-    while True:
-        for t in new:
-            k = t.factor_key
-            entry = acc.setdefault(k, [0, t.factors])
-            entry[0] += t.coefficient
-            if entry[0] == 0:
-                del acc[k]
-        targets = [k for k in acc if _ZETA1_KEY in k and len(k) >= 2]
-        if not targets:
-            break
-        coeff, factors = acc[min(targets)]
-        rest = list(factors)
-        rest.remove(Composition((1,)))
-        partner = max(rest, key=lambda c: c.sort_key)
-        if not partner.admissible:
-            raise EliminationError(
-                "cannot eliminate zeta(1) against divergent partner %s" % partner,
-                residual=_collected(acc))
-        rest.remove(partner)
-        new = [ProductTerm(-coeff, factors)] + [
-            ProductTerm(coeff * t.coefficient, tuple(rest) + t.factors)
-            for t in divergent_expansion(partner).terms]
-    comb = _collected(acc)
-    bad = [
-        t for t in comb.terms
-        if any(not f.admissible for f in t.factors)
-    ]
+    """The T^0 coefficient of the stuffle regularization of ``comb``; fail if
+    a higher power of T = zeta(1) survives.  Terms whose factors are all
+    admissible pass unchanged."""
+    out = []
+    for t in comb.terms:
+        if all(f.admissible for f in t.factors):
+            out.append(t)
+        else:
+            out.extend(functools.reduce(operator.mul, map(
+                _stuffle_regularized, t.factors), one(t.coefficient)).terms)
+    comb = normalize(ZetaCombination(tuple(out)))
+    bad = [t for t in comb.terms if _T in t.factors]
     if bad:
         raise EliminationError(
             "divergent terms survive elimination: %s"
             % "; ".join(str(t) for t in bad),
-            residual=normalize(ZetaCombination(tuple(bad))))
+            residual=ZetaCombination(tuple(bad)))
     return comb

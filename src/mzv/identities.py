@@ -21,7 +21,6 @@ from .algebra import (
     ProductTerm,
     ZetaCombination,
     combination_from_json,
-    divergent_expansion,
     eliminate_divergent,
     normalize,
     stuffle,
@@ -189,9 +188,9 @@ def partial_integration(ks, variant: str = "rightward") -> Identity:
 
     rightward: zeta(ks) equals an expansion whose product block may carry
     zeta(1) factors; leftward: zeta(k1) zeta(k2..km) equals its shuffle
-    product.  Divergent pieces are kept (the identity is exact term by term
-    under the formal regularization); apply eliminate_divergent to the
-    combination for a finite statement.
+    product.  Divergent pieces are kept; eliminate_divergent takes the
+    stuffle regularization, T^0 coefficient, of the combination for a finite
+    statement (verify_identity refuses a term with two divergent factors).
     """
     c = _as_composition(ks)
     _check_unsigned(c, "partial integration")
@@ -312,14 +311,9 @@ def trailing_one(x) -> Identity:
     if not x.admissible:
         raise ValueError("base composition must be admissible")
     target = Composition(x.parts + (1,))
-    z = divergent_expansion(x) - diagrams.shuffle_expansion((1,), x)
-    coeff = 0
-    rest = []
-    for t in z.terms:
-        if t.factors == (target,):
-            coeff += t.coefficient
-        else:
-            rest.append(t)
+    z = stuffle(Composition((1,)), x) - diagrams.shuffle_expansion((1,), x)
+    coeff = sum(t.coefficient for t in z.terms if t.factors == (target,))
+    rest = [t for t in z.terms if t.factors != (target,)]
     if coeff == 0:
         raise ValueError("solve for the trailing-one term is degenerate")
     rhs = ZetaCombination(tuple(rest)).scaled(Fraction(-1) / coeff)

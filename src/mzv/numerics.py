@@ -24,7 +24,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .algebra import ZetaCombination, eliminate_divergent, normalize, zeta
+from .algebra import (EliminationError, ZetaCombination, eliminate_divergent,
+                      normalize, zeta)
 from .compositions import Composition, from_word, to_word
 
 FLOAT_SLACK = 1e-12  # headroom for float64 roundoff in the direct evaluator
@@ -92,6 +93,8 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
         for k, p in zip(ks, powers[:, :len(r)]):
             np.multiply(power[top], r, out=p)
             for _ in range(k - top - 1):
+                if not p[0 if s else 1]:  # stationary: 1 at n = 1, 0 past it
+                    break
                 p *= r
             power[k], top = p, k
         inner = None
@@ -209,7 +212,8 @@ def eval_mzv_accel(c: Composition, eps: float) -> PrecisionValue:
 
 
 def eval_combination(comb: ZetaCombination, eps: float) -> PrecisionValue:
-    """Evaluate a zeta(1)-free combination with a propagated error bound."""
+    """Evaluate a combination with no divergent factor (eliminate_divergent
+    takes its stuffle regularization, T^0 coefficient) and bound the error."""
     comb = normalize(comb)
     if comb.regularized:
         raise ValueError("combination contains divergent factors")
@@ -244,13 +248,24 @@ def verify_identity(identity, eps: float = 1e-10) -> dict:
     """Numerically test that an identity's combination vanishes.
 
     Accepts an identity object (with .combination) or a bare combination; a
-    regularized one loses its zeta(1) terms first and is marked "eliminated".
+    regularized one is replaced by its stuffle regularization, T^0
+    coefficient, and marked "eliminated".  The shuffle-derived families hold
+    in the shuffle regularization instead, which differs from the stuffle one
+    only on a term with two or more divergent factors; such a term is refused.
     Pass requires the residual to sit inside the propagated bound *and* the
     bound to meet the requested eps, so a sloppy evaluation cannot pass.
     """
     comb = getattr(identity, "combination", identity)
+    family = getattr(identity, "family", None)
     eliminated = identity.regularized
     if eliminated:
+        two = [t for t in comb.terms
+               if sum(not f.admissible for f in t.factors) > 1]
+        if two and family in ("shuffle", "partial-int"):
+            raise EliminationError(
+                "term %s has two divergent factors: a %s identity holds in "
+                "the shuffle regularization, which is not implemented"
+                % (two[0], family))
         comb = eliminate_divergent(comb)
     pv = eval_combination(comb, eps)
     residual = abs(pv.value)
@@ -261,7 +276,6 @@ def verify_identity(identity, eps: float = 1e-10) -> dict:
         "eps": "%.3e" % eps,
         "pass": ok,
     }
-    family = getattr(identity, "family", None)
     if family is not None:
         report["identity"] = {
             "family": family,

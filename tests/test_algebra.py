@@ -6,16 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    all_compositions,
-    brute_combination,
-    brute_mzv,
-    brute_mzv_exact,
-)
+from conftest import brute_combination, brute_mzv, brute_mzv_exact
 from mzv import (
     EliminationError,
     composition,
-    divergent_expansion,
     eliminate_divergent,
     normalize,
     one,
@@ -132,14 +126,6 @@ def test_regularized_flag():
     assert (zeta(2) + zeta(1, 2)).regularized
 
 
-def test_divergent_expansion_is_the_stuffle_with_one():
-    comps = all_compositions(9)
-    assert len(comps) == 511
-    for parts in comps:
-        c = composition(*parts)
-        assert divergent_expansion(c) == stuffle(composition(1), c), parts
-
-
 def test_eliminate_divergent():
     # zeta(1)*zeta(2) - zeta(1,2) is finite and equals zeta(3) + zeta(2,1)
     comb = normalize(zeta(composition(1)) * zeta(composition(2)) - zeta(1, 2))
@@ -165,16 +151,21 @@ def test_eliminate_divergent_raises_on_true_divergence():
 
 
 def test_eliminate_divergent_refuses_divergent_partner():
+    # zeta(1,2) = T zeta(2) - zeta(3) - zeta(2,1) with T = zeta(1), so the
+    # product leaves T^2 and T^1 terms and no T^0 term
     comb = zeta(composition(1)) * zeta(1, 2)
     with pytest.raises(EliminationError) as info:
         eliminate_divergent(comb)
     assert str(info.value) == (
-        "cannot eliminate zeta(1) against divergent partner 1,2")
-    assert info.value.residual == comb
+        "divergent terms survive elimination: "
+        "1·ζ(1)·ζ(1)·ζ(2); -1·ζ(1)·ζ(3); -1·ζ(1)·ζ(2,1)")
+    t = zeta(composition(1))
+    assert info.value.residual == normalize(
+        t * t * zeta(2) - t * zeta(3) - t * zeta(2, 1))
 
 
 def test_eliminate_divergent_carries_spectators():
-    # zeta(1) pairs with its largest partner zeta(3); zeta(2) rides along
+    # the T zeta(2) zeta(3) terms cancel; zeta(2) rides along
     comb = (zeta(composition(1)) * zeta(2) * zeta(3)
             - zeta(2) * zeta(1, 3))
     assert eliminate_divergent(comb) == normalize(
@@ -186,8 +177,21 @@ def test_eliminate_divergent_reports_surviving_divergent_terms():
     with pytest.raises(EliminationError) as info:
         eliminate_divergent(z1 * z1 * zeta(2) - z1 * zeta(1, 2))
     assert str(info.value) == (
-        "divergent terms survive elimination: 1·ζ(1,3); 1·ζ(1,2,1)")
-    assert info.value.residual == normalize(zeta(1, 3) + zeta(1, 2, 1))
+        "divergent terms survive elimination: 1·ζ(1)·ζ(3); 1·ζ(1)·ζ(2,1)")
+    assert info.value.residual == normalize(
+        z1 * zeta(3) + z1 * zeta(2, 1))
+
+
+def test_eliminate_divergent_keeps_the_stuffle_constant_term():
+    # zeta(1,1) = (T^2 - zeta(2)) / 2 and zeta(1,3) = T zeta(3) - zeta(4)
+    # - zeta(3,1); leading ones with signs follow the same recursion
+    z1 = zeta(composition(1))
+    assert eliminate_divergent(zeta(1, 1).scaled(2) - z1 * z1) == (
+        normalize(zeta(2).scaled(-1)))
+    assert eliminate_divergent(zeta(1, 3) - z1 * zeta(3)) == normalize(
+        zeta(4).scaled(-1) - zeta(3, 1))
+    assert eliminate_divergent(zeta(1, -2) - z1 * zeta(-2)) == normalize(
+        zeta(-3).scaled(-1) - zeta(-2, 1))
 
 
 def test_json_round_trip():

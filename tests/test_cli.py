@@ -230,6 +230,29 @@ def test_verify_regularized_identity_eliminates_first():
     assert report["pass"] is True
 
 
+def test_verify_three_point_with_an_exponent_one():
+    _, payload, _ = run(["derive", "three-point", "1", "2", "3", "--json"])
+    code, out, _ = run(["verify", "-", "--json"], stdin=payload)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["shuffle", "1", "1"], "shuffle regularization"),
+    (["partial-int", "1,1,2", "--variant", "leftward"],
+     "shuffle regularization"),
+    (["partial-int", "1,1", "--variant", "rightward"],
+     "shuffle regularization"),
+    (["partial-int", "3,1,2", "--variant", "leftward"],
+     "divergent terms survive elimination"),
+])
+def test_verify_refuses_a_shuffle_family_it_cannot_regularize(argv, message):
+    _, payload, _ = run(["derive", *argv, "--json"])
+    code, out, err = run(["verify", "-", "--json"], stdin=payload)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_verify_missing_or_malformed_file(tmp_path):
     assert run(["verify", str(tmp_path / "nope.json")])[0] == 2
     f = tmp_path / "broken.json"

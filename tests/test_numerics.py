@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import brute_mzv, brute_mzv_exact
+from conftest import all_compositions, brute_mzv, brute_mzv_exact
 from mzv import (
+    EliminationError,
     bernoulli_number,
     bernoulli_polynomial,
     composition,
@@ -23,6 +24,7 @@ from mzv import (
     partial_integration,
     permutation_identity,
     propagator_real_closed_form,
+    three_point_identity,
     verify_identity,
     zeta,
 )
@@ -429,6 +431,33 @@ def test_verify_identity_eliminates_regularized_input():
     assert bare["eliminated"] is True
     assert bare["residual"] == rep["residual"]
     assert "eliminated" not in verify_identity(permutation_identity((2,), (3,)))
+
+
+def test_three_point_with_an_exponent_one_verifies():
+    triples = [t for t in itertools.product(range(1, 6), repeat=3)
+               if 1 in t and sum(t) <= 7]
+    assert len(triples) == 31
+    for t in triples:
+        rep = verify_identity(three_point_identity(*t), eps=1e-12)
+        assert rep["eliminated"] and rep["pass"], t
+
+
+def test_permutation_with_one_divergent_factor_verifies_or_is_refused():
+    # 44 of the 64 pairs leave only a T^0 coefficient and verify; on the
+    # other 20 a T^1 coefficient survives that vanishes only numerically
+    passed = refused = 0
+    for x, y in itertools.product(all_compositions(5), repeat=2):
+        if sum(x) + sum(y) > 6 or (x[0] == 1) == (y[0] == 1):
+            continue
+        try:
+            rep = verify_identity(permutation_identity(x, y), eps=1e-12)
+        except EliminationError as exc:
+            assert str(exc).startswith("divergent terms survive elimination")
+            refused += 1
+            continue
+        assert rep["pass"], (x, y)
+        passed += 1
+    assert (passed, refused) == (44, 20)
 
 
 def test_bernoulli_numbers():
