@@ -20,10 +20,12 @@ from mzv.cli import main
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent / "cli_corpus"
 
 CORPUS = {
+    "rank-length-1": ["rank", "--length", "1", "--json"],
     "rank-length-2": ["rank", "--length", "2", "--json"],
     "rank-length-3": ["rank", "--length", "3", "--json"],
     "rank-length-4": ["rank", "--length", "4", "--json"],
     "rank-length-5": ["rank", "--length", "5", "--json"],
+    "rank-pattern-aa": ["rank", "--pattern", "a,a", "--json"],
     "rank-pattern-abb": ["rank", "--pattern", "a,b,b", "--json"],
     "rank-pattern-aabc": ["rank", "--pattern", "a,a,b,c", "--json"],
     "rank-pattern-abbcc": ["rank", "--pattern", "a,b,b,c,c", "--json"],
