@@ -62,7 +62,10 @@ def stuffle_template(m: int, n: int):
     Each returns the term's tuple of parts; a one-part term takes a slice,
     since ``itemgetter`` of a single index returns the part itself.  A
     pattern is recovered from its indices, so no term repeats here: a
-    multiplicity in a stuffle comes from equal parts in the operands.
+    multiplicity in a stuffle comes from equal parts in the operands.  The
+    terms come in blocks of a = 0, 1, ... merged parts; the a = 0 block, the
+    first comb(m + n, m) getters, is the shuffle product, and its getters
+    take only the m left and n right parts.
     """
     template = []
     for a in range(min(m, n) + 1):

@@ -134,15 +134,14 @@ def cmd_rank(args):
         symbols = linalg.generic_symbols(args.length)
     else:
         raise ValueError("rank needs --length or --pattern")
-    linalg.check_system_size(symbols)
-    system = linalg.assemble_permutation_system(symbols)
-    rank = system.rank()
+    rank = linalg.permutation_rank(symbols)
     if args.json:
+        rows, columns = linalg.permutation_system_size(symbols)
         _print_json({
-            "columns": len(set().union(*system.rows)),
+            "columns": columns,
             "length": len(symbols),
             "rank": rank,
-            "rows": len(system.rows),
+            "rows": rows,
             "symbols": list(symbols),
         })
     else:

@@ -550,7 +550,10 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
         break
     if len(_components(d)) > 1:
         return factors * _structural_value(d, trace)
-    trace.append("order expansion over %d cycle positions" % len(d.vertices))
+    note = "order expansion over %d cycle positions" % len(d.vertices)
+    if len(d.vertices) > MAX_ORDER_POSITIONS:
+        note += " exceeds the limit %d" % MAX_ORDER_POSITIONS
+    trace.append(note)
     return factors * order_expansion(d)
 
 

@@ -5,7 +5,10 @@ every ordered split of the exponent tuple.  The unknowns of the system are
 the l! (distinct) permutations of the full-length sum; products and the
 lower-length sums produced by merging exponents are known quantities and sit
 in right-hand-side columns.  Rank therefore means: rank of the coefficient
-matrix over the unknown columns alone.
+matrix over the unknown columns alone.  There the row of a split (u, v) is
+minus the shuffle product of u and v, so ``permutation_rank`` counts shuffle
+terms as ints and never builds the right-hand side, which only basis
+reduction needs.
 
 Rank is computed modulo a word-size prime and then certified over Q.  The
 rank mod p is a lower bound for the rational rank.  Each free column of the
@@ -14,16 +17,14 @@ reconstruction and checked exactly against every row, these vectors bound
 the rank from above.  When the two bounds meet the rank is exact; otherwise
 the exact elimination ``row_reduce`` decides, so no answer depends on the
 prime.  ``row_reduce`` also serves basis reduction and the chord solver of
-``diagrams``, which need the exact reduced rows.
-
-Both hot kernels work on plain integers.  A split's row picks its terms
-from the cached stuffle template of its part counts and counts them as
-ints; ``row_reduce`` eliminates fraction-free, each row integer numerators
-over one common denominator, and makes Fractions only for what it returns.
+``diagrams``, which need the exact reduced rows.  It eliminates
+fraction-free, each row integer numerators over one common denominator, and
+makes Fractions only for what it returns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -181,13 +182,8 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank over Q on the unknown columns (all columns if unset)."""
         columns = self.columns if self.unknowns is None else self.unknowns
-        rank = certified_rank(self.rows, columns)
-        if rank is None:
-            keep = set(columns)
-            rows = [{c: v for c, v in r.items() if c in keep}
-                    for r in self.rows]
-            rank = len(row_reduce(rows, columns)[0])
-        return rank
+        index = {c: i for i, c in enumerate(columns)}
+        return _integer_rank(_integer_rows(self.rows, index), len(columns))
 
 
 def _integer_rows(rows, index):
@@ -259,7 +255,11 @@ def certified_rank(rows, columns):
     a reconstruction or the exact check fails.
     """
     index = {c: i for i, c in enumerate(columns)}
-    distinct = _integer_rows(rows, index)
+    return _certified_integer_rank(_integer_rows(rows, index), len(columns))
+
+
+def _certified_integer_rank(distinct, ncols):
+    """certified_rank of distinct integer rows (column indices, values)."""
     if not distinct:
         return 0
     lengths = [len(cols) for cols, _ in distinct]
@@ -267,10 +267,10 @@ def certified_rank(rows, columns):
     col_of = np.fromiter(itertools.chain.from_iterable(
         cols for cols, _ in distinct), np.int64, len(row_of))
     values = [v for _, vals in distinct for v in vals]
-    m = np.zeros((len(distinct), len(columns)), np.int64)
+    m = np.zeros((len(distinct), ncols), np.int64)
     m[row_of, col_of] = [v % PRIME for v in values]
     pivots = _reduce_mod_p(m)
-    free = sorted(set(range(len(columns))) - set(pivots))
+    free = sorted(set(range(ncols)) - set(pivots))
     if not free:
         return len(pivots)
 
@@ -283,13 +283,13 @@ def certified_rank(rows, columns):
     num = np.array([a for a, _ in lifted], object)[where].reshape(shape)
     den = np.array([b for _, b in lifted], object)[where].reshape(shape)
     scale = np.array([math.lcm(*col) for col in den.T.tolist()], object)
-    kernel = np.zeros((len(columns), len(free)), object)
+    kernel = np.zeros((ncols, len(free)), object)
     kernel[pivots] = num * (scale // den)
     kernel[free, np.arange(len(free))] = scale
 
     # A.V row by row: the products of each row's entries with the matching
     # kernel rows, summed over the row's run of entries.
-    top = max(abs(v) for v in values) * abs(kernel).max() * len(columns)
+    top = max(abs(v) for v in values) * abs(kernel).max() * ncols
     dtype = np.int64 if top < 2 ** 62 else object
     kernel = kernel.astype(dtype)
     products = np.array(values, dtype)[:, None] * kernel[col_of]
@@ -297,6 +297,15 @@ def certified_rank(rows, columns):
     if np.add.reduceat(products, starts, axis=0).any():
         return None
     return len(pivots)
+
+
+def _integer_rank(distinct, ncols):
+    """Rank over Q of distinct integer rows: certified, else by row_reduce."""
+    rank = _certified_integer_rank(distinct, ncols)
+    if rank is None:
+        rows = [dict(zip(cols, vals)) for cols, vals in distinct]
+        rank = len(row_reduce(rows, range(ncols))[0])
+    return rank
 
 
 def row_reduce(rows, columns):
@@ -381,8 +390,8 @@ def row_reduce(rows, columns):
 
 def permutation_unknowns(symbols):
     """Columns for the distinct permutations of the full symbol tuple."""
-    perms = sorted(set(itertools.permutations(symbols)))
-    return tuple(zeta_column(tuple((s,) for s in p)) for p in perms)
+    return tuple(zeta_column(tuple((s,) for s in p))
+                 for p in _distinct_permutations(symbols))
 
 
 def assemble_permutation_system(symbols) -> ExactMatrix:
@@ -406,9 +415,54 @@ def assemble_permutation_system(symbols) -> ExactMatrix:
     return ExactMatrix(rows, labels, unknowns=permutation_unknowns(symbols))
 
 
+def _shuffle_rows(symbols):
+    """(rows, unknown count) of the permutation system on its unknowns, the
+    rows as _integer_rows makes them of the assembled system.  There a
+    split's row is minus the shuffle product of its sides, since every term
+    with a merged part is shorter; row (v, u) repeats (u, v) and is skipped.
+    """
+    index = {p: i for i, p in enumerate(_distinct_permutations(symbols))}
+    rows = {}
+    built = set()
+    for u, v in ordered_splits(symbols):
+        if (v, u) in built:
+            continue
+        built.add((u, v))
+        uv = u + v
+        shuffle = stuffle_template(len(u), len(v))[:math.comb(len(uv), len(u))]
+        counts = Counter(index[take(uv)] for take in shuffle)
+        g = math.gcd(*counts.values())
+        cols = sorted(counts)
+        rows[tuple(cols), tuple(-(counts[c] // g) for c in cols)] = 0
+    return list(rows), len(index)
+
+
 def permutation_rank(symbols) -> int:
+    """Rank of the permutation system, without its right-hand side."""
     check_system_size(symbols)
-    return assemble_permutation_system(symbols).rank()
+    return _integer_rank(*_shuffle_rows(tuple(symbols)))
+
+
+def permutation_system_size(symbols):
+    """(rows, columns) of assemble_permutation_system(symbols), counted: a
+    row per ordered split (u, v), a product column per pair {u, v} and a
+    column per sequence of sorted parts of one or two symbols that uses the
+    symbols up.  Each such sequence is in some row if there is one: u takes
+    its 1-parts and the first symbols of its 2-parts, v the second symbols;
+    a permutation is in the shuffle of its first symbol with the rest.
+    """
+    splits = list(ordered_splits(symbols))
+    if not splits:
+        return 0, 0
+
+    @functools.cache
+    def sequences(rest):
+        firsts = {p for k in (1, 2) for p in itertools.combinations(rest, k)}
+        return sum(sequences(tuple((Counter(rest) - Counter(p)).elements()))
+                   for p in firsts) if rest else 1
+
+    products = len({frozenset(split) for split in splits})
+    return len(splits), products + sequences(tuple(sorted(symbols)))
 
 
 @dataclass

@@ -170,6 +170,23 @@ def test_rank_refuses_oversized_system_before_assembly(monkeypatch, argv, count)
     assert "permutation system has %d unknowns, above the limit 720" % count in err
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("rank-length-1", ["rank", "--length", "1", "--json"]),
+    ("rank-pattern-aa", ["rank", "--pattern", "a,a", "--json"]),
+    ("rank-pattern-aabbcc", ["rank", "--pattern", "a,a,b,b,c,c", "--json"]),
+    ("rank-length-5", ["rank", "--length", "5", "--json"]),
+    ("rank-length-4-text", ["rank", "--length", "4"]),
+])
+def test_rank_never_assembles_the_system(monkeypatch, name, argv):
+    def no_assembly(symbols):
+        raise AssertionError("permutation system assembled")
+
+    monkeypatch.setattr(mzv.linalg, "assemble_permutation_system", no_assembly)
+    expected = (pathlib.Path(__file__).resolve().parent / "cli_corpus"
+                / (name + ".out")).read_text()
+    assert run(argv) == (0, expected, "")
+
+
 def test_rank_refuses_too_many_symbols_at_once():
     # one unknown, but the splits of twelve symbols would take minutes
     t0 = time.monotonic()

@@ -89,6 +89,8 @@ CORPUS = {
     },
     "reduce-half-moon-212-auto": [
         "reduce", "--half-moon", "2,1,2", "--trace", "--json"],
+    "reduce-seashell-21111111-auto": [
+        "reduce", "--seashell", "2,1,1,1,1,1,1,1", "--trace", "--json"],
     "reduce-peacock-20-21-3-auto": [
         "reduce", "--peacock", "2,0", "2,1", "3", "--trace", "--json"],
     "derive-shuffle-21-3": ["derive", "shuffle", "2,1", "3", "--json"],

@@ -27,6 +27,8 @@ from mzv.algebra import ProductTerm, ZetaCombination
 from mzv.linalg import (
     PRIME,
     RECONSTRUCTION_BOUND,
+    _integer_rows,
+    _shuffle_rows,
     _split_row,
     certified_rank,
     check_system_size,
@@ -34,6 +36,7 @@ from mzv.linalg import (
     instantiate_column,
     instantiate_expression,
     ordered_splits,
+    permutation_system_size,
     product_column,
     rational_reconstruction,
     row_reduce,
@@ -562,3 +565,54 @@ def test_permutation_systems_are_certified_without_fallback():
         mat = assemble_permutation_system(symbols)
         assert certified_rank(mat.rows, mat.unknowns) == restricted_rank(
             mat), symbols
+
+
+def multiplicity_shapes(length):
+    """The partitions of length, largest part first."""
+    if not length:
+        return [()]
+    return [(k,) + rest for k in range(length, 0, -1)
+            for rest in multiplicity_shapes(length - k) if not rest or rest[0] <= k]
+
+
+def test_shuffle_rows_are_the_assembled_rows_on_the_unknowns():
+    # equal rows go through the same certified rank, so the ranks agree too;
+    # the letter patterns hold every shape of at most three letters
+    words = list(letter_patterns(6))
+    words += ["".join(s * m for s, m in zip("abcdef", shape))
+              for l in range(4, 7) for shape in multiplicity_shapes(l)
+              if len(shape) > 3]
+    assert len(words) == 1 + 2 + 5 + 14 + 41 + 122 + 7
+    for symbols in words:
+        mat = assemble_permutation_system(symbols)
+        index = {c: i for i, c in enumerate(mat.unknowns)}
+        assert _shuffle_rows(tuple(symbols)) == (
+            _integer_rows(mat.rows, index), len(mat.unknowns)), symbols
+        assert permutation_system_size(symbols) == (
+            len(mat.rows), len(set().union(*mat.rows))), symbols
+
+
+def test_permutation_rank_falls_back_to_row_reduce_without_assembly(
+        monkeypatch):
+    expected = {}
+    for shape in BENCHMARK_SHAPES:
+        symbols = "".join(s * m for s, m in zip("abcd", shape))
+        expected[symbols] = restricted_rank(
+            assemble_permutation_system(symbols))
+    reduced = []
+
+    def counted_row_reduce(rows, columns):
+        reduced.append(len(rows))
+        return row_reduce(rows, columns)
+
+    def no_assembly(symbols):
+        raise AssertionError("permutation system assembled")
+
+    monkeypatch.setattr(mzv.linalg, "_certified_integer_rank",
+                        lambda distinct, ncols: None)
+    monkeypatch.setattr(mzv.linalg, "row_reduce", counted_row_reduce)
+    monkeypatch.setattr(mzv.linalg, "assemble_permutation_system",
+                        no_assembly)
+    for symbols, rank in expected.items():
+        assert permutation_rank(symbols) == rank, symbols
+    assert len(reduced) == len(BENCHMARK_SHAPES)
