@@ -572,7 +572,8 @@ def multiplicity_shapes(length):
     if not length:
         return [()]
     return [(k,) + rest for k in range(length, 0, -1)
-            for rest in multiplicity_shapes(length - k) if not rest or rest[0] <= k]
+            for rest in multiplicity_shapes(length - k)
+            if not rest or rest[0] <= k]
 
 
 def test_shuffle_rows_are_the_assembled_rows_on_the_unknowns():
