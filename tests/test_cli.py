@@ -209,6 +209,27 @@ def test_derive_unknown_family():
     assert code == 2
 
 
+# The argument count is checked before any argument is read as an integer,
+# so the integer families below are refused on the count even for "x".
+@pytest.mark.parametrize("args, message", [
+    (["reflection", "x"], "reflection takes 2 integer arguments"),
+    (["permutation", "2"], "permutation takes two compositions"),
+    (["three-point", "x", "y"], "three-point takes 3 integer arguments"),
+    (["partial-int-2", "2"], "partial-int-2 takes 2 integer arguments"),
+    (["partial-int-3", "2", "1"], "partial-int-3 takes 3 integer arguments"),
+    (["partial-int", "2,1", "3"], "partial-int takes one composition"),
+    (["trailing-one"], "trailing-one takes one composition"),
+    (["shuffle", "2"], "shuffle takes two compositions"),
+    (["reflection", "2", "x"], "invalid literal for int() with base 10: 'x'"),
+    (["bogus", "2"], "unknown family 'bogus' (have: partial-int, "
+     "partial-int-2, partial-int-3, permutation, reflection, shuffle, "
+     "three-point, trailing-one)"),
+])
+def test_derive_refusal_texts(args, message):
+    code, out, err = run(["derive"] + args)
+    assert (code, out, err) == (2, "", "mzv: error: %s\n" % message)
+
+
 def test_derive_verify_round_trip(tmp_path):
     code, out, _ = run(["derive", "permutation", "2,1", "3", "--json"])
     assert code == 0
