@@ -829,7 +829,8 @@ def reduce(d: Diagram, strategy: str = "auto", trace: bool = False):
             tr.append("order expansion not applicable; matching known shapes")
             try:
                 comb_ = _reduce_shuffle(d, tr)
-            except IrreducibleDiagramError:
+            except IrreducibleDiagramError as exc:
+                tr.append("branch recursion not applicable: %s" % exc)
                 comb_ = _reduce_rightward(d, tr)
     else:
         raise ValueError("unknown strategy %r" % strategy)
