@@ -327,65 +327,18 @@ def trailing_one(x) -> Identity:
 
 # --- family catalog ---------------------------------------------------------
 
-def _ints(args, n, what):
-    if len(args) != n:
-        raise ValueError("%s takes %d integer arguments" % (what, n))
-    return [int(a) for a in args]
-
-
-def _derive_reflection(args, variant):
-    a, b = _ints(args, 2, "reflection")
-    return reflection(a, b)
-
-
-def _derive_permutation(args, variant):
-    if len(args) != 2:
-        raise ValueError("permutation takes two compositions")
-    return permutation_identity(args[0], args[1])
-
-
-def _derive_three_point(args, variant):
-    a, b, c = _ints(args, 3, "three-point")
-    return three_point_identity(a, b, c)
-
-
-def _derive_partial2(args, variant):
-    a, b = _ints(args, 2, "partial-int-2")
-    return partial_integration_length2(a, b)
-
-
-def _derive_partial3(args, variant):
-    a, b, c = _ints(args, 3, "partial-int-3")
-    return partial_integration_length3(a, b, c, variant or "rightward")
-
-
-def _derive_partial(args, variant):
-    if len(args) != 1:
-        raise ValueError("partial-int takes one composition")
-    return partial_integration(args[0], variant or "rightward")
-
-
-def _derive_trailing_one(args, variant):
-    if len(args) != 1:
-        raise ValueError("trailing-one takes one composition")
-    return trailing_one(args[0])
-
-
-def _derive_shuffle(args, variant):
-    if len(args) != 2:
-        raise ValueError("shuffle takes two compositions")
-    return shuffle_identity(args[0], args[1])
-
-
+# family -> (emitter, integer arguments?, argument count, variants); the
+# first variant is the default, and a family without variants refuses one
 FAMILIES = {
-    "reflection": _derive_reflection,
-    "permutation": _derive_permutation,
-    "three-point": _derive_three_point,
-    "partial-int-2": _derive_partial2,
-    "partial-int-3": _derive_partial3,
-    "partial-int": _derive_partial,
-    "trailing-one": _derive_trailing_one,
-    "shuffle": _derive_shuffle,
+    "reflection": (reflection, True, 2, ()),
+    "permutation": (permutation_identity, False, 2, ()),
+    "three-point": (three_point_identity, True, 3, ()),
+    "partial-int-2": (partial_integration_length2, True, 2, ()),
+    "partial-int-3": (partial_integration_length3, True, 3,
+                      ("rightward", "alternative")),
+    "partial-int": (partial_integration, False, 1, ("rightward", "leftward")),
+    "trailing-one": (trailing_one, False, 1, ()),
+    "shuffle": (shuffle_identity, False, 2, ()),
 }
 
 
@@ -394,7 +347,19 @@ def derive(family: str, args, variant: str = None) -> Identity:
     if family not in FAMILIES:
         raise ValueError("unknown family %r (have: %s)"
                          % (family, ", ".join(sorted(FAMILIES))))
-    return FAMILIES[family](list(args), variant)
+    emit, integers, count, variants = FAMILIES[family]
+    args = list(args)
+    if len(args) != count:
+        raise ValueError("%s takes %s" % (family, (
+            "%d integer arguments" % count if integers
+            else ("one composition", "two compositions")[count - 1])))
+    if integers:
+        args = [int(a) for a in args]
+    if variants:
+        args.append(variant or variants[0])
+    elif variant:
+        raise ValueError("%s takes no variant" % family)
+    return emit(*args)
 
 
 def identity_from_json(obj) -> Identity:
