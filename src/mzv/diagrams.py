@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from .algebra import (
     ProductTerm,
@@ -375,12 +375,12 @@ def _hamiltonian_cycles(d: Diagram):
 def _solve_chords(d: Diagram, cycle):
     """Express chord momenta as integer linear forms in the cycle momenta.
 
-    Returns (chord forms, constraint forms) indexed by cycle position: a
-    chord form is (den, numerators), the chord momentum being the
-    numerators' combination divided by den > 0; a constraint is a tuple of
-    integers whose combination must vanish.  The incidence matrix of a
-    directed graph is totally unimodular, so den is always 1.  Raises when
-    the linear system leaves a chord momentum free.
+    Returns (chord forms, constraint forms), each a tuple of integers
+    indexed by cycle position: the combination of a chord form is the chord
+    momentum, that of a constraint must vanish.  The incidence matrix of a
+    directed graph is totally unimodular, so elimination never leaves a
+    fraction; raises if it does, and when the linear system leaves a chord
+    momentum free.
     """
     cyc_set = set(cycle)
     chords = [i for i in range(len(d.edges)) if i not in cyc_set]
@@ -393,18 +393,13 @@ def _solve_chords(d: Diagram, cycle):
     if len(pivots) < len(chords):
         raise IrreducibleDiagramError("chord momenta underdetermined")
 
-    def numerators(row, scale):
-        return tuple(row[e].numerator * (scale // row[e].denominator)
-                     if e in row else 0 for e in cycle)
+    def ints(row, sign):
+        if any(v.denominator != 1 for v in row.values()):
+            raise IrreducibleDiagramError("non-integer chord decomposition")
+        return tuple(sign * int(row.get(e, 0)) for e in cycle)
 
-    chord_forms = []
-    for i in chords:
-        den = lcm(*(v.denominator for v in pivots[i].values()))
-        chord_forms.append((den, numerators(pivots[i], -den)))
-    constraints = [
-        numerators(r, lcm(*(v.denominator for v in r.values())))
-        for r in rest if r]
-    return chord_forms, constraints
+    return ([ints(pivots[i], -1) for i in chords],
+            [ints(r, 1) for r in rest if r])
 
 
 def _ordered_partitions(P):
@@ -465,15 +460,10 @@ def order_expansion(d: Diagram) -> ZetaCombination:
             if any(sums):
                 break
         else:
-            for den, form in chord_forms:
+            for form in chord_forms:
                 a = [0] * dd
                 for c, g in zip(form, assign):
                     a[g] += c
-                if den != 1:
-                    if any(x % den for x in a):
-                        raise IrreducibleDiagramError(
-                            "non-integer chord decomposition")
-                    a = [x // den for x in a]
                 partial = list(itertools.accumulate(a))
                 if max(partial) <= 0:
                     break      # zero or negative on the cell
