@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import (
+    CACHE_SIZE,
     ProductTerm,
     ZetaCombination,
     eliminate_divergent,
@@ -92,7 +93,7 @@ def diagram_from_json(obj) -> Diagram:
     return Diagram(tuple(obj["vertices"]), obj["root"], edges)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def canonical_key(d: Diagram):
     """Vertex-relabeling invariant key (root pinned to 0)."""
     others = [v for v in d.vertices if v != d.root]
@@ -572,7 +573,7 @@ def _integration_exits(x, z):
                   for s in range(1, z + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _branch_suffixes(B, C):
     """Expansion of the double-branch state whose trunk ends in a zero label.
 

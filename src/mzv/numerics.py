@@ -24,8 +24,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .algebra import (EliminationError, ZetaCombination, eliminate_divergent,
-                      normalize, zeta)
+from .algebra import (CACHE_SIZE, EliminationError, ZetaCombination,
+                      eliminate_divergent, normalize, zeta)
 from .compositions import Composition, from_word, to_word
 
 FLOAT_SLACK = 1e-12  # headroom for float64 roundoff in the direct evaluator
@@ -132,12 +132,7 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
 
 # --- high-precision evaluator ----------------------------------------------
 
-# One bounded policy for both caches: a verify stream touches a few thousand
-# (word, dps) pairs, and a miss costs well under a millisecond.
-_CACHE_SIZE = 1 << 13
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _half_word_value(word: tuple, dps: int):
     """The iterated integral of ``word`` from 0 to 1/2, with an error bound.
 
@@ -175,7 +170,7 @@ def _half_word_value(word: tuple, dps: int):
                    + float(mp.mpf(10) ** (-(dps + 2))))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _midpoint_sum(word: tuple, dps: int):
     """Value and bound of the iterated integral of ``word`` over [0, 1]:
     the path is split at 1/2, and the half over [1/2, 1] is the reversed,

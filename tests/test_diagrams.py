@@ -41,6 +41,7 @@ from mzv import (
     to_word,
     zeta,
 )
+from mzv.algebra import CACHE_SIZE
 from mzv.cli import main
 from mzv.compositions import Composition
 from mzv import diagrams
@@ -89,6 +90,11 @@ def test_canonical_key_and_equality():
     assert canonical_key(d1) == canonical_key(d2)
     d3 = Diagram((0, 1, 2), 0, ((0, 1, 2), (1, 2, 2), (2, 0, 1)))
     assert canonical_key(d1) != canonical_key(d3)
+
+
+def test_diagram_caches_take_the_shared_bound():
+    for cached in (canonical_key, diagrams._branch_suffixes):
+        assert cached.cache_info().maxsize == CACHE_SIZE
 
 
 def test_json_round_trip():

@@ -28,6 +28,7 @@ from mzv import (
     verify_identity,
     zeta,
 )
+from mzv.algebra import CACHE_SIZE
 from mzv.compositions import from_word, iter_admissible, to_word
 from mzv.numerics import BLOCK, FLOAT_SLACK, MAX_TRUNCATION
 
@@ -374,7 +375,7 @@ def test_half_word_matches_literal_loop(dps):
 
 def test_accel_caches_are_bounded():
     for cached in (numerics._half_word_value, numerics._midpoint_sum):
-        assert cached.cache_info().maxsize == numerics._CACHE_SIZE
+        assert cached.cache_info().maxsize == CACHE_SIZE
 
 
 def test_accel_refuses_deep_composition_without_overflow():
