@@ -350,9 +350,9 @@ def derive(family: str, args, variant: str = None) -> Identity:
     emit, integers, count, variants = FAMILIES[family]
     args = list(args)
     if len(args) != count:
-        raise ValueError("%s takes %s" % (family, (
-            "%d integer arguments" % count if integers
-            else ("one composition", "two compositions")[count - 1])))
+        what = ("%d integer arguments" % count if integers
+                else ("one composition", "two compositions")[count - 1])
+        raise ValueError("%s takes %s" % (family, what))
     if integers:
         args = [int(a) for a in args]
     if variants:
