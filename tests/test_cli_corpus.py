@@ -105,6 +105,18 @@ CORPUS = {
         for name in ("partial-int-312-rightward", "partial-int-122-leftward",
                      "partial-int-221-leftward")
     },
+    # the accelerated evaluator near its dps-30 floor, and above dps 45
+    **{
+        "verify-%s-eps-%s" % (name, eps): [
+            "verify", "--json", "--eps", eps,
+            str(CORPUS_DIR / ("derive-%s.out" % name))]
+        for name in ("three-point-234", "shuffle-21-3", "trailing-one-213",
+                     "partial-int-3-413-alternative")
+        for eps in ("1e-9", "1e-15")
+    },
+    "verify-three-point-234-eps-1e-30": [
+        "verify", "--json", "--eps", "1e-30",
+        str(CORPUS_DIR / "derive-three-point-234.out")],
 }
 
 
