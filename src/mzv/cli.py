@@ -78,15 +78,20 @@ def cmd_eval(args):
                else 10.0 ** (-_default_digits()))
         pv = numerics.eval_mzv_accel(c, eps)
         method = "accelerated"
+    supported = int(math.log10(max(1.0, abs(float(pv.value)) / pv.bound)))
+    if args.digits is not None and args.digits > supported:
+        raise ValueError("--digits %d exceeds the %d digits that the bound "
+                         "%.3e supports" % (args.digits, supported, pv.bound))
+    value = pv.value if args.digits is None else mp.mpmathify(pv.value)
     if args.json:
         _print_json({
             "bound": "%.3e" % pv.bound,
             "composition": c.to_json(),
             "method": method,
-            "value": mp.nstr(pv.value, digits),
+            "value": mp.nstr(value, digits),
         })
     else:
-        print(mp.nstr(pv.value, digits))
+        print(mp.nstr(value, digits))
     return 0
 
 

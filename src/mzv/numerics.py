@@ -8,30 +8,33 @@ with p = 2 of Borwein, Bradley, Broadhurst and Lisoněk).  The former reads
 1/n from one read-only row per process, built on first use for the largest
 truncation asked so far, and walks it in fixed blocks, so its other arrays do
 not grow with the truncation.  The latter sums each half on fixed-point integer
-rows and bounds their floor error along with the series tail; its two caches
-share one bounded LRU policy.  Identity verification always reports a
-residual together with the propagated bound, never a bare float.
+rows, one chain of inner rows shared by the suffixes of a word, and bounds
+their floor error along with the series tail; its value caches share one
+bounded LRU policy and its row caches are small bounded LRU caches too.
+Identity verification always reports a residual with its propagated bound.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
+from operator import floordiv, rshift
 
 import mpmath as mp
 import numpy as np
 
 from .algebra import (CACHE_SIZE, EliminationError, ZetaCombination,
                       eliminate_divergent, normalize, zeta)
-from .compositions import Composition, from_word, to_word
+from .compositions import Composition, to_word
 
 FLOAT_SLACK = 1e-12  # headroom for float64 roundoff in the direct evaluator
 MAX_TRUNCATION = 10 ** 7  # the shared 1/n row is 16 bytes per index
 BLOCK = 1 << 14  # indices per block of the direct evaluator, 256 KB a row
 _reciprocals = None  # 1/n for n = 1..len, read-only; see eval_mzv_direct
+INNER_ROWS, POWER_ROWS = 16, 64  # accelerated evaluator rows; see _inner_row
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,29 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
 # --- high-precision evaluator ----------------------------------------------
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
+def _half_word_scale(dps: int):
+    """Terms M, scale bits B and the bound on rounding to dps + 8 digits."""
+    return (max(80, int(dps * 3.4) + 40), int(dps * 3.33) + 64,  # guard bits
+            float(mp.mpf(10) ** (-(dps + 2))))
+
+
+@functools.lru_cache(maxsize=POWER_ROWS)
+def _power_row(k: int, M: int) -> tuple:  # t^k for t = 1..M
+    return tuple(t ** k for t in range(1, M + 1))
+
+
+@functools.lru_cache(maxsize=INNER_ROWS)
+def _inner_row(word: tuple, M: int, B: int) -> tuple:
+    """Entry t - 1: the floored sum over t > n1 > ... of the parts of ``word``
+    at scale 2^-B, one pass over the row of its parts after the first."""
+    if not word:
+        return (1 << B,) * M
+    k = word.index(1) + 1
+    terms = map(floordiv, _inner_row(word[k:], M, B), _power_row(k, M))
+    return tuple(accumulate(islice(terms, M - 1), initial=0))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _half_word_value(word: tuple, dps: int):
     """The iterated integral of ``word`` from 0 to 1/2, with an error bound.
 
@@ -145,19 +171,15 @@ def _half_word_value(word: tuple, dps: int):
     """
     if not word:
         return mp.mpf(1), 0.0
-    s = from_word(word).parts
-    d = len(s)
-    M = max(80, int(dps * 3.4) + 40)
-    B = int(dps * 3.33) + 64  # dps digits plus 64 guard bits
-    ts = range(1, M + 1)
-    row = [1 << B] * M  # prev[t - 1] for t = 1..M
-    for k in reversed(s[1:]):
-        row = list(itertools.accumulate(
-            (r // t ** k for r, t in zip(row, ts)), initial=0))
-    total = sum((r // t ** s[0]) >> t for r, t in zip(row, ts))
+    M, B, rounding = _half_word_scale(dps)
+    d = word.count(1)
+    # before the rows: a word too deep for a float tail raises OverflowError
+    tail = 4.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1) / math.factorial(d - 1)
+    k = word.index(1) + 1
+    terms = map(floordiv, _inner_row(word[k:], M, B), _power_row(k, M))
+    total = sum(map(rshift, terms, range(1, M + 1)))
     with mp.workdps(dps + 8):
         value = mp.ldexp(mp.mpf(total), -B)
-    tail = 4.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1) / math.factorial(d - 1)
     # Floors only round down.  If the row below is low by at most E units of
     # 2^-B, a level is low by at most E * sum_t t^-k + M <= E H_M + M, and
     # the outer level by E H_M + 2M (two floors per term).  Over d levels
@@ -165,9 +187,7 @@ def _half_word_value(word: tuple, dps: int):
     # units, with H_M <= 1 + ln M.  The weights t^-k sum to H_M > 1, so the
     # error grows geometrically with depth: it is not d M units.
     floors = 2.0 * M * d * (2.0 + math.log(M)) ** (d - 1)
-    # The last term covers rounding the sum to an mpf of dps + 8 digits.
-    return value, (tail + math.ldexp(floors, -B)
-                   + float(mp.mpf(10) ** (-(dps + 2))))
+    return value, tail + math.ldexp(floors, -B) + rounding
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

@@ -62,6 +62,39 @@ def test_eval_digits_flag():
     assert out == "1.20206\n"
 
 
+def test_eval_digits_flag_json_and_direct():
+    code, out, _ = run(["eval", "2,1", "--digits", "6", "--json"])
+    assert code == 0
+    assert json.loads(out)["value"] == "1.20206"
+    # a float from the direct evaluator is rounded too, not printed whole
+    code, out, _ = run(["eval", "--trunc", "1000", "--digits", "3", "--", "2"])
+    assert code == 0
+    assert out == "1.64\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "2", "--digits", "100000"],
+     "--digits 100000 exceeds the 24 digits that the bound 1.000e-24 "
+     "supports"),
+    (["eval", "2", "--digits", "25"], "exceeds the 24 digits"),
+    (["eval", "2,-1", "--digits", "5"],
+     "exceeds the 4 digits that the bound 1.582e-05 supports"),
+    (["eval", "--trunc", "1000", "--digits", "4", "--", "2"],
+     "exceeds the 3 digits that the bound 1.000e-03 supports"),
+])
+def test_digits_beyond_the_bound_are_refused(argv, message):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_digits_up_to_the_bound_are_printed():
+    code, out, _ = run(["eval", "2", "--digits", "24"])
+    assert code == 0
+    assert out == "1.64493406684822643647242\n"
+
+
 def test_eval_json_report():
     code, out, _ = run(["eval", "2,1", "--eps", "1e-12", "--json"])
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -373,9 +374,50 @@ def test_half_word_matches_literal_loop(dps):
             assert abs(value - ref) <= bound, word
 
 
+def generator_half_word(word, dps):
+    """The half-word kernel with every inner row rebuilt from the innermost
+    one by a generator over t**k: the reference for the shared row chains."""
+    if not word:
+        return mp.mpf(1), 0.0
+    s = from_word(word).parts
+    d = len(s)
+    M = max(80, int(dps * 3.4) + 40)
+    B = int(dps * 3.33) + 64
+    ts = range(1, M + 1)
+    row = [1 << B] * M
+    for k in reversed(s[1:]):
+        row = list(itertools.accumulate(
+            (r // t ** k for r, t in zip(row, ts)), initial=0))
+    total = sum((r // t ** s[0]) >> t for r, t in zip(row, ts))
+    with mp.workdps(dps + 8):
+        value = mp.ldexp(mp.mpf(total), -B)
+    tail = 4.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1) / math.factorial(d - 1)
+    floors = 2.0 * M * d * (2.0 + math.log(M)) ** (d - 1)
+    return value, (tail + math.ldexp(floors, -B)
+                   + float(mp.mpf(10) ** (-(dps + 2))))
+
+
+def test_half_word_matches_generator_kernel_bitwise():
+    # both precisions in one stream, so rows of one scale cannot serve another
+    calls = [(word, dps) for dps in (30, 45) for word in half_words(9)]
+    expected = {call: generator_half_word(*call) for call in calls}
+    shuffled = list(calls)
+    random.Random(19).shuffle(shuffled)
+    for order in (calls[::-1], shuffled):
+        numerics._half_word_value.cache_clear()
+        numerics._inner_row.cache_clear()
+        for call in order:
+            assert numerics._half_word_value(*call) == expected[call], call
+        # more distinct rows than the cache holds: rows were evicted and rebuilt
+        assert numerics._inner_row.cache_info().misses > numerics.INNER_ROWS
+
+
 def test_accel_caches_are_bounded():
-    for cached in (numerics._half_word_value, numerics._midpoint_sum):
+    for cached in (numerics._half_word_value, numerics._midpoint_sum,
+                   numerics._half_word_scale):
         assert cached.cache_info().maxsize == CACHE_SIZE
+    assert numerics._inner_row.cache_info().maxsize == numerics.INNER_ROWS
+    assert numerics._power_row.cache_info().maxsize == numerics.POWER_ROWS
 
 
 def test_accel_refuses_deep_composition_without_overflow():
