@@ -62,14 +62,18 @@ def test_eval_digits_flag():
     assert out == "1.20206\n"
 
 
-def test_eval_digits_flag_json_and_direct():
-    code, out, _ = run(["eval", "2,1", "--digits", "6", "--json"])
-    assert code == 0
-    assert json.loads(out)["value"] == "1.20206"
+@pytest.mark.parametrize("argv, expected", [
+    (["eval", "2,1", "--digits", "6", "--json"],
+     '{"bound": "1.000e-24", "composition": [2, 1], "method": "accelerated", '
+     '"value": "1.20206"}\n'),
+    (["eval", "2", "--digits", "24"], "1.64493406684822643647242\n"),
     # a float from the direct evaluator is rounded too, not printed whole
-    code, out, _ = run(["eval", "--trunc", "1000", "--digits", "3", "--", "2"])
+    (["eval", "--trunc", "1000", "--digits", "3", "--", "2"], "1.64\n"),
+])
+def test_digits_up_to_the_bound_are_printed(argv, expected):
+    code, out, _ = run(argv)
     assert code == 0
-    assert out == "1.64\n"
+    assert out == expected
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -87,12 +91,6 @@ def test_digits_beyond_the_bound_are_refused(argv, message):
     assert code == 2
     assert out == ""
     assert message in err
-
-
-def test_digits_up_to_the_bound_are_printed():
-    code, out, _ = run(["eval", "2", "--digits", "24"])
-    assert code == 0
-    assert out == "1.64493406684822643647242\n"
 
 
 def test_eval_json_report():
