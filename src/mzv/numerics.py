@@ -34,8 +34,7 @@ FLOAT_SLACK = 1e-12  # headroom for float64 roundoff in the direct evaluator
 MAX_TRUNCATION = 10 ** 7  # the shared 1/n row is 16 bytes per index
 BLOCK = 1 << 14  # indices per block of the direct evaluator, 256 KB a row
 _reciprocals = None  # 1/n for n = 1..len, read-only; see eval_mzv_direct
-INNER_ROWS = 16  # rows of the accelerated evaluator's chains; see _inner_row
-POWER_ROWS = 64  # t^k rows, one per part k and term count M
+INNER_ROWS, POWER_ROWS = 16, 64  # accelerated evaluator rows; see _inner_row
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,15 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
 
 # --- high-precision evaluator ----------------------------------------------
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _half_word_scale(dps: int):
+    """Terms M, scale bits B and the bound on rounding to dps + 8 digits."""
+    return (max(80, int(dps * 3.4) + 40), int(dps * 3.33) + 64,  # guard bits
+            float(mp.mpf(10) ** (-(dps + 2))))
+
+
 @functools.lru_cache(maxsize=POWER_ROWS)
-def _power_row(k: int, M: int) -> tuple:
-    """t^k for t = 1..M."""
+def _power_row(k: int, M: int) -> tuple:  # t^k for t = 1..M
     return tuple(t ** k for t in range(1, M + 1))
 
 
@@ -166,8 +171,7 @@ def _half_word_value(word: tuple, dps: int):
     """
     if not word:
         return mp.mpf(1), 0.0
-    M = max(80, int(dps * 3.4) + 40)
-    B = int(dps * 3.33) + 64  # dps digits plus 64 guard bits
+    M, B, rounding = _half_word_scale(dps)
     d = word.count(1)
     # before the rows: a word too deep for a float tail raises OverflowError
     tail = 4.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1) / math.factorial(d - 1)
@@ -183,9 +187,7 @@ def _half_word_value(word: tuple, dps: int):
     # units, with H_M <= 1 + ln M.  The weights t^-k sum to H_M > 1, so the
     # error grows geometrically with depth: it is not d M units.
     floors = 2.0 * M * d * (2.0 + math.log(M)) ** (d - 1)
-    # The last term covers rounding the sum to an mpf of dps + 8 digits.
-    return value, (tail + math.ldexp(floors, -B)
-                   + float(mp.mpf(10) ** (-(dps + 2))))
+    return value, tail + math.ldexp(floors, -B) + rounding
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

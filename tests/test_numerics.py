@@ -413,7 +413,8 @@ def test_half_word_matches_generator_kernel_bitwise():
 
 
 def test_accel_caches_are_bounded():
-    for cached in (numerics._half_word_value, numerics._midpoint_sum):
+    for cached in (numerics._half_word_value, numerics._midpoint_sum,
+                   numerics._half_word_scale):
         assert cached.cache_info().maxsize == CACHE_SIZE
     assert numerics._inner_row.cache_info().maxsize == numerics.INNER_ROWS
     assert numerics._power_row.cache_info().maxsize == numerics.POWER_ROWS
