@@ -16,7 +16,6 @@ from .compositions import (
     Composition,
     composition,
     composition_from_json,
-    from_word,
     iter_admissible,
     parse_composition,
     to_word,

@@ -66,11 +66,6 @@ def cmd_eval(args):
     if args.trunc is not None:
         pv = numerics.eval_mzv_direct(c, args.trunc)
         method = "direct"
-    elif c.signs is not None:
-        # No acceleration for alternating sums; fall back to a long
-        # truncated sum whose bound is still rigorous.
-        pv = numerics.eval_mzv_direct(c, 10 ** 6)
-        method = "direct"
     else:
         if not c.admissible:
             raise ValueError("%s diverges; no numeric value" % c.zeta_str())

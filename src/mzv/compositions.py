@@ -109,32 +109,16 @@ def composition_from_json(obj) -> Composition:
 
 
 def to_word(c: Composition) -> tuple[int, ...]:
-    """Binary word of an unsigned composition: each part k becomes 0^(k-1) 1."""
-    if c.signs is not None:
-        raise ValueError("binary words are defined for unsigned compositions")
+    """Word of a composition: part i becomes 0^(k_i - 1) b_i, with
+    b_i = sigma_1 ... sigma_i, so the sum is the iterated integral over
+    [0, 1] of the forms dt/t (letter 0) and dt/(b - t) (letter b)."""
     word = []
-    for k in c.parts:
+    b = 1
+    for i, k in enumerate(c.parts):
+        b *= c.sign(i)
         word.extend([0] * (k - 1))
-        word.append(1)
+        word.append(b)
     return tuple(word)
-
-
-def from_word(word) -> Composition:
-    """Inverse of to_word; the word must end in 1."""
-    word = tuple(word)
-    if not word or word[-1] != 1:
-        raise ValueError("word must be nonempty and end in 1")
-    if any(a not in (0, 1) for a in word):
-        raise ValueError("word letters must be 0 or 1")
-    parts = []
-    run = 0
-    for a in word:
-        if a == 0:
-            run += 1
-        else:
-            parts.append(run + 1)
-            run = 0
-    return Composition(tuple(parts))
 
 
 def iter_admissible(max_weight: int, min_depth: int = 1):

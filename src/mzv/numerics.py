@@ -7,10 +7,11 @@ splitting the iterated-integral word at the midpoint (the Hölder convolution
 with p = 2 of Borwein, Bradley, Broadhurst and Lisoněk).  The former reads
 1/n from one read-only row per process, built on first use for the largest
 truncation asked so far, and walks it in fixed blocks, so its other arrays do
-not grow with the truncation.  The latter sums each half on fixed-point integer
-rows, one chain of inner rows shared by the suffixes of a word, and bounds
-their floor error along with the series tail; its value caches share one
-bounded LRU policy and its row caches are small bounded LRU caches too.
+not grow with the truncation.  The latter takes signed words as unsigned ones
+(letters 0, 1, -1 and, on the dual half, 2), sums each half on fixed-point
+integer rows, one chain of inner rows shared by the suffixes of a word, and
+bounds their floor error along with the series tail; its value caches share
+one bounded LRU policy and its row caches are small bounded LRU caches too.
 Identity verification always reports a residual with its propagated bound.
 """
 
@@ -20,8 +21,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
-from operator import floordiv, rshift
+from itertools import accumulate, cycle, islice
+from operator import floordiv, lshift, mul, rshift
 
 import mpmath as mp
 import numpy as np
@@ -148,44 +149,57 @@ def _power_row(k: int, M: int) -> tuple:  # t^k for t = 1..M
 
 
 @functools.lru_cache(maxsize=INNER_ROWS)
-def _inner_row(word: tuple, M: int, B: int) -> tuple:
-    """Entry t - 1: the floored sum over t > n1 > ... of the parts of ``word``
-    at scale 2^-B, one pass over the row of its parts after the first."""
+def _inner_row(lead, word: tuple, M: int, B: int) -> tuple:
+    """Entry t - 1: the floored sum over t > n1 > ... of the levels of
+    ``word`` at scale 2^-B, the part around it having letter ``lead``."""
     if not word:
         return (1 << B,) * M
-    k = word.index(1) + 1
-    terms = map(floordiv, _inner_row(word[k:], M, B), _power_row(k, M))
+    terms = _level(lead, word, M, B)
     return tuple(accumulate(islice(terms, M - 1), initial=0))
+
+
+def _level(lead, word: tuple, M: int, B: int):
+    """Terms t = 1..M of the level of the first part of ``word``, k its
+    weight and a its letter: f^t row[t-1] / t^k floored, f = lead / a."""
+    k = 1
+    while not word[k - 1]:
+        k += 1
+    f = lead / word[k - 1]      # +-2^e, e in -2..1
+    e = int(math.log2(abs(f)))
+    row = _inner_row(word[k - 1], word[k:], M, B)
+    if e > 0:                   # shift before the floor
+        row = map(lshift, row, range(1, M + 1))
+    terms = map(floordiv, row, _power_row(k, M))
+    if e < 0:                   # after it: two floors are one floor division
+        terms = map(rshift, terms, range(-e, -e * (M + 1), -e))
+    return map(mul, terms, cycle((-1, 1))) if f < 0 else terms  # sign last
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _half_word_value(word: tuple, dps: int):
     """The iterated integral of ``word`` from 0 to 1/2, with an error bound.
 
-    Words ending in 1 are partial one-variable multiple polylogarithm series
-    at 1/2, Li_s(1/2) summed over M >= n1 > ... > nd; the empty word is 1.
-    The nested rows are Python integers at scale 2^-B: each term is a floor
-    ``prev // t**k`` and the outer 2^-t a shift, so every row sits below the
-    exact one by a counted number of units, added to the bound.  One mpf is
-    made at the end.
+    Letters are 0 (form dt/t) and a in {1, -1, 2} (form dt/(a - t)).  A word
+    is the partial series Li_s(x) over M >= n1 > ... > nd, the letters of its
+    d parts giving x1 = (1/2)/a1 in {+-1/2, 1/4} and x_i = a_(i-1)/a_i in
+    {+-1, 2, 1/2}; the empty word is 1.  Its rows are Python integers at
+    scale 2^-B, one ``_level`` pass each, and one mpf is made at the end.
     """
     if not word:
         return mp.mpf(1), 0.0
     M, B, rounding = _half_word_scale(dps)
-    d = word.count(1)
+    d = len(word) - word.count(0)
     # before the rows: a word too deep for a float tail raises OverflowError
     tail = 4.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1) / math.factorial(d - 1)
-    k = word.index(1) + 1
-    terms = map(floordiv, _inner_row(word[k:], M, B), _power_row(k, M))
-    total = sum(map(rshift, terms, range(1, M + 1)))
+    total = sum(_level(0.5, word, M, B))
     with mp.workdps(dps + 8):
         value = mp.ldexp(mp.mpf(total), -B)
-    # Floors only round down.  If the row below is low by at most E units of
-    # 2^-B, a level is low by at most E * sum_t t^-k + M <= E H_M + M, and
-    # the outer level by E H_M + 2M (two floors per term).  Over d levels
-    # that is at most 2M (1 + H_M + ... + H_M^(d-1)) <= 2M d (1 + H_M)^(d-1)
-    # units, with H_M <= 1 + ln M.  The weights t^-k sum to H_M > 1, so the
-    # error grows geometrically with depth: it is not d M units.
+    # Each term is one floor division, off by less than one unit of 2^-B
+    # whatever its sign.  The prefix products x1...xj of the level factors
+    # are (1/2)/a_j, of modulus <= 1/2, so the terms of level i > 1 reach
+    # the value with total weight <= sum_n 2^-n C(n - 1, i - 1) = 1, and the
+    # tail past M has the majorant 2^-n1 C(n1 - 1, d - 1).  The floors cost
+    # at most M + d - 1 units, inside the 2M d (2 + ln M)^(d-1) counted.
     floors = 2.0 * M * d * (2.0 + math.log(M)) ** (d - 1)
     return value, tail + math.ldexp(floors, -B) + rounding
 
@@ -193,8 +207,9 @@ def _half_word_value(word: tuple, dps: int):
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _midpoint_sum(word: tuple, dps: int):
     """Value and bound of the iterated integral of ``word`` over [0, 1]:
-    the path is split at 1/2, and the half over [1/2, 1] is the reversed,
-    letter-swapped prefix over [0, 1/2]."""
+    the path is split at 1/2, and the half over [1/2, 1] is the reversed
+    prefix over [0, 1/2] with letters a -> 1 - a, negated for each letter
+    2 since 1/(-1 - t) = -1/(2 - s) at s = 1 - t."""
     with mp.workdps(dps):
         total = mp.mpf(0)
         err = 0.0
@@ -203,6 +218,8 @@ def _midpoint_sum(word: tuple, dps: int):
             rev = tuple(1 - a for a in reversed(word[:j]))
             v1, e1 = _half_word_value(suffix, dps)
             v2, e2 = _half_word_value(rev, dps)
+            if rev.count(2) % 2:
+                v2 = -v2
             total += v1 * v2
             err += abs(float(v1)) * e2 + abs(float(v2)) * e1 + e1 * e2
         err += float(mp.mpf(10) ** (-(dps - 6)))
@@ -211,8 +228,6 @@ def _midpoint_sum(word: tuple, dps: int):
 
 def eval_mzv_accel(c: Composition, eps: float) -> PrecisionValue:
     """High-precision value via midpoint splitting of the integral word."""
-    if c.signs is not None:
-        raise ValueError("accelerated evaluator handles unsigned compositions")
     if not c.admissible:
         raise ValueError("divergent composition %s" % c)
     dps = max(30, int(math.ceil(-math.log10(eps))) + 15)

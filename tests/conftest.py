@@ -72,6 +72,21 @@ def all_compositions(max_weight):
     return out
 
 
+def word_parts(word):
+    """The parts of a word as (k, a) pairs, one per run 0^(k-1) a with a
+    nonzero: the inverse of ``to_word`` on the exponents and letters."""
+    parts, k = [], 1
+    for a in word:
+        if a:
+            parts.append((k, a))
+            k = 1
+        else:
+            k += 1
+    if not parts or k != 1:
+        raise ValueError("word must be nonempty and end in a nonzero letter")
+    return parts
+
+
 def brute_term(term, N=200):
     """Truncated value of one ProductTerm."""
     val = float(term.coefficient)

@@ -81,7 +81,7 @@ def test_digits_up_to_the_bound_are_printed(argv, expected):
      "--digits 100000 exceeds the 24 digits that the bound 1.000e-24 "
      "supports"),
     (["eval", "2", "--digits", "25"], "exceeds the 24 digits"),
-    (["eval", "2,-1", "--digits", "5"],
+    (["eval", "--trunc", "1000000", "--digits", "5", "--", "2,-1"],
      "exceeds the 4 digits that the bound 1.582e-05 supports"),
     (["eval", "--trunc", "1000", "--digits", "4", "--", "2"],
      "exceeds the 3 digits that the bound 1.000e-03 supports"),
@@ -111,12 +111,14 @@ def test_eval_truncated_direct():
     assert abs(float(payload["value"]) - 1.2020569031595942) < 1e-7
 
 
-def test_eval_alternating_uses_direct():
-    code, out, _ = run(["eval", "2,-1", "--json"])
+def test_eval_alternating_is_accelerated():
+    # zeta(2,-1) = zeta(3) - 3/2 zeta(2) ln 2 = -0.50821521280468485081...
+    code, out, _ = run(["eval", "2,-1", "--eps", "1e-12", "--json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["method"] == "direct"
-    assert payload["value"].startswith("-0.50821451")
+    assert payload["method"] == "accelerated"
+    assert float(payload["bound"]) <= 1e-12
+    assert payload["value"].startswith("-0.508215212804684")
 
 
 def test_eval_divergent_is_an_input_error():

@@ -117,6 +117,15 @@ CORPUS = {
     "verify-three-point-234-eps-1e-30": [
         "verify", "--json", "--eps", "1e-30",
         str(CORPUS_DIR / "derive-three-point-234.out")],
+    # signed compositions on the accelerated path
+    "eval-2m1-eps-1e-12": ["eval", "2,-1", "--eps", "1e-12", "--json"],
+    "eval-m11-eps-1e-30": ["eval", "--eps", "1e-30", "--json", "--", "-1,1"],
+    **{
+        "verify-permutation-2m1-3-eps-%s" % eps: [
+            "verify", "--json", "--eps", eps,
+            str(CORPUS_DIR / "derive-permutation-2m1-3.out")]
+        for eps in ("1e-12", "1e-30")
+    },
 }
 
 

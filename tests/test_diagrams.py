@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_compositions, brute_diagram, brute_diagram_richardson
+from conftest import (all_compositions, brute_diagram,
+                      brute_diagram_richardson, word_parts)
 from mzv import (
     Diagram,
     IrreducibleDiagramError,
@@ -23,7 +24,6 @@ from mzv import (
     diagram_from_json,
     eliminate_divergent,
     eval_combination,
-    from_word,
     iter_admissible,
     normalize,
     one,
@@ -372,7 +372,7 @@ def word_shuffle(u, v):
 def reference_shuffle(left, right):
     u, v = to_word(composition(*left)), to_word(composition(*right))
     return normalize(ZetaCombination(tuple(
-        ProductTerm(c, (from_word(w),))
+        ProductTerm(c, (composition(*(k for k, _ in word_parts(w))),))
         for w, c in word_shuffle(u, v).items())))
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import all_compositions, brute_mzv, brute_mzv_exact
+from conftest import all_compositions, brute_mzv, brute_mzv_exact, word_parts
 from mzv import (
     EliminationError,
     bernoulli_number,
@@ -30,7 +30,7 @@ from mzv import (
     zeta,
 )
 from mzv.algebra import CACHE_SIZE
-from mzv.compositions import from_word, iter_admissible, to_word
+from mzv.compositions import iter_admissible, to_word
 from mzv.numerics import BLOCK, FLOAT_SLACK, MAX_TRUNCATION
 
 
@@ -332,28 +332,83 @@ def test_accel_agrees_with_direct():
     assert abs(mp.mpf(d.value) - a.value) <= d.bound + a.bound
 
 
+def signed_compositions(max_weight):
+    """Every admissible composition of weight <= max_weight with a sign -1."""
+    out = []
+    for parts in all_compositions(max_weight):
+        for signs in itertools.product((1, -1), repeat=len(parts)):
+            c = composition(*(p * s for p, s in zip(parts, signs)))
+            if c.signs is not None and c.admissible:
+                out.append(c)
+    return out
+
+
+SIGNED_CLOSED_FORMS = [
+    ((-2, 1), lambda: mp.zeta(3) / 8),
+    ((-1, 1), lambda: mp.log(2) ** 2 / 2),
+    ((-1, -1), lambda: (mp.log(2) ** 2 - mp.zeta(2)) / 2),
+    ((2, -1), lambda: mp.zeta(3) - 3 * mp.zeta(2) * mp.log(2) / 2),
+    ((-1,), lambda: -mp.log(2)),
+    *[((-k,), lambda k=k: -(1 - mp.mpf(2) ** (1 - k)) * mp.zeta(k))
+      for k in range(2, 7)],
+]
+
+
+@pytest.mark.parametrize("parts, closed", SIGNED_CLOSED_FORMS)
+def test_accel_signed_closed_forms(parts, closed):
+    with mp.workdps(60):
+        pv = eval_mzv_accel(composition(*parts), 1e-30)
+        assert pv.bound <= 1e-30
+        assert abs(pv.value - closed()) <= pv.bound
+
+
+def test_signed_stuffle_pairs_verify():
+    # every unordered pair of weight <= 6 with a sign -1; ζ(-1) has weight 1
+    comps = sorted(signed_compositions(5) + list(iter_admissible(4)),
+                   key=lambda c: c.sort_key)
+    pairs = [p for p in itertools.combinations_with_replacement(comps, 2)
+             if p[0].weight + p[1].weight <= 6 and (p[0].signs or p[1].signs)]
+    assert len(pairs) == 423
+    for x, y in pairs:
+        rep = verify_identity(permutation_identity(x, y), eps=1e-30)
+        assert rep["pass"], (x, y, rep)
+
+
+def test_accel_signed_agrees_with_direct():
+    for c in signed_compositions(4):
+        d = eval_mzv_direct(c, 10 ** 5)
+        a = eval_mzv_accel(c, 1e-12)
+        assert abs(mp.mpf(d.value) - a.value) <= d.bound + a.bound, c
+
+
 def literal_half_word(word, dps, M):
-    """Li_s(1/2) over M >= n1 > ... > nd, one mpf term at a time at dps."""
-    s = from_word(word).parts
+    """Li_s(x) over M >= n1 > ... > nd, one mpf term at a time at dps, with
+    x1 = (1/2)/a1 and x_i = a_(i-1)/a_i for the letters a_i of the parts."""
+    parts = word_parts(word)
     with mp.workdps(dps):
+        leads = [mp.mpf(1) / 2] + [a for _, a in parts[:-1]]
         prev = None
-        for j in reversed(range(len(s))):
+        for j in reversed(range(len(parts))):
+            k, a = parts[j]
+            x = leads[j] / a
             row = [mp.mpf(0)] * (M + 1)
             for t in range(1, M + 1):
-                x = mp.mpf(t) ** (-s[j])
-                if j == 0:
-                    x *= mp.mpf(2) ** (-t)
+                term = mp.mpf(t) ** (-k)
+                if x != 1:
+                    term *= x ** t
                 if prev is not None:
-                    x *= prev[t - 1]
-                row[t] = row[t - 1] + x
+                    term *= prev[t - 1]
+                row[t] = row[t - 1] + term
             prev = row
         return prev[M]
 
 
-def half_words(max_weight):
+def half_words(max_weight, signed=False):
     """Both halves of every midpoint split of the admissible words."""
     words = set()
-    for c in iter_admissible(max_weight):
+    comps = (signed_compositions(max_weight) if signed
+             else iter_admissible(max_weight))
+    for c in comps:
         w = to_word(c)
         for j in range(len(w) + 1):
             words.add(w[j:])
@@ -365,9 +420,14 @@ def half_words(max_weight):
 @pytest.mark.parametrize("dps", [30, 45])
 def test_half_word_matches_literal_loop(dps):
     # the reference runs 20 digits higher and 80 terms longer, so its own
-    # rounding and truncation sit far below the bound under test
+    # rounding and truncation sit far below the bound under test.  Signed
+    # words bring the letters -1 and 2, so every level factor +-1/2, 1/4, +-1,
+    # 2, 1/2 and floors of both signs; they are a seeded sample, since the
+    # 3273 of weight <= 7 take about a minute.
     M = max(80, int(dps * 3.4) + 40)
-    for word in half_words(8):
+    signed = random.Random(dps).sample(half_words(7, signed=True), 30)
+    assert {a for w in signed for a in w} == {-1, 0, 1, 2}
+    for word in half_words(8) + signed:
         value, bound = numerics._half_word_value(word, dps)
         ref = literal_half_word(word, dps + 20, M + 80)
         with mp.workdps(dps + 20):
@@ -379,7 +439,7 @@ def generator_half_word(word, dps):
     one by a generator over t**k: the reference for the shared row chains."""
     if not word:
         return mp.mpf(1), 0.0
-    s = from_word(word).parts
+    s = [k for k, _ in word_parts(word)]
     d = len(s)
     M = max(80, int(dps * 3.4) + 40)
     B = int(dps * 3.33) + 64
