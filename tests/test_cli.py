@@ -268,6 +268,43 @@ def test_derive_refusal_texts(args, message):
     assert (code, out, err) == (2, "", "mzv: error: %s\n" % message)
 
 
+def _derive_json(family, *args):
+    return json.dumps(derive(family, args).to_json(), sort_keys=True) + "\n"
+
+
+# argv and the arguments derive must see.  A composition with a leading
+# minus is taken only after "--".
+DERIVE_FORMS = [
+    (["derive", "permutation", "2", "3", "--json"], ("2", "3")),
+    (["derive", "--json", "permutation", "2", "3"], ("2", "3")),
+    (["derive", "--json", "--", "permutation", "-1,1", "1,-2"],
+     ("-1,1", "1,-2")),
+    (["derive", "--json", "permutation", "2", "--", "-1"], ("2", "-1")),
+]
+
+
+@pytest.mark.parametrize("argv, args", DERIVE_FORMS)
+def test_derive_takes_its_arguments_around_the_flags(argv, args):
+    family = [a for a in argv[1:] if a not in ("--json", "--")][0]
+    assert run(argv) == (0, _derive_json(family, *args), "")
+
+
+@pytest.mark.parametrize("argv, leftover", [
+    (["derive", "permutation", "--json", "-x", "3"], "-x 3"),
+    (["derive", "permutation", "2", "3", "--bogus"], "--bogus"),
+    (["derive", "permutation", "2", "-1,1"], "-1,1"),
+    (["eval", "2", "junk"], "junk"),
+    (["verify", "-", "--", "x"], "x"),
+])
+def test_other_leftover_arguments_are_unrecognized(argv, leftover):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert err.getvalue().endswith(
+        "mzv: error: unrecognized arguments: %s\n" % leftover)
+
+
 def test_derive_verify_round_trip(tmp_path):
     code, out, _ = run(["derive", "permutation", "2,1", "3", "--json"])
     assert code == 0
