@@ -104,6 +104,15 @@ def parse_composition(text: str) -> Composition:
         raise ValueError("malformed composition: %r (%s)" % (text, exc)) from None
 
 
+def as_composition(x) -> Composition:
+    """A Composition as it is, a string parsed, or a sequence of signed ints."""
+    if isinstance(x, Composition):
+        return x
+    if isinstance(x, str):
+        return parse_composition(x)
+    return composition(*x)
+
+
 def composition_from_json(obj) -> Composition:
     return composition(*obj)
 

@@ -24,7 +24,7 @@ from .algebra import (
     one,
     zeta,
 )
-from .compositions import Composition
+from .compositions import Composition, as_composition, composition, to_word
 from .linalg import row_reduce
 
 
@@ -580,32 +580,37 @@ def _branch_suffixes(B, C):
     The state equals sum coeff * zeta(trunk . suffix) over the returned
     (suffix, coefficient) pairs; the recursion integrates the trunk end by
     parts against both branch heads and pushes the resulting zero label up
-    the branch whose head ran out.
+    the branch whose head ran out.  A part is k*b, b = +-1 its word letter;
+    the new part takes the letter of the head that ran out.
     """
     if len(B) + len(C) > MAX_BRANCH_PARTS:
         raise ValueError("the branch recursion takes at most %d parts, got %d"
                          % (MAX_BRANCH_PARTS, len(B) + len(C)))
     items = {}
-    exits = _integration_exits(B[0], C[0])
+    exits = _integration_exits(abs(B[0]), abs(C[0]))
     for (X, Y), side in zip(((B, C), (C, B)), exits):
+        x, y = (1 if X[0] > 0 else -1), (1 if Y[0] > 0 else -1)
         for nu, head, coeff in side:
-            X2 = (nu,) + X[1:]
+            X2 = (x * nu,) + X[1:]
             tails = _branch_suffixes(Y[1:], X2) if len(Y) > 1 else ((X2, 1),)
             for suf, c2 in tails:
-                key = (head,) + suf
+                key = (y * head,) + suf
                 items[key] = items.get(key, 0) + coeff * c2
     return tuple(sorted(items.items()))
 
 
 def shuffle_expansion(left, right) -> ZetaCombination:
     """The product zeta(left)*zeta(right) expanded into single nested sums by
-    the double-branch recursion."""
-    L = _parts(left)
-    R = _parts(right)
-    if any(k < 1 for k in L + R):
-        raise ValueError("branch labels must be >= 1")
+    the double-branch recursion.  Part i of a factor enters as k_i * b_i, b_i
+    = sigma_1...sigma_i the letter ending its run in to_word; a suffix of
+    such parts p_i leaves signed sigma_i = sgn(p_i) * sgn(p_(i-1))."""
+    L, R = (c.parts if c.signs is None else tuple(
+        k * b for k, b in zip(c.parts, filter(None, to_word(c))))
+        for c in map(as_composition, (left, right)))
+    unsigned = min(L + R) > 0
     terms = [
-        ProductTerm(c, (Composition(suf),))
+        ProductTerm(c, (Composition(suf) if unsigned else composition(
+            *(p if q > 0 else -p for q, p in zip((1,) + suf, suf))),))
         for suf, c in _branch_suffixes(L, R)
     ]
     return normalize(ZetaCombination(tuple(terms)))

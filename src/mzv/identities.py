@@ -1,11 +1,12 @@
 """Closed-form identity families for nested harmonic sums.
 
 Every emitter returns an Identity holding two combinations of equal value.
-Families based on splitting the summation domain (reflection, permutation)
-hold for signed exponents too; the partial-integration families trade the
-outermost or innermost exponent against its neighbours through binomial
-rearrangement and are stated for unsigned exponents; the leftward sweep is
-the shuffle product of the diagrams module's double-branch recursion.
+The domain-splitting families (reflection, permutation) and the shuffle
+families (shuffle, leftward partial integration and trailing-one, all the
+diagrams module's double-branch recursion) take signed exponents; the
+binomial closed forms (rightward partial integration, partial-int-2 and
+partial-int-3) trade the outermost or innermost exponent against its
+neighbours and are stated for unsigned exponents.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .algebra import (
     stuffle,
     zeta,
 )
-from .compositions import Composition, composition, parse_composition
+from .compositions import Composition, as_composition, composition
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,19 +66,6 @@ class Identity:
         }
 
 
-def _as_composition(x) -> Composition:
-    if isinstance(x, Composition):
-        return x
-    if isinstance(x, str):
-        return parse_composition(x)
-    return composition(*x)
-
-
-def _check_unsigned(c: Composition, what: str):
-    if c.signs is not None:
-        raise ValueError("%s takes unsigned exponents" % what)
-
-
 # --- domain-splitting families ---------------------------------------------
 
 def reflection(a: int, b: int) -> Identity:
@@ -92,8 +80,8 @@ def reflection(a: int, b: int) -> Identity:
 
 def permutation_identity(left, right) -> Identity:
     """The quasi-shuffle product of two nested sums of any depth."""
-    left = _as_composition(left)
-    right = _as_composition(right)
+    left = as_composition(left)
+    right = as_composition(right)
     return Identity(
         family="permutation",
         parameters={"left": left.to_json(), "right": right.to_json()},
@@ -128,10 +116,8 @@ def three_point_identity(a: int, b: int, c: int) -> Identity:
 def shuffle_identity(left, right) -> Identity:
     """zeta(left) zeta(right) expanded into single nested sums by repeated
     partial integration of a double-branch diagram."""
-    left = _as_composition(left)
-    right = _as_composition(right)
-    _check_unsigned(left, "shuffle")
-    _check_unsigned(right, "shuffle")
+    left = as_composition(left)
+    right = as_composition(right)
     return Identity(
         family="shuffle",
         parameters={"left": left.to_json(), "right": right.to_json()},
@@ -192,22 +178,25 @@ def partial_integration(ks, variant: str = "rightward") -> Identity:
     stuffle regularization, T^0 coefficient, of the combination for a finite
     statement (verify_identity refuses a term with two divergent factors).
     """
-    c = _as_composition(ks)
-    _check_unsigned(c, "partial integration")
-    ks = c.parts
+    c = as_composition(ks)
+    ks = c.to_json()
     if len(ks) < 2:
         raise ValueError("partial integration needs depth >= 2")
     if variant == "rightward":
+        if c.signs is not None:
+            raise ValueError(
+                "rightward partial integration takes unsigned exponents")
         lhs = zeta(c)
         rhs = _rightward_general_rhs(ks)
     elif variant == "leftward":
-        lhs = zeta(ks[0]) * zeta(Composition(ks[1:]))
-        rhs = diagrams.shuffle_expansion(ks[:1], ks[1:])
+        head, tail = composition(ks[0]), composition(*ks[1:])
+        lhs = zeta(head) * zeta(tail)
+        rhs = diagrams.shuffle_expansion(head, tail)
     else:
         raise ValueError("variant must be rightward or leftward")
     return Identity(
         family="partial-int",
-        parameters={"exponents": list(ks), "variant": variant},
+        parameters={"exponents": ks, "variant": variant},
         lhs=lhs,
         rhs=rhs,
     )
@@ -221,8 +210,7 @@ def partial_integration_cross_check(ks) -> ZetaCombination:
     product must cancel everything.  Returns the normalized residual (empty
     when the rightward closed form and the shuffle recursion agree).
     """
-    c = _as_composition(ks)
-    _check_unsigned(c, "partial integration")
+    c = as_composition(ks)
     if c.depth < 2:
         raise ValueError("cross check needs depth >= 2")
     ident = partial_integration(c, "rightward")
@@ -306,11 +294,10 @@ def trailing_one(x) -> Identity:
     zeta(x) agree, so their difference is solved for the trailing-one term;
     the single divergent piece cancels between them.
     """
-    x = _as_composition(x)
-    _check_unsigned(x, "trailing-one")
+    x = as_composition(x)
     if not x.admissible:
         raise ValueError("base composition must be admissible")
-    target = Composition(x.parts + (1,))
+    target = composition(*x.to_json(), 1)
     z = stuffle(Composition((1,)), x) - diagrams.shuffle_expansion((1,), x)
     coeff = sum(t.coefficient for t in z.terms if t.factors == (target,))
     rest = [t for t in z.terms if t.factors != (target,)]
@@ -319,7 +306,7 @@ def trailing_one(x) -> Identity:
     rhs = ZetaCombination(tuple(rest)).scaled(Fraction(-1) / coeff)
     return Identity(
         family="trailing-one",
-        parameters={"exponents": list(x.parts)},
+        parameters={"exponents": x.to_json()},
         lhs=zeta(target),
         rhs=rhs,
     )

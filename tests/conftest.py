@@ -72,6 +72,14 @@ def all_compositions(max_weight):
     return out
 
 
+def signed_compositions(max_weight):
+    """Every composition of weight 1..max_weight under every choice of signs,
+    as tuples of signed ints; the unsigned ones are all_compositions."""
+    return [tuple(k * s for k, s in zip(parts, signs))
+            for parts in all_compositions(max_weight)
+            for signs in itertools.product((1, -1), repeat=len(parts))]
+
+
 def word_parts(word):
     """The parts of a word as (k, a) pairs, one per run 0^(k-1) a with a
     nonzero: the inverse of ``to_word`` on the exponents and letters."""

@@ -126,6 +126,14 @@ CORPUS = {
             str(CORPUS_DIR / "derive-permutation-2m1-3.out")]
         for eps in ("1e-12", "1e-30")
     },
+    # signed compositions through the branch recursion
+    "derive-shuffle-2m1-3": ["derive", "shuffle", "2,-1", "3", "--json"],
+    "verify-shuffle-2m1-3-eps-1e-30": [
+        "verify", "--json", "--eps", "1e-30",
+        str(CORPUS_DIR / "derive-shuffle-2m1-3.out")],
+    "derive-trailing-one-2m1": ["derive", "trailing-one", "2,-1", "--json"],
+    "derive-partial-int-2m13-leftward": [
+        "derive", "partial-int", "2,-1,3", "--variant", "leftward", "--json"],
 }
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_compositions, brute_diagram,
-                      brute_diagram_richardson, word_parts)
+                      brute_diagram_richardson, signed_compositions,
+                      word_parts)
 from mzv import (
     Diagram,
     IrreducibleDiagramError,
@@ -369,10 +370,18 @@ def word_shuffle(u, v):
     return out
 
 
+def word_composition(word):
+    """The composition of a word over {0, 1, -1}: part i is the run ending in
+    the letter b_i, with sign sigma_i = b_i * b_(i-1)."""
+    parts = word_parts(word)
+    return composition(*(k * b * a for (k, b), (_, a)
+                         in zip(parts, [(1, 1)] + parts)))
+
+
 def reference_shuffle(left, right):
     u, v = to_word(composition(*left)), to_word(composition(*right))
     return normalize(ZetaCombination(tuple(
-        ProductTerm(c, (composition(*(k for k, _ in word_parts(w))),))
+        ProductTerm(c, (word_composition(w),))
         for w, c in word_shuffle(u, v).items())))
 
 
@@ -380,8 +389,25 @@ def test_shuffle_expansion_is_the_word_shuffle():
     comps = all_compositions(8)
     pairs = [(u, v) for u in comps for v in comps if sum(u) + sum(v) <= 8]
     assert len(pairs) == 769
-    for u, v in pairs:
+    signed = signed_compositions(6)
+    signed_pairs = [(u, v) for u in signed for v in signed
+                    if min(u + v) < 0 and sum(map(abs, u + v)) <= 6]
+    assert len(signed_pairs) == 2059
+    for u, v in pairs + signed_pairs:
         assert shuffle_expansion(u, v) == reference_shuffle(u, v), (u, v)
+
+
+@pytest.mark.parametrize("left, right", [
+    ((2,), (2,) + (1,) * 255),
+    (composition(-2), (2,) + (-1,) * 255),
+])
+def test_branch_recursion_refuses_more_than_256_parts(left, right):
+    t0 = time.monotonic()
+    with pytest.raises(ValueError) as exc:
+        shuffle_expansion(left, right)
+    assert time.monotonic() - t0 < 0.5
+    assert str(exc.value) == (
+        "the branch recursion takes at most 256 parts, got 257")
 
 
 def test_leftward_partial_integration_is_the_word_shuffle():

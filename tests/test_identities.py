@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_combination
+from conftest import brute_combination, signed_compositions
 from mzv import (
     FAMILIES,
     diagrams,
@@ -227,6 +227,48 @@ def test_trailing_one_is_hoffmans_relation():
         coeff = dict((t.factors, t.coefficient) for t in hoffman.terms)[
             (composition(*x.parts, 1),)]
         assert trailing_one(x).combination.scaled(coeff) == hoffman, x
+
+
+def _signed(max_weight):
+    return [composition(*c) for c in signed_compositions(max_weight)
+            if min(c) < 0]
+
+
+def test_signed_trailing_one_verifies():
+    bases = [x for x in _signed(5) if x.admissible]
+    assert len(bases) == 146
+    for x in bases:
+        ident = trailing_one(x)
+        assert ident.lhs == zeta(composition(*x.to_json(), 1))
+        assert verify_identity(ident, eps=1e-20)["pass"], x
+
+
+def test_signed_leftward_partial_integration_verifies():
+    # the head and the tail keep their signs; a divergent factor is the
+    # shuffle regularization's case, not this one's
+    count = 0
+    for c in _signed(6):
+        js = c.to_json()
+        if c.depth < 2 or not (composition(js[0]).admissible
+                               and composition(*js[1:]).admissible):
+            continue
+        ident = partial_integration(c, "leftward")
+        assert ident.lhs == zeta(js[0]) * zeta(*js[1:])
+        assert verify_identity(ident, eps=1e-20)["pass"], c
+        count += 1
+    assert count == 302
+
+
+@pytest.mark.parametrize("check", [
+    lambda c: partial_integration(c, "rightward"),
+    partial_integration_cross_check,
+])
+def test_signed_rightward_partial_integration_is_refused(check):
+    # the rightward closed form is a binomial rearrangement of unsigned sums
+    with pytest.raises(ValueError) as exc:
+        check(composition(2, -1, 3))
+    assert str(exc.value) == (
+        "rightward partial integration takes unsigned exponents")
 
 
 def test_three_point_seven_terms():
