@@ -100,16 +100,16 @@ def cmd_derive(args):
 
 
 def cmd_verify(args):
-    if args.file == "-":
-        payload = json.load(sys.stdin)
-    else:
-        try:
+    try:
+        if args.file == "-":
+            payload = json.load(sys.stdin)
+        else:
             with open(args.file) as fh:
                 payload = json.load(fh)
-        except OSError as exc:
-            raise ValueError("cannot read identity file: %s" % exc)
-        except json.JSONDecodeError as exc:
-            raise ValueError("identity file is not valid JSON: %s" % exc)
+    except OSError as exc:
+        raise ValueError("cannot read identity file: %s" % exc)
+    except json.JSONDecodeError as exc:
+        raise ValueError("identity file is not valid JSON: %s" % exc)
     try:
         identity = identities.identity_from_json(payload)
     except (KeyError, TypeError, AttributeError) as exc:
@@ -324,7 +324,13 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # derive's arguments may follow a flag, and after "--" may start with "-"
+    cut = extra.index("--") if "--" in extra else len(extra)
+    if args.command == "derive" and not any(t[:1] == "-" for t in extra[:cut]):
+        args.args += extra[:cut] + extra[cut + 1:]
+    elif extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:

@@ -262,31 +262,36 @@ def test_derive_unknown_family():
     for args in (["reflection", "2", "3"], ["permutation", "2", "3"],
                  ["three-point", "2", "3", "4"], ["partial-int-2", "2", "1"],
                  ["trailing-one", "2,1"], ["shuffle", "2", "3"])
+] + [
+    (["partial-int", "2,-1,3"],
+     "rightward partial integration takes unsigned exponents"),
 ])
 def test_derive_refusal_texts(args, message):
     code, out, err = run(["derive"] + args)
     assert (code, out, err) == (2, "", "mzv: error: %s\n" % message)
 
 
-def _derive_json(family, *args):
-    return json.dumps(derive(family, args).to_json(), sort_keys=True) + "\n"
-
-
-# argv and the arguments derive must see.  A composition with a leading
-# minus is taken only after "--".
-DERIVE_FORMS = [
+# argv, and the arguments derive must see in it.  The family's arguments may
+# sit before, between or after the flags; a composition with a leading minus
+# is taken only after "--".
+@pytest.mark.parametrize("argv, args", [
     (["derive", "permutation", "2", "3", "--json"], ("2", "3")),
     (["derive", "--json", "permutation", "2", "3"], ("2", "3")),
     (["derive", "--json", "--", "permutation", "-1,1", "1,-2"],
      ("-1,1", "1,-2")),
     (["derive", "--json", "permutation", "2", "--", "-1"], ("2", "-1")),
-]
-
-
-@pytest.mark.parametrize("argv, args", DERIVE_FORMS)
+    (["derive", "permutation", "--json", "2", "3"], ("2", "3")),
+    (["derive", "permutation", "2", "--json", "3"], ("2", "3")),
+    (["derive", "permutation", "--json", "--", "-1,1", "1,-2"],
+     ("-1,1", "1,-2")),
+    (["derive", "partial-int", "--variant", "leftward", "2,-1,3", "--json"],
+     ("2,-1,3",)),
+])
 def test_derive_takes_its_arguments_around_the_flags(argv, args):
-    family = [a for a in argv[1:] if a not in ("--json", "--")][0]
-    assert run(argv) == (0, _derive_json(family, *args), "")
+    family = "partial-int" if "--variant" in argv else "permutation"
+    variant = "leftward" if "--variant" in argv else None
+    expected = derive(family, args, variant=variant).to_json()
+    assert run(argv) == (0, json.dumps(expected, sort_keys=True) + "\n", "")
 
 
 @pytest.mark.parametrize("argv, leftover", [
@@ -343,6 +348,19 @@ def test_verify_regularized_identity_eliminates_first():
     assert report["pass"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["shuffle", "2,-1", "3"],
+    ["trailing-one", "2,-1"],
+    ["partial-int", "2,-1,3", "--variant", "leftward"],
+])
+def test_signed_shuffle_families_verify_at_1e_30(argv):
+    _, payload, _ = run(["derive", *argv, "--json"])
+    code, out, _ = run(["verify", "-", "--eps", "1e-30", "--json"],
+                       stdin=payload)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_verify_three_point_with_an_exponent_one():
     _, payload, _ = run(["derive", "three-point", "1", "2", "3", "--json"])
     code, out, _ = run(["verify", "-", "--json"], stdin=payload)
@@ -371,6 +389,17 @@ def test_verify_missing_or_malformed_file(tmp_path):
     f = tmp_path / "broken.json"
     f.write_text("{not json")
     assert run(["verify", str(f)])[0] == 2
+
+
+@pytest.mark.parametrize("via_stdin", [True, False])
+def test_verify_names_invalid_json_the_same_way_from_a_file_and_stdin(
+        tmp_path, via_stdin):
+    f = tmp_path / "x.json"
+    f.write_text("x")
+    argv, stdin = (["verify", "-"], "x") if via_stdin else (["verify", str(f)], None)
+    assert run(argv, stdin=stdin) == (
+        2, "", "mzv: error: identity file is not valid JSON: "
+        "Expecting value: line 1 column 1 (char 0)\n")
 
 
 @pytest.mark.parametrize("argv, payload", [
