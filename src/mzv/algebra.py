@@ -22,9 +22,9 @@ RIGHT = frozenset({2})
 BOTH = frozenset({1, 2})
 
 # One bound for the caches holding an entry per word or diagram state:
-# numerics' two evaluator caches, and diagrams' canonical_key and
-# _branch_suffixes.  A verify stream touches a few thousand (word, dps)
-# pairs, and a miss costs well under a millisecond.
+# numerics' _half_word_scale, _half_word_value and _midpoint_sum, and
+# diagrams' canonical_key and _branch_suffixes.  A verify stream touches a
+# few thousand (word, dps) pairs, and a miss costs well under a millisecond.
 CACHE_SIZE = 1 << 13
 
 # An interleaving pattern is a tuple over {LEFT, RIGHT, BOTH}: the slots of the
