@@ -51,6 +51,12 @@ CORPUS = {
         "derive", "partial-int", "3,1,2", "--variant", "rightward", "--json"],
     "derive-partial-int-221-leftward": [
         "derive", "partial-int", "2,2,1", "--variant", "leftward", "--json"],
+    # the generic rightward expansion past depth 3, leading 1 included
+    **{
+        "derive-partial-int-%s-rightward" % comp.replace(",", ""): [
+            "derive", "partial-int", comp, "--json"]
+        for comp in ("1,2,1,3", "2,1,1,2,3")
+    },
     **{
         "derive-partial-int-3-212-%s" % variant: [
             "derive", "partial-int-3", "2", "1", "2", "--variant", variant,
