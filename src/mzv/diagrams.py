@@ -554,6 +554,16 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
 # it would run into Python's recursion limit.
 MAX_BRANCH_PARTS = 256
 
+# Raw terms of one rightward expansion (2,1^8,8 makes 30,745, 2,1^11,12 over
+# three million); either walk reaches the limit in about 0.4 s on a Xeon core.
+MAX_RIGHTWARD_TERMS = 1 << 15
+
+
+def _check_rightward_terms(count):
+    if count > MAX_RIGHTWARD_TERMS:
+        raise ValueError("the rightward expansion makes more than %d raw terms"
+                         % MAX_RIGHTWARD_TERMS)
+
 
 def _integration_exits(x, z):
     """Iterated partial integration of exponents x and z against a raised edge.
@@ -562,6 +572,8 @@ def _integration_exits(x, z):
     sign, until one of them runs out (z, if both start at zero).  Returns the
     exits where z ran out, then those where x did, as (units left, units
     raised, paths); a path to an exit is signed (-1) ** (units taken from z).
+    Callers: _branch_suffixes, _rightward_terms and, for the generic
+    rightward expansion, identities._rightward_general_rhs.
     """
     if z == 0:
         return ((x, 0, 1),), ()
@@ -679,12 +691,10 @@ def _branch_state_value(trunk, B, C, trace) -> ZetaCombination:
                 raise IrreducibleDiagramError(
                     "free momentum with zero exponent")
             return zeta(Composition(trunk + Y))
-    if B[0] == 0:
-        trace.append("zero branch head pushed onto the trunk")
-        return _branch_state_value(trunk + (0,), B[1:], C, trace)
-    if C[0] == 0:
-        trace.append("zero branch head pushed onto the trunk")
-        return _branch_state_value(trunk + (0,), C[1:], B, trace)
+    for X, Y in ((B, C), (C, B)):
+        if X[0] == 0:
+            trace.append("zero branch head pushed onto the trunk")
+            return _branch_state_value(trunk + (0,), X[1:], Y, trace)
     if not trunk or trunk[-1] != 0:
         raise IrreducibleDiagramError(
             "trunk must end in a zero label for the branch recursion")
@@ -778,6 +788,7 @@ def _rightward_terms(t, c):
                 nt = t[:i - 1] + (0, rem) + t[i + 1:]
                 nc = c[:i - 2] + (big, 0) + c[i:]
                 stack.append((cf, nt, nc, i - 1))
+        _check_rightward_terms(len(out))
     return out
 
 

@@ -3,19 +3,19 @@
 Every emitter returns an Identity holding two combinations of equal value.
 The domain-splitting families (reflection, permutation) and the shuffle
 families (shuffle, leftward partial integration and trailing-one, all the
-diagrams module's double-branch recursion) take signed exponents; the
-binomial closed forms (rightward partial integration, partial-int-2 and
-partial-int-3) trade the outermost or innermost exponent against its
-neighbours and are stated for unsigned exponents.
+diagrams module's double-branch recursion) take signed exponents.  The
+rightward families (rightward partial integration, partial-int-2 and the
+partial-int-3 alternative) walk the innermost exponent outward over the
+diagrams module's partial-integration kernel, and partial-int-3 rightward
+is a depth-3 binomial closed form; these take unsigned exponents.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
 from . import diagrams
 from .algebra import (
@@ -128,44 +128,29 @@ def shuffle_identity(left, right) -> Identity:
 
 # --- partial integration, generic depth ------------------------------------
 
-def _descending_chains(top, length):
-    """Every n_1 >= n_2 >= ... >= n_length >= 1 with n_1 <= top."""
-    return itertools.combinations_with_replacement(range(top, 0, -1), length)
-
-
 def _rightward_general_rhs(ks) -> ZetaCombination:
     """Expansion of zeta(ks) that trades the innermost exponent outward.
 
-    One block per split position kappa, plus a final block of two-factor
-    products carrying the leftover single sum.  Each block runs over the
-    descending chains n_(m-1) >= ... >= n_(kappa+1) bounded by k_m.
+    Carries z, first k_m, over diagrams._integration_exits against k_(m-1),
+    ..., k_1: a path ends where z runs out, or past k_1 as zeta(z) zeta(tail),
+    the tail gathering the raised units of the levels where k_j ran out.
     """
-    m = len(ks)
-    k = (0,) + tuple(ks)
+    ks = tuple(ks)
     terms = []
-    sign_last = (-1) ** (k[m] % 2)
-
-    def tail_coeff(n, start):
-        return prod(comb(k[j] - n[j] + n[j + 1] - 1, k[j] - 1)
-                    for j in range(start, m))
-
-    for kappa in range(1, m):
-        for chain in _descending_chains(k[m], m - 1 - kappa):
-            for v in range(1, k[kappa] + 1):
-                n = (0,) * kappa + (v,) + chain[::-1] + (k[m],)
-                coeff = comb(k[kappa] - v + n[kappa + 1] - 1,
-                             n[kappa + 1] - 1) * tail_coeff(n, kappa + 1)
-                arg = k[1:kappa] + (v,) + tuple(
-                    k[j] - n[j] + n[j + 1] for j in range(kappa, m))
-                terms.append(
-                    ProductTerm(sign_last * coeff, (Composition(arg),)))
-
-    for chain in _descending_chains(k[m], m - 1):
-        n = (0,) + chain[::-1] + (k[m],)
-        sign = (-1) ** ((k[m] - n[1]) % 2)
-        arg = tuple(k[j] - n[j] + n[j + 1] for j in range(1, m))
-        terms.append(ProductTerm(sign * tail_coeff(n, 1),
-                                 (Composition((n[1],)), Composition(arg))))
+    stack = [(len(ks) - 1, ks[-1], (), 1)]
+    while stack:
+        j, z, tail, coeff = stack.pop()
+        spent_z, spent_x = diagrams._integration_exits(ks[j - 1], z)
+        for r, raised, n in spent_z:
+            terms.append(ProductTerm((-1) ** ks[-1] * n * coeff, (
+                Composition(ks[:j - 1] + (r, raised) + tail),)))
+        for s, raised, n in spent_x:
+            if j == 1:
+                terms.append(ProductTerm((-1) ** (ks[-1] - s) * n * coeff, (
+                    Composition((s,)), Composition((raised,) + tail))))
+            else:
+                stack.append((j - 1, s, (raised,) + tail, n * coeff))
+        diagrams._check_rightward_terms(len(terms))
     return normalize(ZetaCombination(tuple(terms)))
 
 
@@ -208,7 +193,7 @@ def partial_integration_cross_check(ks) -> ZetaCombination:
     Every two-factor product in the rightward expansion of zeta(ks) is an
     instance of the leftward left-hand side; replacing each by its shuffle
     product must cancel everything.  Returns the normalized residual (empty
-    when the rightward closed form and the shuffle recursion agree).
+    when the rightward expansion and the shuffle recursion agree).
     """
     c = as_composition(ks)
     if c.depth < 2:

@@ -518,6 +518,31 @@ def test_branch_recursion_below_the_limit_derives(family):
     assert out
 
 
+# 2,1^11,12 expands into 3,409,588 raw rightward terms
+OVERSIZED_RIGHTWARD = ",".join(["2"] + ["1"] * 11 + ["12"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "partial-int", OVERSIZED_RIGHTWARD],
+    ["reduce", "--seashell", OVERSIZED_RIGHTWARD, "--strategy", "rightward"],
+])
+def test_oversized_rightward_expansion_is_refused(argv):
+    t0 = time.monotonic()
+    code, out, err = run(argv)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "mzv: error: the rightward expansion makes more than 32768 raw terms\n")
+
+
+def test_rightward_expansion_below_the_limit_derives():
+    # 30,745 raw terms, the most of any input the tests, corpus or bench use
+    code, out, _ = run(["derive", "partial-int", "2,1,1,1,1,1,1,1,1,8"])
+    assert code == 0
+    assert out
+
+
 def test_sweep_rejects_unknown_family():
     with pytest.raises(SystemExit) as exc:
         run(["sweep", "bogus"])

@@ -1,9 +1,14 @@
+import itertools
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
-from conftest import brute_combination, signed_compositions
+from conftest import all_compositions, brute_combination, signed_compositions
 from mzv import (
+    Composition,
+    ProductTerm,
+    ZetaCombination,
     FAMILIES,
     diagrams,
     composition,
@@ -185,6 +190,57 @@ def test_raw_rightward_eliminates_for_all_small_compositions():
         assert verify_identity(fin, eps=1e-9)["pass"], c
 
 
+def closed_form_rightward_rhs(ks):
+    """The rightward expansion as it once ran: nested binomial chains.
+
+    One block per split position kappa, plus a final block of two-factor
+    products carrying the leftover single sum.  Each block runs over the
+    descending chains n_(m-1) >= ... >= n_(kappa+1) bounded by k_m.
+    """
+    m = len(ks)
+    k = (0,) + tuple(ks)
+    terms = []
+    sign_last = (-1) ** (k[m] % 2)
+
+    def descending_chains(top, length):
+        return itertools.combinations_with_replacement(
+            range(top, 0, -1), length)
+
+    def tail_coeff(n, start):
+        return prod(comb(k[j] - n[j] + n[j + 1] - 1, k[j] - 1)
+                    for j in range(start, m))
+
+    for kappa in range(1, m):
+        for chain in descending_chains(k[m], m - 1 - kappa):
+            for v in range(1, k[kappa] + 1):
+                n = (0,) * kappa + (v,) + chain[::-1] + (k[m],)
+                coeff = comb(k[kappa] - v + n[kappa + 1] - 1,
+                             n[kappa + 1] - 1) * tail_coeff(n, kappa + 1)
+                arg = k[1:kappa] + (v,) + tuple(
+                    k[j] - n[j] + n[j + 1] for j in range(kappa, m))
+                terms.append(
+                    ProductTerm(sign_last * coeff, (Composition(arg),)))
+
+    for chain in descending_chains(k[m], m - 1):
+        n = (0,) + chain[::-1] + (k[m],)
+        sign = (-1) ** ((k[m] - n[1]) % 2)
+        arg = tuple(k[j] - n[j] + n[j + 1] for j in range(1, m))
+        terms.append(ProductTerm(sign * tail_coeff(n, 1),
+                                 (Composition((n[1],)), Composition(arg))))
+    return normalize(ZetaCombination(tuple(terms)))
+
+
+def test_rightward_walk_matches_the_closed_form():
+    # every path count of the walk comes from the shared partial-integration
+    # kernel; the binomial chains are an independent derivation of the same
+    # expansion
+    comps = [ks for ks in all_compositions(9) if len(ks) >= 2]
+    assert len(comps) == 502
+    for ks in comps:
+        assert (partial_integration(ks, "rightward").rhs.to_json()
+                == closed_form_rightward_rhs(ks).to_json()), ks
+
+
 def test_cross_check_substitution_is_zero():
     for parts in [(2, 1), (3, 2), (2, 1, 1), (2, 2, 1, 1), (4, 1, 1, 2)]:
         assert partial_integration_cross_check(parts).is_zero()
@@ -264,7 +320,7 @@ def test_signed_leftward_partial_integration_verifies():
     partial_integration_cross_check,
 ])
 def test_signed_rightward_partial_integration_is_refused(check):
-    # the rightward closed form is a binomial rearrangement of unsigned sums
+    # the rightward expansion is a binomial rearrangement of unsigned sums
     with pytest.raises(ValueError) as exc:
         check(composition(2, -1, 3))
     assert str(exc.value) == (
