@@ -66,6 +66,9 @@ def cmd_eval(args):
     if args.trunc is not None:
         pv = numerics.eval_mzv_direct(c, args.trunc)
         method = "direct"
+        if args.eps is not None and not pv.bound <= args.eps:
+            raise ArithmeticError("requested eps=%g not reached (bound %g)"
+                                  % (args.eps, pv.bound))
     else:
         if not c.admissible:
             raise ValueError("%s diverges; no numeric value" % c.zeta_str())

@@ -24,19 +24,19 @@ class Composition:
     sort_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(int, self.parts))
         if not parts:
             raise ValueError("empty composition")
-        if any(p < 1 for p in parts):
+        if min(parts) < 1:
             raise ValueError("parts must be positive integers: %r" % (parts,))
         signs = self.signs
         if signs is not None:
-            signs = tuple(int(s) for s in signs)
+            signs = tuple(map(int, signs))
             if len(signs) != len(parts):
                 raise ValueError("signs length mismatch")
-            if any(s not in (1, -1) for s in signs):
+            if not {1, -1}.issuperset(signs):
                 raise ValueError("signs must be +-1")
-            if all(s == 1 for s in signs):
+            if -1 not in signs:
                 signs = None
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "signs", signs)

@@ -555,14 +555,8 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
 MAX_BRANCH_PARTS = 256
 
 # Raw terms of one rightward expansion (2,1^8,8 makes 30,745, 2,1^11,12 over
-# three million); either walk reaches the limit in about 0.4 s on a Xeon core.
+# three million); the walk reaches the limit in about 0.4 s on a Xeon core.
 MAX_RIGHTWARD_TERMS = 1 << 15
-
-
-def _check_rightward_terms(count):
-    if count > MAX_RIGHTWARD_TERMS:
-        raise ValueError("the rightward expansion makes more than %d raw terms"
-                         % MAX_RIGHTWARD_TERMS)
 
 
 def _integration_exits(x, z):
@@ -572,8 +566,7 @@ def _integration_exits(x, z):
     sign, until one of them runs out (z, if both start at zero).  Returns the
     exits where z ran out, then those where x did, as (units left, units
     raised, paths); a path to an exit is signed (-1) ** (units taken from z).
-    Callers: _branch_suffixes, _rightward_terms and, for the generic
-    rightward expansion, identities._rightward_general_rhs.
+    Callers: _branch_suffixes and _rightward_terms.
     """
     if z == 0:
         return ((x, 0, 1),), ()
@@ -759,7 +752,9 @@ def _rightward_terms(t, c):
     """Drive the fan state apex by apex, right to left.
 
     Returns ProductTerms; each terminal state is a fully ordered cycle (all
-    chords zero) or a leading factor split.
+    chords zero) or a leading factor split.  A seashell reads two ways:
+    _fan_structure's (k_m on the cycle, zero chords), and the chord reading
+    of identities._rightward_general_rhs (k_m on the last chord).
     """
     out = []
     stack = [(1, tuple(t), tuple(c), len(c))]
@@ -774,21 +769,21 @@ def _rightward_terms(t, c):
         spent_z, spent_x = _integration_exits(t[i - 1], z)
         for r, moved, n in spent_z:
             nt = t[:i - 1] + (r, y + moved) + t[i + 1:]
-            nc = c[:i - 1] + (0,) + c[i:]
-            assert all(k == 0 for k in nc)
+            assert not any(c[:i - 1]) and not any(c[i:])
             out.append(ProductTerm((-1) ** z * n * coeff, (Composition(nt),)))
         for s, moved, n in spent_x:
             cf = (-1) ** (z - s) * n * coeff
             big, rem = (y + moved, s) if raise_chord else (s, y + moved)
             if i == 1:
-                tail = (rem,) + t[i + 1:]
-                out.append(ProductTerm(
-                    cf, (Composition((big,)), Composition(tail))))
+                out.append(ProductTerm(cf, (Composition((big,)),
+                                            Composition((rem,) + t[2:]))))
             else:
                 nt = t[:i - 1] + (0, rem) + t[i + 1:]
                 nc = c[:i - 2] + (big, 0) + c[i:]
                 stack.append((cf, nt, nc, i - 1))
-        _check_rightward_terms(len(out))
+        if len(out) > MAX_RIGHTWARD_TERMS:
+            raise ValueError("the rightward expansion makes more than %d raw "
+                             "terms" % MAX_RIGHTWARD_TERMS)
     return out
 
 

@@ -5,9 +5,9 @@ The domain-splitting families (reflection, permutation) and the shuffle
 families (shuffle, leftward partial integration and trailing-one, all the
 diagrams module's double-branch recursion) take signed exponents.  The
 rightward families (rightward partial integration, partial-int-2 and the
-partial-int-3 alternative) walk the innermost exponent outward over the
-diagrams module's partial-integration kernel, and partial-int-3 rightward
-is a depth-3 binomial closed form; these take unsigned exponents.
+partial-int-3 alternative) are the diagrams module's rightward sweep on the
+chord reading of the seashell, and partial-int-3 rightward is a depth-3
+binomial closed form; these take unsigned exponents.
 """
 
 from __future__ import annotations
@@ -129,29 +129,11 @@ def shuffle_identity(left, right) -> Identity:
 # --- partial integration, generic depth ------------------------------------
 
 def _rightward_general_rhs(ks) -> ZetaCombination:
-    """Expansion of zeta(ks) that trades the innermost exponent outward.
-
-    Carries z, first k_m, over diagrams._integration_exits against k_(m-1),
-    ..., k_1: a path ends where z runs out, or past k_1 as zeta(z) zeta(tail),
-    the tail gathering the raised units of the levels where k_j ran out.
-    """
-    ks = tuple(ks)
-    terms = []
-    stack = [(len(ks) - 1, ks[-1], (), 1)]
-    while stack:
-        j, z, tail, coeff = stack.pop()
-        spent_z, spent_x = diagrams._integration_exits(ks[j - 1], z)
-        for r, raised, n in spent_z:
-            terms.append(ProductTerm((-1) ** ks[-1] * n * coeff, (
-                Composition(ks[:j - 1] + (r, raised) + tail),)))
-        for s, raised, n in spent_x:
-            if j == 1:
-                terms.append(ProductTerm((-1) ** (ks[-1] - s) * n * coeff, (
-                    Composition((s,)), Composition((raised,) + tail))))
-            else:
-                stack.append((j - 1, s, (raised,) + tail, n * coeff))
-        diagrams._check_rightward_terms(len(terms))
-    return normalize(ZetaCombination(tuple(terms)))
+    """Expansion of zeta(ks) that trades the innermost exponent outward: the
+    rightward diagram sweep on the chord reading of the seashell of ks, cycle
+    (k_1..k_(m-1), 0) and chords (0, ..., 0, k_m)."""
+    return normalize(ZetaCombination(tuple(diagrams._rightward_terms(
+        ks[:-1] + (0,), (0,) * (len(ks) - 2) + (ks[-1],)))))
 
 
 def partial_integration(ks, variant: str = "rightward") -> Identity:
@@ -172,7 +154,7 @@ def partial_integration(ks, variant: str = "rightward") -> Identity:
             raise ValueError(
                 "rightward partial integration takes unsigned exponents")
         lhs = zeta(c)
-        rhs = _rightward_general_rhs(ks)
+        rhs = _rightward_general_rhs(c.parts)
     elif variant == "leftward":
         head, tail = composition(ks[0]), composition(*ks[1:])
         lhs = zeta(head) * zeta(tail)

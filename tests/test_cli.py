@@ -69,6 +69,9 @@ def test_eval_digits_flag():
     (["eval", "2", "--digits", "24"], "1.64493406684822643647242\n"),
     # a float from the direct evaluator is rounded too, not printed whole
     (["eval", "--trunc", "1000", "--digits", "3", "--", "2"], "1.64\n"),
+    # --eps with --trunc is met when the direct bound (1.0e-6) is inside it
+    (["eval", "2", "--trunc", "1000000", "--eps", "1e-3"],
+     "1.6449330668487265\n"),
 ])
 def test_digits_up_to_the_bound_are_printed(argv, expected):
     code, out, _ = run(argv)
@@ -85,6 +88,8 @@ def test_digits_up_to_the_bound_are_printed(argv, expected):
      "exceeds the 4 digits that the bound 1.582e-05 supports"),
     (["eval", "--trunc", "1000", "--digits", "4", "--", "2"],
      "exceeds the 3 digits that the bound 1.000e-03 supports"),
+    (["eval", "2", "--trunc", "100", "--eps", "1e-12"],
+     "mzv: error: requested eps=1e-12 not reached (bound 0.01)\n"),
 ])
 def test_digits_beyond_the_bound_are_refused(argv, message):
     code, out, err = run(argv)
@@ -458,7 +463,22 @@ def test_reduce_json_file_round_trip(tmp_path):
 
 def test_reduce_bad_labels():
     assert run(["reduce", "--half-moon", "3,0"])[0] == 2
-    assert run(["reduce", "--file", "/does/not/exist.json"])[0] == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read diagram file: [Errno 2] No such file or directory: "
+     "'/does/not/exist.json'"),
+    ("x", "diagram file is not valid JSON: "
+     "Expecting value: line 1 column 1 (char 0)"),
+    ('{"vertices": 3}', "malformed diagram file: KeyError('edges')"),
+])
+def test_reduce_file_refusal_texts(tmp_path, text, message):
+    path = "/does/not/exist.json"
+    if text is not None:
+        path = str(tmp_path / "diagram.json")
+        pathlib.Path(path).write_text(text)
+    assert run(["reduce", "--file", path]) == (
+        2, "", "mzv: error: %s\n" % message)
 
 
 def test_sweep_stuffle_small():
