@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -74,6 +75,20 @@ def test_builders_pin_edges():
     assert hm.edges == ((0, 1, 3), (1, 0, 0), (1, 0, 2))
     pk = build_peacock((0,), (2,), (2,))
     assert pk.edges == ((0, 1, 0), (1, 0, 2), (1, 0, 2))
+
+
+def test_builders_digest():
+    # sha256 of the edges of every peacock with labels 0..1 and lengths
+    # 1..3, then of every seashell of weight <= 9, as the chain-by-chain
+    # builders wrote them
+    chains = [c for n in range(1, 4)
+              for c in itertools.product(range(2), repeat=n)]
+    lines = [repr(build_peacock(*labels).edges)
+             for labels in itertools.product(chains, repeat=3)]
+    lines += [repr(build_seashell(c).edges) for c in all_compositions(9)]
+    assert len(lines) == 14 ** 3 + 511
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "e5ed17f166205532b5d4b4e979114b95f176565e1acb8cf05e81a018db3acd4e")
 
 
 def test_builder_validation():
@@ -661,3 +676,101 @@ def test_reduce_trace_and_bad_strategy():
     assert trace and all(isinstance(line, str) for line in trace)
     with pytest.raises(ValueError):
         reduce(build_seashell((2,)), strategy="sideways")
+
+
+def reader_corpus(n=20000, seed=25):
+    """Seeded diagrams for the fan and peacock readers: fans (cycle labels
+    0..3, depth <= 8, chords 0..2), peacocks (labels 0..2, lengths 1..4) and
+    random digraphs on up to 5 vertices, each with 0..2 edits (an edge
+    dropped, added or relabelled) and its vertices renumbered at random."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            m = rng.randint(1, 8)
+            t = [rng.randint(0, 3) for _ in range(m)]
+            edges = [(i, (i + 1) % m, k) for i, k in enumerate(t)]
+            edges += [(i, 0, rng.randint(0, 2)) for i in range(1, m)]
+            nv = m
+        elif kind == 1:
+            p = build_peacock(*([rng.randint(0, 2)
+                                 for _ in range(rng.randint(1, 4))]
+                                for _ in range(3)))
+            edges, nv = list(p.edges), len(p.vertices)
+        else:
+            nv = rng.randint(1, 5)
+            edges = [(rng.randrange(nv), rng.randrange(nv), rng.randint(0, 2))
+                     for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.randint(0, 2)):
+            edit = rng.randrange(3)
+            if edit == 0 and edges:
+                edges.pop(rng.randrange(len(edges)))
+            elif edit == 1:
+                edges.append((rng.randrange(nv), rng.randrange(nv),
+                              rng.randint(0, 2)))
+            elif edges:
+                a, b, _ = edges.pop(rng.randrange(len(edges)))
+                edges.append((a, b, rng.randint(0, 3)))
+        ids = rng.sample(range(2 * nv + 1), nv)
+        out.append(Diagram(tuple(ids), ids[0],
+                           tuple((ids[a], ids[b], k) for a, b, k in edges)))
+    return out
+
+
+def maps_onto(b, d):
+    """Whether a root-preserving vertex bijection maps b's labelled edges
+    onto d's, that is whether canonical_key(b) == canonical_key(d), found
+    without the (v - 1)! relabelings.  b is numbered from its root 0, each
+    vertex i > 0 entered by an edge from a lower vertex, so the bijection is
+    searched vertex by vertex along those edges."""
+    parent = {}
+    for a, v, k in b.edges:
+        if a < v:
+            parent.setdefault(v, (a, k))
+
+    def extend(image):
+        if len(image) == len(b.vertices):
+            return tuple(sorted((image[a], image[v], k)
+                                for a, v, k in b.edges)) == d.edges
+        a, k = parent[len(image)]
+        return any(extend(image + [w]) for x, w, l in d.edges
+                   if x == image[a] and l == k and w not in image)
+
+    return len(b.vertices) == len(d.vertices) and extend([d.root])
+
+
+def test_shape_readers_digest_and_soundness():
+    # sha256 of the fan and peacock readings over the reader corpus, written
+    # by the readers that enumerated Hamiltonian cycles and checked degrees;
+    # every reading rebuilds to a diagram equal to the one it was read from
+    fan_lines, peacock_lines = [], []
+    for d in reader_corpus():
+        fan = diagrams._fan_structure(d)
+        peacock = diagrams._peacock_structure(d)
+        fan_lines.append(repr(fan))
+        peacock_lines.append(repr(peacock))
+        rebuilt = []
+        if fan is not None:
+            t, c = fan
+            m = len(t)
+            rebuilt.append(Diagram(tuple(range(m)), 0, tuple(
+                [(i, (i + 1) % m, k) for i, k in enumerate(t)]
+                + [(i, 0, k) for i, k in enumerate(c, 1)])))
+        if peacock is not None:
+            rebuilt.append(build_peacock(*peacock))
+        for b in rebuilt:
+            assert maps_onto(b, d), (b, d)
+            if len(d.vertices) <= 5:
+                assert canonical_key(b) == canonical_key(d)
+    assert sum(line != "None" for line in fan_lines) > 2000
+    assert sum(line != "None" for line in peacock_lines) > 2000
+    digests = {
+        name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        for name, lines in (("fan", fan_lines), ("peacock", peacock_lines))}
+    assert digests == {
+        "fan":
+            "bf1a0c83278fca56091559126a57bd20b6ab30cdb677ca048dfdf134d073a17f",
+        "peacock":
+            "f242b8acc7fee6e3f4bff270f3a13613221d9182eb9871cb25a70039e5b7dbf3",
+    }
