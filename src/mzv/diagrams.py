@@ -128,6 +128,15 @@ def _parts(c):
     return tuple(int(k) for k in c)
 
 
+def _fan(t, c) -> Diagram:
+    """A directed cycle through the root 0 carrying the labels t, and a chord
+    labelled c[i - 1] from every apex i back to the root."""
+    m = len(t)
+    edges = [(i, (i + 1) % m, k) for i, k in enumerate(t)]
+    edges += [(i, 0, k) for i, k in enumerate(c, 1)]
+    return Diagram(tuple(range(m)), 0, tuple(edges))
+
+
 def build_seashell(c) -> Diagram:
     """The depth-m ladder: a directed cycle through the root carrying the
     labels k1..km plus a zero chord from every non-root cycle vertex back to
@@ -139,10 +148,7 @@ def build_seashell(c) -> Diagram:
     parts = _parts(c)
     if any(k < 1 for k in parts):
         raise ValueError("seashell labels must be >= 1")
-    m = len(parts)
-    edges = [(i, (i + 1) % m, parts[i]) for i in range(m)]
-    edges += [(i, 0, 0) for i in range(1, m)]
-    return Diagram(tuple(range(m)), 0, tuple(edges))
+    return _fan(parts, (0,) * (len(parts) - 1))
 
 
 def build_half_moon(a: int, b: int, c: int) -> Diagram:
@@ -153,37 +159,24 @@ def build_half_moon(a: int, b: int, c: int) -> Diagram:
 def build_peacock(trunk, branch1, branch2) -> Diagram:
     """Trunk chain up from the root, two descending branch chains back down.
 
-    Interior trunk and branch vertices carry zero chords to the root; the top
-    vertex (trunk end) has none.  Trunk labels may include 0.
+    The chains are the paths 0..top, then top, interior.., 0 twice, numbered
+    in that order; their interior vertices carry zero chords to the root, the
+    top vertex (trunk end) has none.  Trunk labels may include 0.
     """
     trunk = tuple(int(k) for k in trunk)
     b1 = _parts(branch1)
     b2 = _parts(branch2)
     if not trunk or not b1 or not b2:
         raise ValueError("trunk and both branches must be nonempty")
+    top = len(trunk)
+    n1 = top + len(b1)
     edges = []
-    nxt = 1
-    prev = 0
-    for i, k in enumerate(trunk):
-        cur = nxt
-        nxt += 1
-        edges.append((prev, cur, k))
-        if i > 0:
-            edges.append((prev, 0, 0))
-        prev = cur
-    top = prev
-    for branch in (b1, b2):
-        prev = top
-        for j, k in enumerate(branch):
-            last = j == len(branch) - 1
-            cur = 0 if last else nxt
-            if not last:
-                nxt += 1
-            edges.append((prev, cur, k))
-            if j > 0:
-                edges.append((prev, 0, 0))
-            prev = cur
-    return Diagram(tuple(range(nxt)), 0, tuple(edges))
+    for path, labels in ((range(top + 1), trunk),
+                         ((top, *range(top + 1, n1), 0), b1),
+                         ((top, *range(n1, n1 + len(b2) - 1), 0), b2)):
+        edges += zip(path, path[1:], labels)
+        edges += [(v, 0, 0) for v in path[1:-1]]
+    return Diagram(tuple(range(n1 + len(b2) - 1)), 0, tuple(edges))
 
 
 # --- single-step rewrites ---------------------------------------------------
@@ -354,11 +347,6 @@ def _hamiltonian_cycles(d: Diagram):
     n = len(d.vertices)
     out_map = {v: d.out_edges(v) for v in d.vertices}
     cycles = []
-    if n == 1:
-        for i, (_, b, _) in out_map[d.root]:
-            if b == d.root:
-                cycles.append((i,))
-        return cycles
 
     def walk(v, visited, path):
         for i, (_, b, _) in out_map[v]:
@@ -520,7 +508,6 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
         if dead:
             trace.append("vertex %d is all-in or all-out: value 0" % dead[0])
             return ZetaCombination()
-        applied = False
         for i, (a, b, k) in enumerate(d.edges):
             if a == d.root and k == 0 and b != d.root:
                 others = [(j, e) for j, e in enumerate(d.edges)
@@ -534,11 +521,9 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
                         trace.append(
                             "zero arc into %d frees a weight-%d factor" % (b, q))
                         d = d.replace_edges(drop=(i, j)).fuse({d.root, b})
-                        applied = True
                         break
-        if applied:
-            continue
-        break
+        else:
+            break
     if len(_components(d)) > 1:
         return factors * _structural_value(d, trace)
     note = "order expansion over %d cycle positions" % len(d.vertices)
@@ -621,59 +606,43 @@ def shuffle_expansion(left, right) -> ZetaCombination:
     return normalize(ZetaCombination(tuple(terms)))
 
 
+def _rebuilds(d: Diagram, order, built: Diagram) -> bool:
+    """Whether d, its vertices numbered in the walk order given, is built."""
+    num = {v: i for i, v in enumerate(order)}
+    return len(num) == len(d.vertices) and built.edges == tuple(
+        sorted((num[a], num[b], k) for a, b, k in d.edges))
+
+
 def _peacock_structure(d: Diagram):
-    """Recover (trunk labels, branch labels, branch labels) or None."""
-    out_map = {v: d.out_edges(v) for v in d.vertices}
-    in_map = {v: d.in_edges(v) for v in d.vertices}
-    tops = [v for v in d.vertices
-            if v != d.root and len(out_map[v]) == 2 and len(in_map[v]) == 1]
-    for top in tops:
-        trunk = []
-        v = d.root
-        seen = {d.root}
-        ok = True
-        while v != top:
-            step = [e for _, e in out_map[v]
-                    if not (v != d.root and e == (v, d.root, 0))]
-            if len(step) != 1:
-                ok = False
-                break
-            if v != d.root and len(out_map[v]) != 2:
-                ok = False
-                break
-            (_, b, k) = step[0]
-            if b in seen:
-                ok = False
-                break
-            trunk.append(k)
-            v = b
-            seen.add(v)
-        if not ok or v != top:
+    """Read the diagram as build_peacock's: try each vertex with two
+    out-edges as the top, in vertex order, walk the trunk up to it and the
+    branches from its out-edges, in sorted order, down to the root.  A step
+    takes the first out-edge that is not a zero chord to the root; a revisit
+    ends the walk.  Returns the first (trunk labels, branch labels, branch
+    labels) that build_peacock rebuilds, or None."""
+    step = {a: (b, k) for a, b, k in reversed(d.edges) if b != d.root or k}
+
+    def walk(v, k, end):
+        labels = [k]
+        while v != end:
+            if v in order or v not in step:
+                return None
+            order.append(v)
+            v, k = step[v]
+            labels.append(k)
+        return tuple(labels)
+
+    for top in d.vertices:
+        outs = [(b, k) for a, b, k in d.edges if a == top]
+        if top == d.root or len(outs) != 2 or d.root not in step:
             continue
-        branches = []
-        for _, (_, b, k) in out_map[top]:
-            labels = [k]
-            w = b
-            while w != d.root and labels is not None:
-                if w in seen or len(in_map[w]) != 1:
-                    labels = None
-                    break
-                seen.add(w)
-                outs = [e for _, e in out_map[w]]
-                chord = [e for e in outs if e == (w, d.root, 0)]
-                step = [e for e in outs if e not in chord]
-                if len(step) != 1 or len(chord) != 1:
-                    labels = None
-                    break
-                labels.append(step[0][2])
-                w = step[0][1]
-            if labels is None:
-                branches = None
-                break
-            branches.append(tuple(labels))
-        if branches is not None and len(branches) == 2 \
-                and len(seen) == len(d.vertices):
-            return tuple(trunk), branches[0], branches[1]
+        order = [d.root]
+        reading = (walk(*step[d.root], top),)
+        order.append(top)
+        reading += tuple(walk(b, k, d.root) for b, k in outs)
+        if None not in reading and _rebuilds(
+                d, order, build_peacock(*reading)):
+            return reading
     return None
 
 
@@ -717,35 +686,30 @@ def _reduce_shuffle(d: Diagram, trace) -> ZetaCombination:
 def _fan_structure(d: Diagram):
     """Read the diagram as a cycle through the root with one chord per apex.
 
-    Prefers the reading with the most zero-labeled chords; returns
-    (cycle labels, chord labels in cycle order) or None.
+    Every apex but the last has one out-edge that does not return to the
+    root; the walk along them ends at the last apex, whose edges back to the
+    root each close the cycle, the other edges into the root being chords.
+    Keeps the readings that _fan rebuilds and prefers the one with the most
+    zero-labeled chords; returns (cycle labels, chord labels in cycle order)
+    or None.
     """
-    best = None
-    for cyc in _hamiltonian_cycles(d):
-        cyc_set = set(cyc)
-        heads = {}
-        ok = True
-        for i in range(len(d.edges)):
-            if i in cyc_set:
-                continue
-            a, b, _ = d.edges[i]
-            if b != d.root or a == d.root or a in heads:
-                ok = False
-                break
-            heads[a] = i
-        if not ok:
-            continue
-        apexes = [d.edges[i][1] for i in cyc][:-1]
-        if set(heads) != set(apexes):
-            continue
-        t = tuple(d.edges[i][2] for i in cyc)
-        c = tuple(d.edges[heads[a]][2] for a in apexes)
-        key = (-sum(1 for k in c if k == 0), t, c)
-        if best is None or key < best[0]:
-            best = (key, t, c)
-    if best is None:
-        return None
-    return best[1], best[2]
+    step = {a: (b, k) for a, b, k in reversed(d.edges) if b != d.root}
+    order, t = [d.root], ()
+    while order[-1] in step:
+        v, k = step[order[-1]]
+        if v in order:
+            return None
+        order.append(v)
+        t += (k,)
+    into_root = [e for e in d.edges if e[1] == d.root]
+    readings = []
+    for i, (a, _, k) in enumerate(into_root):
+        chords = {e[0]: e[2] for e in into_root[:i] + into_root[i + 1:]}
+        reading = (t + (k,), tuple(chords.get(v) for v in order[1:]))
+        if (a == order[-1] and None not in reading[1]
+                and _rebuilds(d, order, _fan(*reading))):
+            readings.append((-reading[1].count(0),) + reading)
+    return min(readings)[1:] if readings else None
 
 
 def _rightward_terms(t, c):

@@ -481,6 +481,31 @@ def test_reduce_file_refusal_texts(tmp_path, text, message):
         2, "", "mzv: error: %s\n" % message)
 
 
+def complete_digraph(n):
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
+def ladder(n):
+    return [(i, (i + 1) % n) for i in range(n)] + [(i, i + 2)
+                                                   for i in range(n - 2)]
+
+
+@pytest.mark.parametrize("strategy", ["rightward", "auto"])
+@pytest.mark.parametrize("n, edges", [(11, complete_digraph(11)),
+                                      (40, ladder(40))], ids=["K11", "ladder40"])
+def test_reduce_file_refuses_dense_diagrams_fast(tmp_path, strategy, n, edges):
+    # the fan reader walks the cycle once instead of enumerating every
+    # Hamiltonian cycle: 12 s on the complete digraph on 11 vertices
+    f = tmp_path / "dense.json"
+    f.write_text(json.dumps({
+        "vertices": list(range(n)), "root": 0,
+        "edges": [{"from": a, "to": b, "label": 1} for a, b in edges]}))
+    t0 = time.monotonic()
+    assert run(["reduce", "--file", str(f), "--strategy", strategy]) == (
+        2, "", "mzv: error: not a cycle-with-chords diagram\n")
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_sweep_stuffle_small():
     code, out, _ = run(["sweep", "stuffle", "--max-weight", "6"])
     assert code == 0
