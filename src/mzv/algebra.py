@@ -205,11 +205,8 @@ def normalize(comb: ZetaCombination) -> ZetaCombination:
         k = t.factor_key
         acc[k] = acc.get(k, 0) + t.coefficient
         reps.setdefault(k, t.factors)
-    terms = [
-        ProductTerm(c, reps[k]) for k, c in acc.items() if c != 0
-    ]
-    terms.sort(key=lambda t: t.factor_key)
-    return ZetaCombination(tuple(terms))
+    return ZetaCombination(tuple(
+        ProductTerm(acc[k], reps[k]) for k in sorted(acc) if acc[k] != 0))
 
 
 def zeta(*parts) -> ZetaCombination:
