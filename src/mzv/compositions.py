@@ -113,8 +113,17 @@ def as_composition(x) -> Composition:
     return composition(*x)
 
 
+def json_ints(items) -> tuple[int, ...]:
+    """The items of a JSON array, which must be integers: a float, a string
+    or a bool raises TypeError instead of being read as an integer."""
+    for x in items:
+        if type(x) is not int:
+            raise TypeError("expected an integer, got %r" % (x,))
+    return tuple(items)
+
+
 def composition_from_json(obj) -> Composition:
-    return composition(*obj)
+    return composition(*json_ints(obj))
 
 
 def to_word(c: Composition) -> tuple[int, ...]:

@@ -24,7 +24,8 @@ from .algebra import (
     one,
     zeta,
 )
-from .compositions import Composition, as_composition, composition, to_word
+from .compositions import (Composition, as_composition, composition,
+                           json_ints, to_word)
 from .linalg import row_reduce
 
 
@@ -89,8 +90,10 @@ class Diagram:
 
 
 def diagram_from_json(obj) -> Diagram:
-    edges = tuple((e["from"], e["to"], e["label"]) for e in obj["edges"])
-    return Diagram(tuple(obj["vertices"]), obj["root"], edges)
+    edges = tuple(json_ints((e["from"], e["to"], e["label"]))
+                  for e in obj["edges"])
+    (root,) = json_ints((obj["root"],))
+    return Diagram(json_ints(obj["vertices"]), root, edges)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -506,6 +506,29 @@ def test_reduce_file_refuses_dense_diagrams_fast(tmp_path, strategy, n, edges):
     assert time.monotonic() - t0 < 1.0
 
 
+@pytest.mark.parametrize("text, error", [
+    ("2.9", "TypeError('expected an integer, got 2.9')"),
+    ('"2"', "TypeError(\"expected an integer, got '2'\")"),
+    ("true", "TypeError('expected an integer, got True')")])
+def test_json_files_take_integers_only(tmp_path, text, error):
+    _, payload, _ = run(["derive", "reflection", "2", "3", "--json"])
+    f = tmp_path / "identity.json"
+    f.write_text(payload.replace("[[2], [3]]", "[[%s], [3]]" % text, 1))
+    assert run(["verify", str(f)]) == (
+        2, "", "mzv: error: malformed identity file: %s\n" % error)
+    # a vertex, the root, a label and an endpoint in turn
+    template = ('{"vertices": [0, %s], "root": %s, "edges": ['
+                '{"from": 0, "to": 1, "label": %s}, '
+                '{"from": %s, "to": 0, "label": 0}, '
+                '{"from": 1, "to": 0, "label": 2}]}')
+    for i in range(4):
+        fields = ["1", "0", "3", "1"]
+        fields[i] = text
+        f.write_text(template % tuple(fields))
+        assert run(["reduce", "--file", str(f)]) == (
+            2, "", "mzv: error: malformed diagram file: %s\n" % error), i
+
+
 def test_sweep_stuffle_small():
     code, out, _ = run(["sweep", "stuffle", "--max-weight", "6"])
     assert code == 0
