@@ -116,10 +116,11 @@ def as_composition(x) -> Composition:
 def json_ints(items) -> tuple[int, ...]:
     """The items of a JSON array, which must be integers: a float, a string
     or a bool raises TypeError instead of being read as an integer."""
+    items = tuple(items)
     for x in items:
         if type(x) is not int:
             raise TypeError("expected an integer, got %r" % (x,))
-    return tuple(items)
+    return items
 
 
 def composition_from_json(obj) -> Composition:

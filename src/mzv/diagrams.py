@@ -617,7 +617,7 @@ def _rebuilds(d: Diagram, order, built: Diagram) -> bool:
 
 
 def _peacock_structure(d: Diagram):
-    """Read the diagram as build_peacock's: try each vertex with two
+    """Read the diagram as build_peacock's: try each non-root vertex with two
     out-edges as the top, in vertex order, walk the trunk up to it and the
     branches from its out-edges, in sorted order, down to the root.  A step
     takes the first out-edge that is not a zero chord to the root; a revisit
@@ -707,10 +707,11 @@ def _fan_structure(d: Diagram):
     into_root = [e for e in d.edges if e[1] == d.root]
     readings = []
     for i, (a, _, k) in enumerate(into_root):
+        if a != order[-1]:
+            continue
         chords = {e[0]: e[2] for e in into_root[:i] + into_root[i + 1:]}
         reading = (t + (k,), tuple(chords.get(v) for v in order[1:]))
-        if (a == order[-1] and None not in reading[1]
-                and _rebuilds(d, order, _fan(*reading))):
+        if None not in reading[1] and _rebuilds(d, order, _fan(*reading)):
             readings.append((-reading[1].count(0),) + reading)
     return min(readings)[1:] if readings else None
 

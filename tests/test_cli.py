@@ -486,8 +486,8 @@ def complete_digraph(n):
 
 
 def ladder(n):
-    return [(i, (i + 1) % n) for i in range(n)] + [(i, i + 2)
-                                                   for i in range(n - 2)]
+    return ([(i, (i + 1) % n) for i in range(n)]
+            + [(i, i + 2) for i in range(n - 2)])
 
 
 @pytest.mark.parametrize("strategy", ["rightward", "auto"])
