@@ -155,8 +155,9 @@ def build_seashell(c) -> Diagram:
 
 
 def build_half_moon(a: int, b: int, c: int) -> Diagram:
-    """Two vertices, three parallel propagators: in a, out b and c."""
-    return Diagram((0, 1), 0, ((0, 1, a), (1, 0, b), (1, 0, c)))
+    """Two vertices, three parallel propagators: in a, out b and c; the fan
+    with cycle labels (a, b) and chord c."""
+    return _fan((a, b), (c,))
 
 
 def build_peacock(trunk, branch1, branch2) -> Diagram:
