@@ -205,8 +205,8 @@ def normalize(comb: ZetaCombination) -> ZetaCombination:
         k = t.factor_key
         acc[k] = acc.get(k, 0) + t.coefficient
         reps.setdefault(k, t.factors)
-    return ZetaCombination(tuple(
-        ProductTerm(acc[k], reps[k]) for k in sorted(acc) if acc[k] != 0))
+    keys = sorted(k for k, c in acc.items() if c != 0)
+    return ZetaCombination(tuple(ProductTerm(acc[k], reps[k]) for k in keys))
 
 
 def zeta(*parts) -> ZetaCombination:

@@ -155,8 +155,7 @@ def build_seashell(c) -> Diagram:
 
 
 def build_half_moon(a: int, b: int, c: int) -> Diagram:
-    """Two vertices, three parallel propagators: in a, out b and c; the fan
-    with cycle labels (a, b) and chord c."""
+    """Two vertices, three parallel propagators: in a, out b and c."""
     return _fan((a, b), (c,))
 
 
@@ -504,11 +503,8 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
             continue
         if not d.edges:
             return factors
-        dead = [
-            v for v in d.vertices
-            if (d.in_edges(v) or d.out_edges(v))
-            and (not d.in_edges(v) or not d.out_edges(v))
-        ]
+        dead = [v for v in d.vertices
+                if bool(d.in_edges(v)) != bool(d.out_edges(v))]
         if dead:
             trace.append("vertex %d is all-in or all-out: value 0" % dead[0])
             return ZetaCombination()
@@ -626,24 +622,23 @@ def _peacock_structure(d: Diagram):
     labels) that build_peacock rebuilds, or None."""
     step = {a: (b, k) for a, b, k in reversed(d.edges) if b != d.root or k}
 
-    def walk(v, k, end):
-        labels = [k]
+    def walk(v, end, *labels):
         while v != end:
             if v in order or v not in step:
                 return None
             order.append(v)
             v, k = step[v]
-            labels.append(k)
-        return tuple(labels)
+            labels += (k,)
+        return labels
 
     for top in d.vertices:
         outs = [(b, k) for a, b, k in d.edges if a == top]
-        if top == d.root or len(outs) != 2 or d.root not in step:
+        if top == d.root or len(outs) != 2:
             continue
-        order = [d.root]
-        reading = (walk(*step[d.root], top),)
+        order = []
+        reading = (walk(d.root, top),)
         order.append(top)
-        reading += tuple(walk(b, k, d.root) for b, k in outs)
+        reading += tuple(walk(b, d.root, k) for b, k in outs)
         if None not in reading and _rebuilds(
                 d, order, build_peacock(*reading)):
             return reading
