@@ -735,6 +735,39 @@ def test_console_script_json_is_byte_deterministic():
     assert a.stdout == b.stdout
 
 
+def test_symbolic_json_is_independent_of_hash_seed():
+    # one child per hash seed runs derive and reduce over the symbolic
+    # layer: stuffle, both regularization paths, the branch recursion, the
+    # rightward sweep, order expansion and the three-point rewrite
+    commands = [
+        ["derive", "permutation", "--json", "--", "2,1,1", "-3,1"],
+        ["derive", "shuffle", "2,-1", "2,1", "--json"],
+        ["derive", "partial-int", "1,2,1,1,3", "--json"],
+        ["derive", "partial-int", "3,1,1,2", "--variant", "leftward",
+         "--json"],
+        ["derive", "partial-int-3", "3", "1", "2", "--json"],
+        ["derive", "three-point", "2", "1", "3", "--json"],
+        ["derive", "trailing-one", "2,1,-2", "--json"],
+        ["reduce", "--seashell", "2,1,1,3", "--strategy", "rightward",
+         "--trace", "--json"],
+        ["reduce", "--seashell", "3,2,1,2", "--trace", "--json"],
+        ["reduce", "--peacock", "2,0", "2,1", "1,3", "--trace", "--json"],
+        ["reduce", "--half-moon", "2,0,3", "--trace", "--json"],
+    ]
+    code = "import sys\nfrom mzv.cli import main\n" + "".join(
+        "assert main(%r) == 0\n" % argv for argv in commands)
+    outputs = []
+    for seed in ("1", "2"):
+        r = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(SOURCE_ROOT), os.environ.get("PYTHONPATH")]))))
+        assert r.returncode == 0, r.stderr
+        outputs.append(r.stdout)
+    assert outputs[0].count(b"\n") == len(commands)
+    assert outputs[0] == outputs[1]
+
+
 def test_precision_environment_variable():
     r = run_console("eval", "2,1", MZV_PRECISION_DIGITS="6")
     assert r.returncode == 0

@@ -140,6 +140,16 @@ CORPUS = {
     "derive-trailing-one-2m1": ["derive", "trailing-one", "2,-1", "--json"],
     "derive-partial-int-2m13-leftward": [
         "derive", "partial-int", "2,-1,3", "--variant", "leftward", "--json"],
+    # hand-edited identity files: terms out of order, repeated, or with
+    # coefficient 0; a divergent factor as written is reported eliminated
+    # even when its terms cancel or have coefficient 0
+    **{
+        "verify-edited-%s" % name: [
+            "verify", "--json", "--eps", "1e-12",
+            str(CORPUS_DIR / ("edited-%s.json" % name))]
+        for name in ("unsorted", "duplicate", "zero", "zero-divergent",
+                     "cancelling-divergent")
+    },
 }
 
 

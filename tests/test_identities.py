@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import comb, prod
 
@@ -7,6 +9,7 @@ import pytest
 from conftest import all_compositions, brute_combination, signed_compositions
 from mzv import (
     Composition,
+    EliminationError,
     ProductTerm,
     ZetaCombination,
     FAMILIES,
@@ -375,3 +378,53 @@ def test_identity_json_round_trip():
 def test_identity_str():
     text = str(partial_integration_length2(2, 1))
     assert "=" in text and "ζ(2,1)" in text and "ζ(3)" in text
+
+
+def family_digest_lines():
+    """The JSON and the text of every identity in a fixed grid of the
+    families, with the elimination of each partial-int identity or its
+    refusal and residual."""
+    def admissible_pairs(max_weight):
+        comps = list(iter_admissible(max_weight - 2))
+        return [(a, b) for a in comps for b in comps
+                if a.weight + b.weight <= max_weight]
+
+    signed = [(composition(2, -1), composition(3)),
+              (composition(-2), composition(-1, 2)),
+              (composition(-3, 1), composition(2, -2)),
+              (composition(-1), composition(-1, -1))]
+    idents = []
+    for emit in (permutation_identity, shuffle_identity):
+        idents += [emit(a, b) for a, b in admissible_pairs(9) + signed]
+    partial = [partial_integration(c, variant)
+               for c in all_compositions(9) if len(c) >= 2
+               for variant in ("rightward", "leftward")]
+    idents += partial
+    idents += [three_point_identity(a, b, c)
+               for a, b, c in itertools.product(range(1, 9), repeat=3)
+               if a + b + c <= 10]
+    idents += [partial_integration_length3(a, b, c, variant)
+               for a, b, c in itertools.product(range(1, 9), repeat=3)
+               if a >= 2 and a + b + c <= 10
+               for variant in ("rightward", "alternative")]
+    idents += [trailing_one(x) for x in iter_admissible(7)]
+    lines = ["%s\t%s" % (json.dumps(ident.to_json(), sort_keys=True), ident)
+             for ident in idents]
+    for ident in partial:
+        try:
+            final = eliminate_divergent(ident.combination)
+        except EliminationError as exc:
+            lines.append("%s\t%s" % (exc, json.dumps(exc.residual.to_json())))
+        else:
+            lines.append("%s\t%s" % (json.dumps(final.to_json()), final))
+    return lines
+
+
+def test_family_digest():
+    # sha256 of the families' JSON and text output, and of the elimination
+    # of every raw partial-int identity, written by the sorting normalize
+    # over tuples of ProductTerms
+    lines = family_digest_lines()
+    assert len(lines) == 3009
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "9baf0d552916ba7094dc807a5572bd4fc6fb4b089f5dc430e087def89ecfed53")
