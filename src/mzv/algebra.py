@@ -133,80 +133,109 @@ class ProductTerm:
         }
 
 
-@dataclass(frozen=True)
-class ZetaCombination:
-    """A finite Q-linear combination of product terms."""
+def _admissible(f) -> bool:
+    """Composition.admissible of the factor whose sort_key is f."""
+    return f[2][0] >= 2 or f[3][0] == -1
 
-    terms: tuple[ProductTerm, ...] = ()
+
+def _add(acc: dict, items, q=1) -> dict:
+    """Add q times each (term key, coefficient) pair into acc."""
+    for k, v in items:
+        acc[k] = acc.get(k, 0) + q * v
+    return acc
+
+
+class ZetaCombination:
+    """A finite Q-linear combination of product terms, always normal.
+
+    One dict maps each term key, the sorted tuple of its factors' sort_keys,
+    to a nonzero coefficient (Hoffman's quasi-shuffle algebra: a finite map
+    from words to coefficients); sorted keys are the canonical term order.
+    ProductTerms and Compositions are built only at the edge: ``terms``,
+    ``compositions``, ``to_json`` and ``str``.
+    """
+
+    def __init__(self, terms=()):
+        self._coeffs = _of(_add({}, (
+            (t.factor_key, t.coefficient) for t in terms)))._coeffs
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        """The ProductTerms in canonical order, built once."""
+        return tuple(ProductTerm(self._coeffs[k], tuple(
+            Composition(f[2], f[3]) for f in k)) for k in sorted(self._coeffs))
 
     @property
     def regularized(self) -> bool:
         """True while some factor is a divergent (leading-1) composition."""
-        return any(
-            not f.admissible for t in self.terms for f in t.factors
-        )
+        return not all(_admissible(f) for k in self._coeffs for f in k)
 
     @property
     def weight(self):
         """Common weight of all terms, or None if empty/inhomogeneous."""
-        ws = {t.weight for t in self.terms}
+        ws = {sum(f[0] for f in k) for k in self._coeffs}
         return ws.pop() if len(ws) == 1 else None
 
     def is_zero(self) -> bool:
-        return not normalize(self).terms
+        return not self._coeffs
 
     def compositions(self):
         """The distinct factor compositions appearing in the combination."""
-        seen = {}
-        for t in self.terms:
-            for f in t.factors:
-                seen[f] = None
-        return list(seen)
+        return [Composition(f[2], f[3]) for f in dict.fromkeys(
+            f for k in sorted(self._coeffs) for f in k)]
+
+    def __eq__(self, other):
+        if not isinstance(other, ZetaCombination):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other):
-        return normalize(ZetaCombination(self.terms + other.terms))
+        return _of(_add(dict(self._coeffs), other._coeffs.items()))
 
     def __sub__(self, other):
-        return self + (-other)
+        return _of(_add(dict(self._coeffs), other._coeffs.items(), -1))
 
     def __neg__(self):
-        return ZetaCombination(tuple(t.scaled(-1) for t in self.terms))
+        return _of({k: -v for k, v in self._coeffs.items()})
 
     def scaled(self, q) -> "ZetaCombination":
         q = Fraction(q)
-        if q == 0:
-            return ZetaCombination()
-        return normalize(ZetaCombination(tuple(t.scaled(q) for t in self.terms)))
+        return _of({k: v * q for k, v in self._coeffs.items()} if q else {})
 
     def __mul__(self, other):
         """Formal product: juxtaposition of zeta factors, no shuffling."""
-        out = []
-        for a in self.terms:
-            for b in other.terms:
-                out.append(
-                    ProductTerm(a.coefficient * b.coefficient, a.factors + b.factors)
-                )
-        return normalize(ZetaCombination(tuple(out)))
+        acc = {}
+        for a, u in self._coeffs.items():
+            _add(acc, ((tuple(sorted(a + b)), u * v)
+                       for b, v in other._coeffs.items()))
+        return _of(acc)
 
     def __str__(self):
-        if not self.terms:
+        if not self._coeffs:
             return "0"
         return "  +  ".join(str(t) for t in self.terms).replace("+  -", "-  ")
+
+    def __repr__(self):
+        return "ZetaCombination(terms=%r)" % (self.terms,)
 
     def to_json(self):
         return [t.to_json() for t in self.terms]
 
 
+def _of(acc: dict) -> ZetaCombination:
+    """The combination of a {term key: coefficient} dict, zeros dropped."""
+    comb = object.__new__(ZetaCombination)
+    comb._coeffs = {k: v for k, v in acc.items() if v}
+    return comb
+
+
 def normalize(comb: ZetaCombination) -> ZetaCombination:
-    """Merge terms with equal factor multisets, drop zeros, sort canonically."""
-    acc = {}
-    reps = {}
-    for t in comb.terms:
-        k = t.factor_key
-        acc[k] = acc.get(k, 0) + t.coefficient
-        reps.setdefault(k, t.factors)
-    keys = sorted(k for k, c in acc.items() if c != 0)
-    return ZetaCombination(tuple(ProductTerm(acc[k], reps[k]) for k in keys))
+    """A combination is always normal: its terms are merged, nonzero and
+    sorted.  Kept for the callers that normalized explicitly."""
+    return comb
 
 
 def zeta(*parts) -> ZetaCombination:
@@ -215,7 +244,7 @@ def zeta(*parts) -> ZetaCombination:
         c = parts[0]
     else:
         c = composition(*parts)
-    return ZetaCombination((ProductTerm(1, (c,)),))
+    return _of({(c.sort_key,): 1})
 
 
 def one(coefficient=1) -> ZetaCombination:
@@ -226,7 +255,20 @@ def one(coefficient=1) -> ZetaCombination:
     """
     if not isinstance(coefficient, int):
         coefficient = Fraction(coefficient)
-    return ZetaCombination((ProductTerm(coefficient, ()),))
+    return _of({(): coefficient})
+
+
+def _stuffle(left, right) -> dict:
+    """The stuffle of the factors with sort_keys left and right, as a
+    {term key: multiplicity} dict."""
+    parts = (*left[2], *right[2], *(p + q for p in left[2] for q in right[2]))
+    signs = (*left[3], *right[3], *(s * t for s in left[3] for t in right[3]))
+    acc = {}
+    for take in stuffle_template(left[1], right[1]):
+        ps = take(parts)
+        k = ((sum(ps), len(ps), ps, take(signs)),)
+        acc[k] = acc.get(k, 0) + 1
+    return acc
 
 
 def stuffle(left: Composition, right: Composition) -> ZetaCombination:
@@ -236,27 +278,21 @@ def stuffle(left: Composition, right: Composition) -> ZetaCombination:
     index chains; a tie merges two slots, adding exponents and multiplying
     signs.
     """
-    lparts = [(p, left.sign(i)) for i, p in enumerate(left.parts)]
-    rparts = [(p, right.sign(i)) for i, p in enumerate(right.parts)]
-    parts = (*lparts, *rparts,
-             *((p + q, s * t) for p, s in lparts for q, t in rparts))
-    out = []
-    for take in stuffle_template(left.depth, right.depth):
-        merged = take(parts)
-        c = Composition(tuple(p for p, _ in merged),
-                        tuple(s for _, s in merged))
-        out.append(ProductTerm(1, (c,)))
-    return normalize(ZetaCombination(tuple(out)))
+    return _of(_stuffle(left.sort_key, right.sort_key))
 
 
 def combination_from_json(obj) -> ZetaCombination:
     terms = []
     for t in obj:
         num, _, den = t["coefficient"].partition("/")
-        coeff = Fraction(int(num), int(den or 1))
+        try:
+            coeff = Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError):
+            raise TypeError("expected a coefficient p or p/q in integers, "
+                            "q nonzero, got %r" % t["coefficient"]) from None
         factors = tuple(composition_from_json(f) for f in t["factors"])
         terms.append(ProductTerm(coeff, factors))
-    return ZetaCombination(tuple(terms))
+    return ZetaCombination(terms)
 
 
 # --- divergence elimination -------------------------------------------------
@@ -274,45 +310,42 @@ class EliminationError(ValueError):
         self.residual = residual
 
 
-_T = Composition((1,))
+_T = (1, 1, (1,), (1,))  # the sort_key of T = zeta(1)
 
 
-# The recursion visits every composition of the weight of c and below: 1023
+# The recursion visits every composition of the weight of f and below: 1023
 # divergent ones up to weight 11, which a smaller bound would thrash on.
 @functools.lru_cache(maxsize=1 << 12)
-def _stuffle_regularized(c: Composition) -> ZetaCombination:
-    """zeta(c) as a combination whose factors are admissible or T = zeta(1)."""
-    if c.admissible or c == _T:
-        return zeta(c)
-    rest = Composition(c.parts[1:], c.signs and c.signs[1:])
-    out = list((zeta(_T) * _stuffle_regularized(rest)).terms)
-    for t in stuffle(_T, rest).terms:
-        if t.factors == (c,):
-            m = t.coefficient
+def _stuffle_regularized(f) -> ZetaCombination:
+    """zeta of the factor with sort_key f as a combination whose factors are
+    admissible or T = zeta(1)."""
+    if _admissible(f) or f == _T:
+        return _of({(f,): 1})
+    rest = (f[0] - 1, f[1] - 1, f[2][1:], f[3][1:])
+    acc = dict((_of({(_T,): 1}) * _stuffle_regularized(rest))._coeffs)
+    for (g,), n in _stuffle(_T, rest).items():
+        if g == f:
+            m = n
         else:
-            out.extend(u.scaled(-t.coefficient)
-                       for u in _stuffle_regularized(t.factors[0]).terms)
-    if m > 1:
-        out = [t.scaled(Fraction(1, m)) for t in out]
-    return normalize(ZetaCombination(tuple(out)))
+            _add(acc, _stuffle_regularized(g)._coeffs.items(), -n)
+    return _of(acc).scaled(Fraction(1, m)) if m > 1 else _of(acc)
 
 
 def eliminate_divergent(comb: ZetaCombination) -> ZetaCombination:
     """The T^0 coefficient of the stuffle regularization of ``comb``; fail if
     a higher power of T = zeta(1) survives.  Terms whose factors are all
     admissible pass unchanged."""
-    out = []
-    for t in comb.terms:
-        if all(f.admissible for f in t.factors):
-            out.append(t)
+    acc = {}
+    for k, v in comb._coeffs.items():
+        if all(map(_admissible, k)):
+            acc[k] = acc.get(k, 0) + v
         else:
-            out.extend(functools.reduce(operator.mul, map(
-                _stuffle_regularized, t.factors), one(t.coefficient)).terms)
-    comb = normalize(ZetaCombination(tuple(out)))
-    bad = [t for t in comb.terms if _T in t.factors]
-    if bad:
+            _add(acc, functools.reduce(operator.mul, map(
+                _stuffle_regularized, k), one(v))._coeffs.items())
+    comb = _of(acc)
+    bad = _of({k: v for k, v in acc.items() if _T in k})
+    if not bad.is_zero():
         raise EliminationError(
             "divergent terms survive elimination: %s"
-            % "; ".join(str(t) for t in bad),
-            residual=ZetaCombination(tuple(bad)))
+            % "; ".join(str(t) for t in bad.terms), residual=bad)
     return comb

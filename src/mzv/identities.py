@@ -38,6 +38,14 @@ class Identity:
     parameters: dict
     lhs: ZetaCombination
     rhs: ZetaCombination
+    # whether a side has a divergent factor; identity_from_json counts the
+    # factors as written, a term with coefficient 0 included
+    regularized: bool = None
+
+    def __post_init__(self):
+        if self.regularized is None:
+            object.__setattr__(self, "regularized",
+                               self.lhs.regularized or self.rhs.regularized)
 
     @property
     def combination(self) -> ZetaCombination:
@@ -47,10 +55,6 @@ class Identity:
     @property
     def weight(self):
         return self.lhs.weight
-
-    @property
-    def regularized(self) -> bool:
-        return self.lhs.regularized or self.rhs.regularized
 
     def __str__(self):
         return "%s  =  %s" % (self.lhs, self.rhs)
@@ -318,9 +322,13 @@ def derive(family: str, args, variant: str = None) -> Identity:
 
 def identity_from_json(obj) -> Identity:
     """Rebuild an Identity from its to_json form."""
+    lhs, rhs = (combination_from_json(obj[side]) for side in ("lhs", "rhs"))
     return Identity(
         family=obj["family"],
         parameters=obj.get("parameters", {}),
-        lhs=combination_from_json(obj["lhs"]),
-        rhs=combination_from_json(obj["rhs"]),
+        lhs=lhs,
+        rhs=rhs,
+        # a factor written with a leading unsigned 1 diverges
+        regularized=any(f[0] == 1 for side in ("lhs", "rhs")
+                        for t in obj[side] for f in t["factors"]),
     )

@@ -336,3 +336,71 @@ def test_stuffle_template_is_built_once_per_part_count_pair():
     assert len(template) == len(tuple(_reference_patterns(3, 2)))
     # a one-part term is still a tuple of parts
     assert stuffle_template(1, 1)[-1](("x", "y", "xy")) == ("xy",)
+
+
+# --- the combination against the sorting normalize it replaced --------------
+
+def reference_normalize(terms):
+    """Merge terms with equal factor multisets, drop zeros, sort: the
+    normalize that rebuilt a tuple of ProductTerms after every operation."""
+    acc = {}
+    reps = {}
+    for t in terms:
+        k = t.factor_key
+        acc[k] = acc.get(k, 0) + t.coefficient
+        reps.setdefault(k, t.factors)
+    keys = sorted(k for k, c in acc.items() if c != 0)
+    return tuple(ProductTerm(acc[k], reps[k]) for k in keys)
+
+
+def reference_str(terms):
+    if not terms:
+        return "0"
+    return "  +  ".join(str(t) for t in terms).replace("+  -", "-  ")
+
+
+def typed(terms):
+    return [(type(t.coefficient), t) for t in terms]
+
+
+raw_factors = st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
+    lambda parts: st.one_of(
+        st.just(Composition(tuple(parts))),
+        st.lists(st.sampled_from((1, -1)), min_size=len(parts),
+                 max_size=len(parts)).map(
+            lambda signs: Composition(tuple(parts), tuple(signs)))))
+raw_coefficients = st.one_of(
+    st.integers(-2, 2),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+raw_terms = st.lists(st.builds(
+    ProductTerm, raw_coefficients, st.lists(raw_factors, max_size=3).map(
+        tuple)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_terms, raw_terms, st.one_of(st.integers(-2, 2), raw_coefficients))
+def test_combination_matches_the_sorting_normalize(a, b, q):
+    ref_a, ref_b = reference_normalize(a), reference_normalize(b)
+    ca, cb = ZetaCombination(a), ZetaCombination(b)
+    assert typed(ca.terms) == typed(ref_a)
+    assert normalize(ca) == ca
+    assert ca.to_json() == [t.to_json() for t in ref_a]
+    assert str(ca) == reference_str(ref_a)
+    assert ca.is_zero() == (not ref_a)
+    assert ca.regularized == any(
+        not f.admissible for t in ref_a for f in t.factors)
+    neg_b = tuple(t.scaled(-1) for t in ref_b)
+    products = [ProductTerm(s.coefficient * t.coefficient,
+                            s.factors + t.factors)
+                for s in ref_a for t in ref_b]
+    q = Fraction(q)
+    for got, want in (
+            (ca + cb, reference_normalize(ref_a + ref_b)),
+            (ca - cb, reference_normalize(ref_a + neg_b)),
+            (-cb, neg_b),
+            (ca * cb, reference_normalize(products)),
+            (ca.scaled(q), reference_normalize(
+                [t.scaled(q) for t in ref_a] if q else []))):
+        assert typed(got.terms) == typed(want)
+        assert str(got) == reference_str(want)
+        assert got.to_json() == [t.to_json() for t in want]

@@ -529,6 +529,22 @@ def test_json_files_take_integers_only(tmp_path, text, error):
             2, "", "mzv: error: malformed diagram file: %s\n" % error), i
 
 
+@pytest.mark.parametrize("coefficient, code", [
+    ("1/0", 2), ("", 2), ("1.5", 2), ("x/2", 2), ("/2", 2),
+    # forms that parse: the identity holds at 1 and fails at 2
+    ("-4/-4", 0), ("1", 0), ("+2/2", 0), ("2/", 1), ("-2/-1", 1)])
+def test_identity_files_refuse_malformed_coefficients(
+        tmp_path, coefficient, code):
+    _, payload, _ = run(["derive", "reflection", "2", "3", "--json"])
+    f = tmp_path / "identity.json"
+    f.write_text(payload.replace('"1/1"', json.dumps(coefficient), 1))
+    error = TypeError("expected a coefficient p or p/q in integers, q "
+                      "nonzero, got %r" % coefficient)
+    assert run(["verify", "--json", str(f)])[::2] == (code, (
+        "mzv: error: malformed identity file: %r\n" % error
+        if code == 2 else ""))
+
+
 def test_sweep_stuffle_small():
     code, out, _ = run(["sweep", "stuffle", "--max-weight", "6"])
     assert code == 0
