@@ -15,7 +15,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compositions import Composition, composition, composition_from_json
+from .compositions import (Composition, composition, composition_from_json,
+                           sort_key)
 
 LEFT = frozenset({1})
 RIGHT = frozenset({2})
@@ -112,10 +113,6 @@ class ProductTerm:
     def weight(self) -> int:
         return sum(f.weight for f in self.factors)
 
-    @property
-    def factor_key(self):
-        return tuple(f.sort_key for f in self.factors)
-
     def scaled(self, q) -> "ProductTerm":
         return ProductTerm(self.coefficient * q, self.factors)
 
@@ -146,18 +143,16 @@ def _add(acc: dict, items, q=1) -> dict:
 
 
 class ZetaCombination:
-    """A finite Q-linear combination of product terms, always normal.
-
-    One dict maps each term key, the sorted tuple of its factors' sort_keys,
-    to a nonzero coefficient (Hoffman's quasi-shuffle algebra: a finite map
-    from words to coefficients); sorted keys are the canonical term order.
-    ProductTerms and Compositions are built only at the edge: ``terms``,
-    ``compositions``, ``to_json`` and ``str``.
-    """
+    """A finite Q-linear combination of product terms, always normal: one
+    dict maps each term key, the sorted sort_keys of the term's factors, to
+    its nonzero coefficient (Hoffman: a finite map from words to
+    coefficients).  Sorted keys are the canonical term order.  ProductTerms
+    and Compositions are built only at the edge: ``terms``,
+    ``compositions``, ``to_json`` and ``str``."""
 
     def __init__(self, terms=()):
-        self._coeffs = _of(_add({}, (
-            (t.factor_key, t.coefficient) for t in terms)))._coeffs
+        self._coeffs = _of(_add({}, ((tuple(f.sort_key for f in t.factors),
+                                      t.coefficient) for t in terms)))._coeffs
 
     @functools.cached_property
     def terms(self) -> tuple:
@@ -185,12 +180,8 @@ class ZetaCombination:
             f for k in sorted(self._coeffs) for f in k)]
 
     def __eq__(self, other):
-        if not isinstance(other, ZetaCombination):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return isinstance(other, ZetaCombination) and (
+            self._coeffs == other._coeffs)
 
     def __add__(self, other):
         return _of(_add(dict(self._coeffs), other._coeffs.items()))
@@ -207,11 +198,9 @@ class ZetaCombination:
 
     def __mul__(self, other):
         """Formal product: juxtaposition of zeta factors, no shuffling."""
-        acc = {}
-        for a, u in self._coeffs.items():
-            _add(acc, ((tuple(sorted(a + b)), u * v)
-                       for b, v in other._coeffs.items()))
-        return _of(acc)
+        return _of(_add({}, ((tuple(sorted(a + b)), u * v)
+                             for a, u in self._coeffs.items()
+                             for b, v in other._coeffs.items())))
 
     def __str__(self):
         if not self._coeffs:
@@ -233,17 +222,14 @@ def _of(acc: dict) -> ZetaCombination:
 
 
 def normalize(comb: ZetaCombination) -> ZetaCombination:
-    """A combination is always normal: its terms are merged, nonzero and
-    sorted.  Kept for the callers that normalized explicitly."""
+    """The combination itself: a combination is always normal."""
     return comb
 
 
 def zeta(*parts) -> ZetaCombination:
     """Convenience: the combination with the single term 1*zeta(parts)."""
-    if len(parts) == 1 and isinstance(parts[0], Composition):
-        c = parts[0]
-    else:
-        c = composition(*parts)
+    c = (parts[0] if len(parts) == 1 and isinstance(parts[0], Composition)
+         else composition(*parts))
     return _of({(c.sort_key,): 1})
 
 
@@ -253,22 +239,8 @@ def one(coefficient=1) -> ZetaCombination:
     An int coefficient stays an int; anything else (a Fraction, or a string
     such as "1/3") is read as a Fraction.
     """
-    if not isinstance(coefficient, int):
-        coefficient = Fraction(coefficient)
-    return _of({(): coefficient})
-
-
-def _stuffle(left, right) -> dict:
-    """The stuffle of the factors with sort_keys left and right, as a
-    {term key: multiplicity} dict."""
-    parts = (*left[2], *right[2], *(p + q for p in left[2] for q in right[2]))
-    signs = (*left[3], *right[3], *(s * t for s in left[3] for t in right[3]))
-    acc = {}
-    for take in stuffle_template(left[1], right[1]):
-        ps = take(parts)
-        k = ((sum(ps), len(ps), ps, take(signs)),)
-        acc[k] = acc.get(k, 0) + 1
-    return acc
+    return _of({(): coefficient if isinstance(coefficient, int)
+                else Fraction(coefficient)})
 
 
 def stuffle(left: Composition, right: Composition) -> ZetaCombination:
@@ -281,6 +253,14 @@ def stuffle(left: Composition, right: Composition) -> ZetaCombination:
     return _of(_stuffle(left.sort_key, right.sort_key))
 
 
+def _stuffle(left, right) -> dict:
+    """stuffle on sort_keys, as a {term key: multiplicity} dict."""
+    parts = (*left[2], *right[2], *(p + q for p in left[2] for q in right[2]))
+    signs = (*left[3], *right[3], *(s * t for s in left[3] for t in right[3]))
+    return _add({}, (((sort_key(take(parts), take(signs)),), 1)
+                     for take in stuffle_template(left[1], right[1])))
+
+
 def combination_from_json(obj) -> ZetaCombination:
     terms = []
     for t in obj:
@@ -290,8 +270,8 @@ def combination_from_json(obj) -> ZetaCombination:
         except (ValueError, ZeroDivisionError):
             raise TypeError("expected a coefficient p or p/q in integers, "
                             "q nonzero, got %r" % t["coefficient"]) from None
-        factors = tuple(composition_from_json(f) for f in t["factors"])
-        terms.append(ProductTerm(coeff, factors))
+        terms.append(ProductTerm(coeff, tuple(
+            map(composition_from_json, t["factors"]))))
     return ZetaCombination(terms)
 
 
@@ -323,11 +303,10 @@ def _stuffle_regularized(f) -> ZetaCombination:
         return _of({(f,): 1})
     rest = (f[0] - 1, f[1] - 1, f[2][1:], f[3][1:])
     acc = dict((_of({(_T,): 1}) * _stuffle_regularized(rest))._coeffs)
-    for (g,), n in _stuffle(_T, rest).items():
-        if g == f:
-            m = n
-        else:
-            _add(acc, _stuffle_regularized(g)._coeffs.items(), -n)
+    others = _stuffle(_T, rest)
+    m = others.pop((f,))
+    for (g,), n in others.items():
+        _add(acc, _stuffle_regularized(g)._coeffs.items(), -n)
     return _of(acc).scaled(Fraction(1, m)) if m > 1 else _of(acc)
 
 
@@ -337,15 +316,11 @@ def eliminate_divergent(comb: ZetaCombination) -> ZetaCombination:
     admissible pass unchanged."""
     acc = {}
     for k, v in comb._coeffs.items():
-        if all(map(_admissible, k)):
-            acc[k] = acc.get(k, 0) + v
-        else:
-            _add(acc, functools.reduce(operator.mul, map(
-                _stuffle_regularized, k), one(v))._coeffs.items())
-    comb = _of(acc)
+        _add(acc, ((k, v),) if all(map(_admissible, k)) else functools.reduce(
+            operator.mul, map(_stuffle_regularized, k), one(v))._coeffs.items())
     bad = _of({k: v for k, v in acc.items() if _T in k})
     if not bad.is_zero():
         raise EliminationError(
             "divergent terms survive elimination: %s"
             % "; ".join(str(t) for t in bad.terms), residual=bad)
-    return comb
+    return _of(acc)

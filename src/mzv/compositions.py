@@ -40,11 +40,7 @@ class Composition:
                 signs = None
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "signs", signs)
-        # canonical order: weight, then depth, then parts, then signs
-        skey = signs if signs is not None else (1,) * len(parts)
-        object.__setattr__(
-            self, "sort_key", (sum(parts), len(parts), parts, skey)
-        )
+        object.__setattr__(self, "sort_key", sort_key(parts, signs))
 
     @property
     def weight(self) -> int:
@@ -78,6 +74,12 @@ class Composition:
 
     def to_json(self) -> list[int]:
         return [p * self.sign(i) for i, p in enumerate(self.parts)]
+
+
+def sort_key(parts: tuple, signs: tuple | None = None) -> tuple:
+    """Composition.sort_key, the canonical order: weight, depth, parts, then
+    signs (all +1 when None); for parts known to be positive ints."""
+    return (sum(parts), len(parts), parts, signs or (1,) * len(parts))
 
 
 def composition(*parts: int) -> Composition:

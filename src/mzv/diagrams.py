@@ -17,15 +17,14 @@ from math import comb
 
 from .algebra import (
     CACHE_SIZE,
-    ProductTerm,
     ZetaCombination,
+    _of,
     eliminate_divergent,
-    normalize,
     one,
     zeta,
 )
-from .compositions import (Composition, as_composition, composition,
-                           json_ints, to_word)
+from .compositions import (Composition, as_composition, json_ints, sort_key,
+                           to_word)
 from .linalg import row_reduce
 
 
@@ -471,8 +470,7 @@ def order_expansion(d: Diagram) -> ZetaCombination:
                         "free momentum with zero exponent")
                 expo = tuple(expo)
                 cells[expo] = cells.get(expo, 0) + 1
-    return normalize(ZetaCombination(tuple(
-        ProductTerm(n, (Composition(expo),)) for expo, n in cells.items())))
+    return _of({(sort_key(expo),): n for expo, n in cells.items()})
 
 
 def _structural_value(d: Diagram, trace) -> ZetaCombination:
@@ -484,7 +482,7 @@ def _structural_value(d: Diagram, trace) -> ZetaCombination:
         root = d.root if d.root in comp else min(comp)
         sub = Diagram(tuple(sorted(comp)), root, sub_edges)
         total = total * _connected_value(sub, trace)
-    return normalize(total)
+    return total
 
 
 def _connected_value(d: Diagram, trace) -> ZetaCombination:
@@ -589,21 +587,22 @@ def _branch_suffixes(B, C):
     return tuple(sorted(items.items()))
 
 
+def _shuffle_terms(L, R) -> dict:
+    """The nonzero terms of zeta(L)*zeta(R) as {term key: coefficient}, the
+    parts of L and R entering as k_i * b_i, b_i = sigma_1...sigma_i the
+    letter ending its run in to_word; a suffix of such parts p_i leaves
+    signed sigma_i = sgn(p_i) * sgn(p_(i-1))."""
+    return {(sort_key(tuple(map(abs, suf)), tuple(
+        1 if p * q > 0 else -1 for q, p in zip((1,) + suf, suf))),): c
+        for suf, c in _branch_suffixes(L, R) if c}
+
+
 def shuffle_expansion(left, right) -> ZetaCombination:
     """The product zeta(left)*zeta(right) expanded into single nested sums by
-    the double-branch recursion.  Part i of a factor enters as k_i * b_i, b_i
-    = sigma_1...sigma_i the letter ending its run in to_word; a suffix of
-    such parts p_i leaves signed sigma_i = sgn(p_i) * sgn(p_(i-1))."""
-    L, R = (c.parts if c.signs is None else tuple(
+    the double-branch recursion."""
+    return _of(_shuffle_terms(*(c.parts if c.signs is None else tuple(
         k * b for k, b in zip(c.parts, filter(None, to_word(c))))
-        for c in map(as_composition, (left, right)))
-    unsigned = min(L + R) > 0
-    terms = [
-        ProductTerm(c, (Composition(suf) if unsigned else composition(
-            *(p if q > 0 else -p for q, p in zip((1,) + suf, suf))),))
-        for suf, c in _branch_suffixes(L, R)
-    ]
-    return normalize(ZetaCombination(tuple(terms)))
+        for c in map(as_composition, (left, right)))))
 
 
 def _rebuilds(d: Diagram, order, built: Diagram) -> bool:
@@ -662,12 +661,9 @@ def _branch_state_value(trunk, B, C, trace) -> ZetaCombination:
     prefix = trunk[:-1]
     if any(k == 0 for k in prefix + B + C):
         raise IrreducibleDiagramError("interior zero labels are not reducible")
-    terms = [
-        ProductTerm(c, (Composition(prefix + suf),))
-        for suf, c in _branch_suffixes(B, C)
-    ]
-    trace.append("branch recursion produced %d terms" % len(terms))
-    return normalize(ZetaCombination(tuple(terms)))
+    suffixes = _branch_suffixes(B, C)
+    trace.append("branch recursion produced %d terms" % len(suffixes))
+    return _of({(sort_key(prefix + suf),): c for suf, c in suffixes})
 
 
 def _reduce_shuffle(d: Diagram, trace) -> ZetaCombination:
@@ -712,15 +708,16 @@ def _fan_structure(d: Diagram):
     return min(readings)[1:] if readings else None
 
 
-def _rightward_terms(t, c):
+def _rightward_terms(t, c) -> ZetaCombination:
     """Drive the fan state apex by apex, right to left.
 
-    Returns ProductTerms; each terminal state is a fully ordered cycle (all
-    chords zero) or a leading factor split.  A seashell reads two ways:
-    _fan_structure's (k_m on the cycle, zero chords), and the chord reading
-    of identities._rightward_general_rhs (k_m on the last chord).
+    Each terminal state is a fully ordered cycle (all chords zero) or a
+    leading factor split.  A seashell reads two ways: _fan_structure's (k_m
+    on the cycle, zero chords), and the chord reading of
+    identities._rightward_general_rhs (k_m on the last chord).
     """
-    out = []
+    acc = {}
+    raw = 0
     stack = [(1, tuple(t), tuple(c), len(c))]
     while stack:
         coeff, t, c, i = stack.pop()
@@ -732,23 +729,24 @@ def _rightward_terms(t, c):
             y, z = t[i], c[i - 1]
         spent_z, spent_x = _integration_exits(t[i - 1], z)
         for r, moved, n in spent_z:
-            nt = t[:i - 1] + (r, y + moved) + t[i + 1:]
+            k = (sort_key(t[:i - 1] + (r, y + moved) + t[i + 1:]),)
             assert not any(c[:i - 1]) and not any(c[i:])
-            out.append(ProductTerm((-1) ** z * n * coeff, (Composition(nt),)))
+            acc[k] = acc.get(k, 0) + (-1) ** z * n * coeff
+        raw += len(spent_z) + (len(spent_x) if i == 1 else 0)
         for s, moved, n in spent_x:
             cf = (-1) ** (z - s) * n * coeff
             big, rem = (y + moved, s) if raise_chord else (s, y + moved)
             if i == 1:
-                out.append(ProductTerm(cf, (Composition((big,)),
-                                            Composition((rem,) + t[2:]))))
+                k = tuple(sorted((sort_key((big,)), sort_key((rem,) + t[2:]))))
+                acc[k] = acc.get(k, 0) + cf
             else:
                 nt = t[:i - 1] + (0, rem) + t[i + 1:]
                 nc = c[:i - 2] + (big, 0) + c[i:]
                 stack.append((cf, nt, nc, i - 1))
-        if len(out) > MAX_RIGHTWARD_TERMS:
+        if raw > MAX_RIGHTWARD_TERMS:
             raise ValueError("the rightward expansion makes more than %d raw "
                              "terms" % MAX_RIGHTWARD_TERMS)
-    return out
+    return _of(acc)
 
 
 def _reduce_rightward(d: Diagram, trace) -> ZetaCombination:
@@ -764,10 +762,10 @@ def _reduce_rightward(d: Diagram, trace) -> ZetaCombination:
             "only the last chord may start nonzero for the rightward sweep")
     if any(k == 0 for k in t):
         raise IrreducibleDiagramError("zero cycle labels need an exchange first")
-    total = normalize(ZetaCombination(tuple(_rightward_terms(t, c))))
-    trace.append("raw reduction has %d terms" % len(total.terms))
+    total = _rightward_terms(t, c)
+    trace.append("raw reduction has %d terms" % len(total._coeffs))
     final = eliminate_divergent(total)
-    trace.append("divergence elimination leaves %d terms" % len(final.terms))
+    trace.append("divergence elimination leaves %d terms" % len(final._coeffs))
     return final
 
 

@@ -19,15 +19,15 @@ from math import comb
 
 from . import diagrams
 from .algebra import (
-    ProductTerm,
     ZetaCombination,
+    _add,
+    _of,
     combination_from_json,
     eliminate_divergent,
-    normalize,
     stuffle,
     zeta,
 )
-from .compositions import Composition, as_composition, composition
+from .compositions import Composition, as_composition, composition, sort_key
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +38,7 @@ class Identity:
     parameters: dict
     lhs: ZetaCombination
     rhs: ZetaCombination
-    # whether a side has a divergent factor; identity_from_json counts the
-    # factors as written, a term with coefficient 0 included
+    # a divergent factor on a side; identity_from_json counts it as written
     regularized: bool = None
 
     def __post_init__(self):
@@ -104,16 +103,15 @@ def three_point_identity(a: int, b: int, c: int) -> Identity:
         if v < 1:
             raise ValueError("exponents must be >= 1")
     d = diagrams.build_seashell((a, b, c))
-    pieces = diagrams.rewrite_three_point(d, d.root)
-    terms = []
-    for coeff, piece in pieces:
+    acc = {}
+    for coeff, piece in diagrams.rewrite_three_point(d, d.root):
         val = diagrams.reduce(piece, strategy="structural")
-        terms.extend(t.scaled(coeff) for t in val.terms)
+        _add(acc, val._coeffs.items(), coeff)
     return Identity(
         family="three-point",
         parameters={"a": a, "b": b, "c": c},
         lhs=zeta(a, b, c),
-        rhs=normalize(ZetaCombination(tuple(terms))),
+        rhs=_of(acc),
     )
 
 
@@ -136,8 +134,8 @@ def _rightward_general_rhs(ks) -> ZetaCombination:
     """Expansion of zeta(ks) that trades the innermost exponent outward: the
     rightward diagram sweep on the chord reading of the seashell of ks, cycle
     (k_1..k_(m-1), 0) and chords (0, ..., 0, k_m)."""
-    return normalize(ZetaCombination(tuple(diagrams._rightward_terms(
-        ks[:-1] + (0,), (0,) * (len(ks) - 2) + (ks[-1],)))))
+    return diagrams._rightward_terms(
+        ks[:-1] + (0,), (0,) * (len(ks) - 2) + (ks[-1],))
 
 
 def partial_integration(ks, variant: str = "rightward") -> Identity:
@@ -178,28 +176,24 @@ def partial_integration_cross_check(ks) -> ZetaCombination:
 
     Every two-factor product in the rightward expansion of zeta(ks) is an
     instance of the leftward left-hand side; replacing each by its shuffle
-    product must cancel everything.  Returns the normalized residual (empty
+    product must cancel everything.  Returns the residual (empty
     when the rightward expansion and the shuffle recursion agree).
     """
     c = as_composition(ks)
     if c.depth < 2:
         raise ValueError("cross check needs depth >= 2")
-    ident = partial_integration(c, "rightward")
-    out = []
-    for t in ident.combination.terms:
-        if len(t.factors) == 1:
-            out.append(t)
+    acc = {}
+    for k, v in partial_integration(c, "rightward").combination._coeffs.items():
+        if len(k) == 1:
+            _add(acc, ((k, v),))
             continue
-        if len(t.factors) != 2:
-            raise ValueError("unexpected factor count in %s" % t)
-        head, tail = t.factors
-        if head.depth != 1:
-            head, tail = tail, head
-        if head.depth != 1:
-            raise ValueError("no single-sum factor in %s" % t)
-        expansion = diagrams.shuffle_expansion(head, tail)
-        out.extend(e.scaled(t.coefficient) for e in expansion.terms)
-    return normalize(ZetaCombination(tuple(out)))
+        if len(k) != 2:
+            raise ValueError("unexpected factor count in %s" % _of({k: v}))
+        head, tail = k if k[0][1] == 1 else k[::-1]
+        if head[1] != 1:
+            raise ValueError("no single-sum factor in %s" % _of({k: v}))
+        _add(acc, diagrams._shuffle_terms(head[2], tail[2]).items(), v)
+    return _of(acc)
 
 
 # --- partial integration, fixed depth, finite forms ------------------------
@@ -231,11 +225,10 @@ def partial_integration_length3(a: int, b: int, c: int,
         rhs = _rightward_general_rhs((a, b, c))
     elif variant == "rightward":
         w = a + b + c
-        terms = []
+        acc = {}
 
         def add(coeff, *factors):
-            terms.append(
-                ProductTerm(coeff, tuple(Composition(f) for f in factors)))
+            _add(acc, ((tuple(sorted(map(sort_key, factors))), coeff),))
 
         for n in range(1, b + 1):
             add((-1) ** (c % 2) * comb(b + c - n - 1, c - 1),
@@ -247,7 +240,7 @@ def partial_integration_length3(a: int, b: int, c: int,
             for m in range(1, b + c - n + 1):
                 add((-1) ** ((b + m) % 2) * comb(b + c - n - 1, b - 1)
                     * comb(w - m - n - 1, a - 1), (m,), (w - m - n, n))
-        rhs = ZetaCombination(tuple(terms))
+        rhs = _of(acc)
     else:
         raise ValueError("variant must be rightward or alternative")
     return Identity(
@@ -270,11 +263,11 @@ def trailing_one(x) -> Identity:
         raise ValueError("base composition must be admissible")
     target = composition(*x.to_json(), 1)
     z = stuffle(Composition((1,)), x) - diagrams.shuffle_expansion((1,), x)
-    coeff = sum(t.coefficient for t in z.terms if t.factors == (target,))
-    rest = [t for t in z.terms if t.factors != (target,)]
+    rest = dict(z._coeffs)
+    coeff = rest.pop((target.sort_key,), 0)
     if coeff == 0:
         raise ValueError("solve for the trailing-one term is degenerate")
-    rhs = ZetaCombination(tuple(rest)).scaled(Fraction(-1) / coeff)
+    rhs = _of(rest).scaled(Fraction(-1) / coeff)
     return Identity(
         family="trailing-one",
         parameters={"exponents": x.to_json()},
@@ -322,12 +315,11 @@ def derive(family: str, args, variant: str = None) -> Identity:
 
 def identity_from_json(obj) -> Identity:
     """Rebuild an Identity from its to_json form."""
-    lhs, rhs = (combination_from_json(obj[side]) for side in ("lhs", "rhs"))
     return Identity(
         family=obj["family"],
         parameters=obj.get("parameters", {}),
-        lhs=lhs,
-        rhs=rhs,
+        lhs=combination_from_json(obj["lhs"]),
+        rhs=combination_from_json(obj["rhs"]),
         # a factor written with a leading unsigned 1 diverges
         regularized=any(f[0] == 1 for side in ("lhs", "rhs")
                         for t in obj[side] for f in t["factors"]),

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import ProductTerm, ZetaCombination, normalize, stuffle_template
+from .algebra import ProductTerm, ZetaCombination, stuffle_template
 from .compositions import composition
 
 
@@ -533,11 +533,10 @@ def instantiate_column(col, assignment) -> ProductTerm:
 def instantiate_expression(comp, expression, assignment) -> ZetaCombination:
     """The combination (permutation sum) - (its basis expression), which
     should be zero, at concrete exponent values."""
-    lhs = instantiate_column(zeta_column(comp), assignment)
-    terms = [lhs]
-    for col, coeff in expression.items():
-        terms.append(instantiate_column(col, assignment).scaled(-coeff))
-    return normalize(ZetaCombination(tuple(terms)))
+    terms = [instantiate_column(zeta_column(comp), assignment)]
+    terms += [instantiate_column(col, assignment).scaled(-coeff)
+              for col, coeff in expression.items()]
+    return ZetaCombination(terms)
 
 
 def three_point_rows(symbols=("a", "b", "c")):
@@ -571,17 +570,9 @@ def three_point_rows(symbols=("a", "b", "c")):
             labels[perm[0]], labels[perm[1]], labels[perm[2]])
         row = {}
         for t in ident.combination.terms:
-            comps = [
-                tuple(decode_part(p) for p in f.parts) for f in t.factors
-            ]
-            if len(comps) == 1:
-                key = zeta_column(comps[0])
-            else:
-                key = product_column(comps)
-            val = row.get(key, Fraction(0)) + t.coefficient
-            if val:
-                row[key] = val
-            else:
-                row.pop(key, None)
-        rows.append(row)
+            comps = [tuple(map(decode_part, f.parts)) for f in t.factors]
+            key = (zeta_column(comps[0]) if len(comps) == 1
+                   else product_column(comps))
+            row[key] = row.get(key, Fraction(0)) + t.coefficient
+        rows.append({k: v for k, v in row.items() if v})
     return rows

@@ -28,7 +28,7 @@ import mpmath as mp
 import numpy as np
 
 from .algebra import (CACHE_SIZE, EliminationError, ZetaCombination,
-                      eliminate_divergent, normalize, zeta)
+                      eliminate_divergent, zeta)
 from .compositions import Composition, to_word
 
 FLOAT_SLACK = 1e-12  # headroom for float64 roundoff in the direct evaluator
@@ -244,7 +244,6 @@ def eval_mzv_accel(c: Composition, eps: float) -> PrecisionValue:
 def eval_combination(comb: ZetaCombination, eps: float) -> PrecisionValue:
     """Evaluate a combination with no divergent factor (eliminate_divergent
     takes its stuffle regularization, T^0 coefficient) and bound the error."""
-    comb = normalize(comb)
     if comb.regularized:
         raise ValueError("combination contains divergent factors")
     budget = sum(

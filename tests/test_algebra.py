@@ -346,7 +346,7 @@ def reference_normalize(terms):
     acc = {}
     reps = {}
     for t in terms:
-        k = t.factor_key
+        k = tuple(f.sort_key for f in t.factors)
         acc[k] = acc.get(k, 0) + t.coefficient
         reps.setdefault(k, t.factors)
     keys = sorted(k for k, c in acc.items() if c != 0)
