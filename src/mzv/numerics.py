@@ -177,7 +177,8 @@ def _level(lead, word: tuple, M: int, B: int):
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _half_word_value(word: tuple, dps: int):
-    """The iterated integral of ``word`` from 0 to 1/2, with an error bound.
+    """The iterated integral of ``word`` from 0 to 1/2, an error bound and
+    the float magnitude of the value.
 
     Letters are 0 (form dt/t) and a in {1, -1, 2} (form dt/(a - t)).  A word
     is the partial series Li_s(x) over M >= n1 > ... > nd, the letters of its
@@ -186,7 +187,7 @@ def _half_word_value(word: tuple, dps: int):
     scale 2^-B, one ``_level`` pass each, and one mpf is made at the end.
     """
     if not word:
-        return mp.mpf(1), 0.0
+        return mp.mpf(1), 0.0, 1.0
     M, B, rounding = _half_word_scale(dps)
     d = len(word) - word.count(0)
     # before the rows: a word too deep for a float tail raises OverflowError
@@ -201,7 +202,7 @@ def _half_word_value(word: tuple, dps: int):
     # tail past M has the majorant 2^-n1 C(n1 - 1, d - 1).  The floors cost
     # at most M + d - 1 units, inside the 2M d (2 + ln M)^(d-1) counted.
     floors = 2.0 * M * d * (2.0 + math.log(M)) ** (d - 1)
-    return value, tail + math.ldexp(floors, -B) + rounding
+    return value, tail + math.ldexp(floors, -B) + rounding, abs(float(value))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -216,12 +217,12 @@ def _midpoint_sum(word: tuple, dps: int):
         for j in range(len(word) + 1):
             suffix = word[j:]
             rev = tuple(1 - a for a in reversed(word[:j]))
-            v1, e1 = _half_word_value(suffix, dps)
-            v2, e2 = _half_word_value(rev, dps)
+            v1, e1, a1 = _half_word_value(suffix, dps)
+            v2, e2, a2 = _half_word_value(rev, dps)
             if rev.count(2) % 2:
                 v2 = -v2
             total += v1 * v2
-            err += abs(float(v1)) * e2 + abs(float(v2)) * e1 + e1 * e2
+            err += a1 * e2 + a2 * e1 + e1 * e2
         err += float(mp.mpf(10) ** (-(dps - 6)))
     return total, err
 

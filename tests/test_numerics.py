@@ -428,7 +428,8 @@ def test_half_word_matches_literal_loop(dps):
     signed = random.Random(dps).sample(half_words(7, signed=True), 30)
     assert {a for w in signed for a in w} == {-1, 0, 1, 2}
     for word in half_words(8) + signed:
-        value, bound = numerics._half_word_value(word, dps)
+        value, bound, magnitude = numerics._half_word_value(word, dps)
+        assert magnitude == abs(float(value))
         ref = literal_half_word(word, dps + 20, M + 80)
         with mp.workdps(dps + 20):
             assert abs(value - ref) <= bound, word
@@ -438,7 +439,7 @@ def generator_half_word(word, dps):
     """The half-word kernel with every inner row rebuilt from the innermost
     one by a generator over t**k: the reference for the shared row chains."""
     if not word:
-        return mp.mpf(1), 0.0
+        return mp.mpf(1), 0.0, 1.0
     s = [k for k, _ in word_parts(word)]
     d = len(s)
     M = max(80, int(dps * 3.4) + 40)
@@ -454,7 +455,7 @@ def generator_half_word(word, dps):
     tail = 4.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1) / math.factorial(d - 1)
     floors = 2.0 * M * d * (2.0 + math.log(M)) ** (d - 1)
     return value, (tail + math.ldexp(floors, -B)
-                   + float(mp.mpf(10) ** (-(dps + 2))))
+                   + float(mp.mpf(10) ** (-(dps + 2)))), abs(float(value))
 
 
 def test_half_word_matches_generator_kernel_bitwise():
