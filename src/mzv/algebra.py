@@ -122,13 +122,6 @@ class ProductTerm:
         body = "·".join(f.zeta_str() for f in self.factors)
         return "%s·%s" % (self.coefficient, body)
 
-    def to_json(self):
-        return {
-            "coefficient": "%s/%s" % (
-                self.coefficient.numerator, self.coefficient.denominator),
-            "factors": [f.to_json() for f in self.factors],
-        }
-
 
 def _admissible(f) -> bool:
     """Composition.admissible of the factor whose sort_key is f."""
@@ -147,8 +140,8 @@ class ZetaCombination:
     dict maps each term key, the sorted sort_keys of the term's factors, to
     its nonzero coefficient (Hoffman: a finite map from words to
     coefficients).  Sorted keys are the canonical term order.  ProductTerms
-    and Compositions are built only at the edge: ``terms``,
-    ``compositions``, ``to_json`` and ``str``."""
+    and Compositions are built only for ``terms``, ``compositions`` and
+    ``str``; ``to_json`` writes each term from its key."""
 
     def __init__(self, terms=()):
         self._coeffs = _of(_add({}, ((tuple(f.sort_key for f in t.factors),
@@ -211,7 +204,9 @@ class ZetaCombination:
         return "ZetaCombination(terms=%r)" % (self.terms,)
 
     def to_json(self):
-        return [t.to_json() for t in self.terms]
+        return [{"coefficient": "%s/%s" % (v.numerator, v.denominator),
+                 "factors": [list(map(operator.mul, f[2], f[3])) for f in k]}
+                for k, v in sorted(self._coeffs.items())]
 
 
 def _of(acc: dict) -> ZetaCombination:

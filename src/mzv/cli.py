@@ -179,11 +179,12 @@ def cmd_reduce(args):
     d = _diagram_from_args(args)
     comb, trace = diagrams.reduce(d, strategy=args.strategy, trace=True)
     if args.json:
+        value = comb.to_json()
         out = {
             "diagram": d.to_json(),
             "strategy": args.strategy,
-            "terms": len(comb.terms),
-            "value": comb.to_json(),
+            "terms": len(value),
+            "value": value,
         }
         if args.trace:
             out["trace"] = list(trace)
