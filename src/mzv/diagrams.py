@@ -592,8 +592,10 @@ def _shuffle_terms(L, R) -> dict:
     parts of L and R entering as k_i * b_i, b_i = sigma_1...sigma_i the
     letter ending its run in to_word; a suffix of such parts p_i leaves
     signed sigma_i = sgn(p_i) * sgn(p_(i-1))."""
+    signed = min(L + R) < 0
     return {(sort_key(tuple(map(abs, suf)), tuple(
-        1 if p * q > 0 else -1 for q, p in zip((1,) + suf, suf))),): c
+        1 if p * q > 0 else -1 for q, p in zip((1,) + suf, suf)))
+        if signed else sort_key(suf),): c
         for suf, c in _branch_suffixes(L, R) if c}
 
 

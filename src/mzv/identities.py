@@ -185,7 +185,7 @@ def partial_integration_cross_check(ks) -> ZetaCombination:
     acc = {}
     for k, v in partial_integration(c, "rightward").combination._coeffs.items():
         if len(k) == 1:
-            _add(acc, ((k, v),))
+            acc[k] = acc.get(k, 0) + v
             continue
         if len(k) != 2:
             raise ValueError("unexpected factor count in %s" % _of({k: v}))
