@@ -130,8 +130,10 @@ def _admissible(f) -> bool:
 
 def _add(acc: dict, items, q=1) -> dict:
     """Add q times each (term key, coefficient) pair into acc."""
+    if q != 1:
+        items = ((k, q * v) for k, v in items)
     for k, v in items:
-        acc[k] = acc.get(k, 0) + q * v
+        acc[k] = acc[k] + v if k in acc else v
     return acc
 
 
@@ -257,7 +259,7 @@ def _stuffle(left, right) -> dict:
 
 
 def combination_from_json(obj) -> ZetaCombination:
-    terms = []
+    acc = {}
     for t in obj:
         num, _, den = t["coefficient"].partition("/")
         try:
@@ -265,9 +267,9 @@ def combination_from_json(obj) -> ZetaCombination:
         except (ValueError, ZeroDivisionError):
             raise TypeError("expected a coefficient p or p/q in integers, "
                             "q nonzero, got %r" % t["coefficient"]) from None
-        terms.append(ProductTerm(coeff, tuple(
-            map(composition_from_json, t["factors"]))))
-    return ZetaCombination(terms)
+        _add(acc, ((tuple(sorted(composition_from_json(f).sort_key
+                                 for f in t["factors"])), coeff),))
+    return _of(acc)
 
 
 # --- divergence elimination -------------------------------------------------

@@ -247,29 +247,27 @@ def eval_combination(comb: ZetaCombination, eps: float) -> PrecisionValue:
     takes its stuffle regularization, T^0 coefficient) and bound the error."""
     if comb.regularized:
         raise ValueError("combination contains divergent factors")
-    budget = sum(
-        abs(t.coefficient) * max(1, len(t.factors)) * 2 ** len(t.factors)
-        for t in comb.terms
-    )
+    terms = sorted(comb._coeffs.items())    # term keys and coefficients
+    budget = sum(abs(q) * max(1, len(k)) * 2 ** len(k) for k, q in terms)
     eps_atom = eps / (4 * float(max(budget, 1)))
-    values = {c: eval_mzv_accel(c, eps_atom) for c in comb.compositions()}
+    values = {c.sort_key: eval_mzv_accel(c, eps_atom)
+              for c in comb.compositions()}
     dps = max(30, int(math.ceil(-math.log10(eps_atom))) + 10)
     with mp.workdps(dps):
         total = mp.mpf(0)
         bound = 0.0
-        for t in comb.terms:
+        for k, q in terms:
             prod = mp.mpf(1)
             lo = 1.0
             hi = 1.0
-            for f in t.factors:
+            for f in k:
                 pv = values[f]
                 prod *= pv.value
                 a = abs(float(pv.value))
                 lo *= a
                 hi *= a + pv.bound
-            coeff = mp.mpf(t.coefficient.numerator) / t.coefficient.denominator
-            total += coeff * prod
-            bound += abs(float(t.coefficient)) * (hi - lo)
+            total += mp.mpf(q.numerator) / q.denominator * prod
+            bound += abs(float(q)) * (hi - lo)
         bound += float(mp.mpf(10) ** (-(dps - 6)))
     return PrecisionValue(total, bound)
 
