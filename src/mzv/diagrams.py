@@ -602,9 +602,10 @@ def _shuffle_terms(L, R) -> dict:
 def shuffle_expansion(left, right) -> ZetaCombination:
     """The product zeta(left)*zeta(right) expanded into single nested sums by
     the double-branch recursion."""
-    return _of(_shuffle_terms(*(c.parts if c.signs is None else tuple(
+    L, R = (c.parts if c.signs is None else tuple(
         k * b for k, b in zip(c.parts, filter(None, to_word(c))))
-        for c in map(as_composition, (left, right)))))
+        for c in map(as_composition, (left, right)))
+    return _of(_shuffle_terms(L, R))
 
 
 def _rebuilds(d: Diagram, order, built: Diagram) -> bool:

@@ -176,8 +176,8 @@ def partial_integration_cross_check(ks) -> ZetaCombination:
 
     Every two-factor product in the rightward expansion of zeta(ks) is an
     instance of the leftward left-hand side; replacing each by its shuffle
-    product must cancel everything.  Returns the residual (empty
-    when the rightward expansion and the shuffle recursion agree).
+    product must cancel everything.  Returns the residual (empty when the
+    rightward expansion and the shuffle recursion agree).
     """
     c = as_composition(ks)
     if c.depth < 2:
@@ -189,7 +189,7 @@ def partial_integration_cross_check(ks) -> ZetaCombination:
             continue
         if len(k) != 2:
             raise ValueError("unexpected factor count in %s" % _of({k: v}))
-        head, tail = k if k[0][1] == 1 else k[::-1]
+        head, tail = k if k[0][1] == 1 else k[::-1]  # depth-1 factor first
         if head[1] != 1:
             raise ValueError("no single-sum factor in %s" % _of({k: v}))
         _add(acc, diagrams._shuffle_terms(head[2], tail[2]).items(), v)

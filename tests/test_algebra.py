@@ -383,7 +383,7 @@ raw_terms = st.lists(st.builds(
         tuple)), max_size=8)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(raw_terms, raw_terms, st.one_of(st.integers(-2, 2), raw_coefficients))
 def test_combination_matches_the_sorting_normalize(a, b, q):
     ref_a, ref_b = reference_normalize(a), reference_normalize(b)
