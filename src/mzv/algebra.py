@@ -261,10 +261,10 @@ def _stuffle(left, right) -> dict:
 def combination_from_json(obj) -> ZetaCombination:
     acc = {}
     for t in obj:
-        num, _, den = t["coefficient"].partition("/")
         try:
+            num, _, den = t["coefficient"].partition("/")
             coeff = Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError):
+        except (AttributeError, ValueError, ZeroDivisionError):
             raise TypeError("expected a coefficient p or p/q in integers, "
                             "q nonzero, got %r" % t["coefficient"]) from None
         _add(acc, ((tuple(sorted(composition_from_json(f).sort_key

@@ -530,7 +530,7 @@ def test_json_files_take_integers_only(tmp_path, text, error):
 
 
 @pytest.mark.parametrize("coefficient, code", [
-    ("1/0", 2), ("", 2), ("1.5", 2), ("x/2", 2), ("/2", 2),
+    ("1/0", 2), ("", 2), ("1.5", 2), ("x/2", 2), ("/2", 2), (1, 2), (None, 2),
     # forms that parse: the identity holds at 1 and fails at 2
     ("-4/-4", 0), ("1", 0), ("+2/2", 0), ("2/", 1), ("-2/-1", 1)])
 def test_identity_files_refuse_malformed_coefficients(
@@ -772,12 +772,13 @@ def test_symbolic_json_is_independent_of_hash_seed():
     ]
     code = "import sys\nfrom mzv.cli import main\n" + "".join(
         "assert main(%r) == 0\n" % argv for argv in commands)
+    path = os.pathsep.join(
+        filter(None, [str(SOURCE_ROOT), os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in ("1", "2"):
         r = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, timeout=120,
-            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
-                filter(None, [str(SOURCE_ROOT), os.environ.get("PYTHONPATH")]))))
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
         assert r.returncode == 0, r.stderr
         outputs.append(r.stdout)
     assert outputs[0].count(b"\n") == len(commands)
