@@ -156,8 +156,11 @@ def _diagram_from_args(args):
     if args.seashell:
         return diagrams.build_seashell(parse_composition(args.seashell))
     if args.half_moon:
-        a, b, c = _parse_int_list(args.half_moon, "half-moon labels")
-        return diagrams.build_half_moon(a, b, c)
+        labels = _parse_int_list(args.half_moon, "half-moon labels")
+        if len(labels) != 3:
+            raise ValueError("--half-moon takes three labels a,b,c, got %r"
+                             % args.half_moon)
+        return diagrams.build_half_moon(*labels)
     if args.peacock:
         trunk, b1, b2 = (_parse_int_list(t, "peacock labels")
                          for t in args.peacock)

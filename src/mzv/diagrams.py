@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .algebra import (
     CACHE_SIZE,
@@ -363,18 +364,84 @@ def _hamiltonian_cycles(d: Diagram):
     return cycles
 
 
-def _solve_chords(d: Diagram, cycle):
-    """Express chord momenta as integer linear forms in the cycle momenta.
-
-    Returns (chord forms, constraint forms), each a tuple of integers
-    indexed by cycle position: the combination of a chord form is the chord
-    momentum, that of a constraint must vanish.  The incidence matrix of a
-    directed graph is totally unimodular, so elimination never leaves a
-    fraction; raises if it does, and when the linear system leaves a chord
-    momentum free.
+def _ordering_cells(labels, chords, constraints):
+    """The ordering cells where no form has a wrong fixed sign, each built
+    one group at a time from the largest momenta down: ({exponents: count},
+    whether a constraint takes both signs on one, whether a chord does).  A
+    form sums to 0 (each vertex has one cycle edge in and one out), so its
+    partial sums to come rise above 0 only while a negative coefficient is
+    left, and fall below 0 only while a positive one is.
     """
-    cyc_set = set(cycle)
-    chords = [i for i in range(len(d.edges)) if i not in cyc_set]
+    forms = chords + constraints
+    kinds = [(sum(1 << j for j, c in enumerate(f) if c > 0),
+              sum(1 << j for j, c in enumerate(f) if c < 0), i < len(chords))
+             for i, f in enumerate(forms)]
+    cols = list(zip(*forms, labels))    # per position: coefficients, label
+    sums = [(0,) * len(cols[0])]        # sums[m]: their sums over bitmask m
+    for m in range(1, 1 << len(labels)):
+        sums.append(tuple(map(add, sums[m & (m - 1)],
+                              cols[(m & -m).bit_length() - 1])))
+    cells = {}
+    both = [False, False]       # on some cell: a constraint, a chord
+
+    def walk(left, state, expo):
+        sub = left
+        while sub:
+            rest, group, nxt = left ^ sub, sums[sub], []
+            for (a, up, down), g, (pos, neg, chord) in zip(state, group, kinds):
+                a += g
+                up, down = up or a > 0, down or a < 0
+                no_up = not up and not rest & neg
+                if no_up if chord else (
+                        up and not down and not rest & pos or down and no_up):
+                    break       # a wrong fixed sign: the cells below are empty
+                nxt.append((a, up, down))
+            else:
+                e = expo + (group[-1],)
+                if rest:
+                    walk(rest, nxt, e)
+                else:
+                    cells[e] = cells.get(e, 0) + 1
+                    for (_, up, down), (_, _, chord) in zip(nxt, kinds):
+                        both[chord] = both[chord] or up and down
+            sub = (sub - 1) & left
+
+    walk((1 << len(labels)) - 1, [(0, False, False)] * len(forms), ())
+    return cells, *both
+
+
+# The walk takes at most 16 ms at 7 positions (150 random diagrams, a 2-core
+# Xeon).  A higher limit would reroute auto on seashells of depth 8 and more.
+MAX_ORDER_POSITIONS = 7
+
+
+def order_expansion(d: Diagram) -> ZetaCombination:
+    """Value of a cycle-plus-zero-chords diagram by splitting the momentum cone.
+
+    Each chord momentum, and each constraint left by conservation, is an
+    integer form in the cycle momenta: the incidence matrix is totally
+    unimodular.  On an ordering cell n_0 > ... > n_(d-1) >= 1 of the cycle
+    momenta, a form is the sum of delta_h * A_h over the gaps delta_h >= 1
+    and the partial sums A_h of its group sums, so it is zero, positive or
+    negative throughout, or takes both signs.  A chord must be positive and
+    a constraint zero; a cell where a form has another fixed sign is empty,
+    and every other cell adds its nested sum.  Refuses more than
+    MAX_ORDER_POSITIONS cycle positions before any cell is built, a free
+    chord momentum, and then, over all the other cells, a constraint of both
+    signs, a chord of both signs and a zero exponent, in this order.
+    """
+    if len(d.vertices) > MAX_ORDER_POSITIONS:
+        raise IrreducibleDiagramError(
+            "order expansion over %d cycle positions exceeds the limit %d"
+            % (len(d.vertices), MAX_ORDER_POSITIONS))
+    weight = sum(k for _, _, k in d.edges)      # labels are >= 0
+    candidates = [cyc for cyc in _hamiltonian_cycles(d)
+                  if sum(d.edges[i][2] for i in cyc) == weight]
+    if not candidates:
+        raise IrreducibleDiagramError(
+            "no cycle through all vertices with zero-labeled chords")
+    cyc = min(candidates)
+    chords = [i for i in range(len(d.edges)) if i not in cyc]
     rows = {v: {} for v in d.vertices}
     for i, (a, b, _) in enumerate(d.edges):
         if a != b:
@@ -387,89 +454,19 @@ def _solve_chords(d: Diagram, cycle):
     def ints(row, sign):
         if any(v.denominator != 1 for v in row.values()):
             raise IrreducibleDiagramError("non-integer chord decomposition")
-        return tuple(sign * int(row.get(e, 0)) for e in cycle)
+        return tuple(sign * int(row.get(e, 0)) for e in cyc)
 
-    return ([ints(pivots[i], -1) for i in chords],
-            [ints(r, 1) for r in rest if r])
-
-
-def _ordered_partitions(P):
-    """Ordered set partitions of range(P): (group count, position -> group),
-    where group 0 carries the largest momenta."""
-
-    def rgs(prefix, mx):
-        if len(prefix) == P:
-            yield prefix
-            return
-        for g in range(mx + 2):
-            yield from rgs(prefix + [g], max(mx, g))
-
-    for part in rgs([], -1):
-        dd = max(part) + 1
-        for perm in itertools.permutations(range(dd)):
-            yield dd, tuple(perm[g] for g in part)
-
-
-# Ordered set partitions of P positions number 4,683 at 6, 47,293 at 7 and
-# 545,835 at 8 (Fubini numbers): about 0.3 s at 7 and 3 s at 8.
-MAX_ORDER_POSITIONS = 7
-
-
-def order_expansion(d: Diagram) -> ZetaCombination:
-    """Value of a cycle-plus-zero-chords diagram by splitting the momentum cone.
-
-    Enumerates the relative orderings (with ties) of the cycle momenta; in
-    every ordering cell each chord momentum is a fixed integer combination of
-    the ordered group values, and the cell contributes a nested sum iff all
-    chords stay positive on the whole cell.  The chord forms are integers
-    (the incidence matrix is totally unimodular), so the cell loop adds ints
-    only, and the cells that share an exponent tuple make one term.  Refuses
-    more than MAX_ORDER_POSITIONS cycle positions before enumerating.
-    """
-    if len(d.vertices) > MAX_ORDER_POSITIONS:
+    cells, cut, change = _ordering_cells([d.edges[i][2] for i in cyc],
+                                         [ints(pivots[i], -1) for i in chords],
+                                         [ints(r, 1) for r in rest if r])
+    if cut:
         raise IrreducibleDiagramError(
-            "order expansion over %d cycle positions exceeds the limit %d"
-            % (len(d.vertices), MAX_ORDER_POSITIONS))
-    candidates = []
-    for cyc in _hamiltonian_cycles(d):
-        cyc_set = set(cyc)
-        if all(d.edges[i][2] == 0
-               for i in range(len(d.edges)) if i not in cyc_set):
-            candidates.append(cyc)
-    if not candidates:
+            "momentum constraint cuts an ordering cell")
+    if change:
         raise IrreducibleDiagramError(
-            "no cycle through all vertices with zero-labeled chords")
-    cyc = min(candidates)
-    chord_forms, constraints = _solve_chords(d, cyc)
-    labels = [d.edges[i][2] for i in cyc]
-    cells = {}
-    for dd, assign in _ordered_partitions(len(cyc)):
-        for form in constraints:
-            sums = [0] * dd
-            for c, g in zip(form, assign):
-                sums[g] += c
-            if any(sums):
-                break
-        else:
-            for form in chord_forms:
-                a = [0] * dd
-                for c, g in zip(form, assign):
-                    a[g] += c
-                partial = list(itertools.accumulate(a))
-                if max(partial) <= 0:
-                    break      # zero or negative on the cell
-                if min(partial) < 0:
-                    raise IrreducibleDiagramError(
-                        "chord momentum changes sign inside an ordering cell")
-            else:
-                expo = [0] * dd
-                for k, g in zip(labels, assign):
-                    expo[g] += k
-                if 0 in expo:
-                    raise IrreducibleDiagramError(
-                        "free momentum with zero exponent")
-                expo = tuple(expo)
-                cells[expo] = cells.get(expo, 0) + 1
+            "chord momentum changes sign inside an ordering cell")
+    if any(0 in expo for expo in cells):
+        raise IrreducibleDiagramError("free momentum with zero exponent")
     return _of({(sort_key(expo),): n for expo, n in cells.items()})
 
 

@@ -465,20 +465,34 @@ def test_reduce_bad_labels():
     assert run(["reduce", "--half-moon", "3,0"])[0] == 2
 
 
+# A diagram file's text (None: no file at all), or the diagram's flags.
 @pytest.mark.parametrize("text, message", [
     (None, "cannot read diagram file: [Errno 2] No such file or directory: "
      "'/does/not/exist.json'"),
     ("x", "diagram file is not valid JSON: "
      "Expecting value: line 1 column 1 (char 0)"),
     ('{"vertices": 3}', "malformed diagram file: KeyError('edges')"),
+    (["--half-moon", "1,2"], "--half-moon takes three labels a,b,c, got '1,2'"),
+    (["--half-moon", "1,2,3,4"],
+     "--half-moon takes three labels a,b,c, got '1,2,3,4'"),
+    # a momentum constraint cuts an ordering cell: no structural value, and
+    # no other strategy reads the diagram
+    (json.dumps({"vertices": [0, 1, 2, 3], "root": 0, "edges": [
+        {"from": a, "to": b, "label": k} for a, b, k in (
+            (0, 1, 0), (0, 2, 1), (1, 3, 3), (2, 1, 1), (3, 0, 2),
+            (3, 2, 0))]}),
+     "not a cycle-with-chords diagram"),
 ])
 def test_reduce_file_refusal_texts(tmp_path, text, message):
-    path = "/does/not/exist.json"
-    if text is not None:
-        path = str(tmp_path / "diagram.json")
-        pathlib.Path(path).write_text(text)
-    assert run(["reduce", "--file", path]) == (
-        2, "", "mzv: error: %s\n" % message)
+    if isinstance(text, list):
+        argv = text
+    else:
+        path = "/does/not/exist.json"
+        if text is not None:
+            path = str(tmp_path / "diagram.json")
+            pathlib.Path(path).write_text(text)
+        argv = ["--file", path]
+    assert run(["reduce"] + argv) == (2, "", "mzv: error: %s\n" % message)
 
 
 def complete_digraph(n):

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_compositions, brute_diagram,
-                      brute_diagram_richardson, signed_compositions,
-                      word_parts)
+                      brute_diagram_richardson, brute_mzv_exact,
+                      signed_compositions, word_parts)
 from mzv import (
     Diagram,
     IrreducibleDiagramError,
@@ -178,9 +178,130 @@ def test_order_expansion_chord_sign_change_in_a_cell():
         order_expansion(d)
 
 
+# A constraint whose zero set cuts through an ordering cell: reading it as
+# "the cell is empty" once gave the value 0, where the box-truncated
+# momentum sum is about 0.0101 at M = 10 and 0.0104 at M = 80.
+CUT_BY_A_CONSTRAINT = Diagram(
+    (0, 1, 2, 3), 0,
+    ((0, 1, 0), (0, 2, 1), (1, 3, 3), (2, 1, 1), (3, 0, 2), (3, 2, 0)))
+
+
+def test_order_expansion_constraint_cuts_a_cell():
+    d = CUT_BY_A_CONSTRAINT
+    assert brute_diagram(d, 10) > 0.01
+    with pytest.raises(IrreducibleDiagramError,
+                       match="^momentum constraint cuts an ordering cell$"):
+        order_expansion(d)
+    with pytest.raises(IrreducibleDiagramError,
+                       match="^momentum constraint cuts an ordering cell$"):
+        reduce(d, strategy="structural")
+    with pytest.raises(IrreducibleDiagramError):
+        reduce(d, strategy="auto")
+
+
+@pytest.mark.parametrize("vertices, root, edges, text", [
+    # a constraint cuts one cell and a chord changes sign on another
+    (6, 5, ((0, 2, 2), (0, 4, 0), (1, 0, 0), (1, 2, 0), (2, 5, 0), (3, 1, 1),
+            (3, 5, 0), (4, 3, 3), (5, 0, 0), (5, 4, 2)),
+     "momentum constraint cuts an ordering cell"),
+    # a chord changes sign on one cell and another has a zero exponent
+    (4, 1, ((0, 1, 1), (0, 2, 0), (1, 2, 2), (2, 3, 0), (2, 3, 1), (3, 0, 0),
+            (3, 1, 0)),
+     "chord momentum changes sign inside an ordering cell"),
+])
+def test_order_expansion_refusal_precedence(vertices, root, edges, text):
+    d = Diagram(tuple(range(vertices)), root, edges)
+    with pytest.raises(IrreducibleDiagramError, match="^%s$" % text):
+        order_expansion(d)
+    with pytest.raises(IrreducibleDiagramError, match="^%s$" % text):
+        fraction_order_expansion(d)
+
+
+def random_cycle_with_zero_chords(rng):
+    """A directed Hamiltonian cycle on at most 5 vertices with labels 0..3,
+    plus up to n zero chords between distinct vertices (loops when n = 1)."""
+    n = rng.randint(1, 5)
+    order = rng.sample(range(n), n)
+    edges = [(order[i], order[(i + 1) % n], rng.choice((0, 1, 1, 2, 2, 3)))
+             for i in range(n)]
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b or n == 1:
+            edges.append((a, b, 0))
+    return Diagram(tuple(range(n)), rng.randrange(n), tuple(edges))
+
+
+def lattice_sum(d, cyc, M):
+    """The sum of the product of m_j^-label_j over the cycle momenta m in
+    [1, M]^P that conserve momentum with every chord momentum >= 1.
+
+    Each chord momentum is a vector over the cycle momenta, found by peeling
+    a leaf of the chord forest at a time; the vertex balances left over are
+    the constraints.  Exact, in Fractions.
+    """
+    P = len(cyc)
+    balance = {v: [0] * P for v in d.vertices}      # inflow minus outflow
+    for j, i in enumerate(cyc):
+        a, b, _ = d.edges[i]
+        balance[a][j] -= 1
+        balance[b][j] += 1
+    todo = [i for i in range(len(d.edges)) if i not in cyc]
+    chords = []
+    while todo:
+        i, v = next((i, v) for i in todo for v in d.edges[i][:2]
+                    if sum(v in d.edges[t][:2] for t in todo) == 1)
+        a, b, _ = d.edges[i]
+        x = balance[v] if v == a else [-c for c in balance[v]]
+        balance[a] = [p - q for p, q in zip(balance[a], x)]
+        balance[b] = [p + q for p, q in zip(balance[b], x)]
+        chords.append(x)
+        todo.remove(i)
+    labels = [d.edges[i][2] for i in cyc]
+    total = Fraction(0)
+    for m in itertools.product(range(1, M + 1), repeat=P):
+        if (all(sum(c * x for c, x in zip(f, m)) == 0
+                for f in balance.values())
+                and all(sum(c * x for c, x in zip(f, m)) >= 1
+                        for f in chords)):
+            den = 1
+            for x, k in zip(m, labels):
+                den *= x ** k
+            total += Fraction(1, den)
+    return total
+
+
+def test_order_expansion_matches_the_truncated_lattice_sum():
+    # a cell n_0 > ... >= 1 cut at n_0 <= M is its nested sum cut at M, so
+    # the value truncated term by term is the lattice sum over [1, M]^P
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(500):
+        d = random_cycle_with_zero_chords(rng)
+        try:
+            comb = order_expansion(d)
+        except IrreducibleDiagramError:
+            continue
+        cyc = min(c for c in _hamiltonian_cycles(d)
+                  if all(d.edges[i][2] == 0
+                         for i in range(len(d.edges)) if i not in c))
+        assert lattice_sum(d, cyc, 5) == sum(
+            Fraction(t.coefficient) * brute_mzv_exact(t.factors[0], 5)
+            for t in comb.terms), d.edges
+        checked += 1
+    assert checked > 250
+
+
 def fraction_order_expansion(d):
-    """The order expansion as it once ran: every chord form a tuple of
-    Fractions, one coefficient-1 term per feasible ordering cell."""
+    """The order expansion as a plain loop over every ordering cell: every
+    chord and constraint form a tuple of Fractions, one coefficient-1 term
+    per nonempty cell.
+
+    A form's sign on a cell is that of the partial sums of its group sums:
+    0, 1 or -1, or None when they take both signs.  A chord must be 1 and a
+    constraint 0; a cell where some form has another fixed sign is empty.
+    Over the other cells a constraint of both signs refuses first, then a
+    chord of both signs, then a zero exponent.
+    """
 
     def ordered_partitions(P):
         def rgs(prefix, mx):
@@ -194,6 +315,11 @@ def fraction_order_expansion(d):
             dd = max(part) + 1
             for perm in itertools.permutations(range(dd)):
                 yield dd, tuple(perm[g] for g in part)
+
+    def sign(partial):
+        up = any(s > 0 for s in partial)
+        down = any(s < 0 for s in partial)
+        return None if up and down else int(up) - int(down)
 
     candidates = []
     for cyc in _hamiltonian_cycles(d):
@@ -215,52 +341,42 @@ def fraction_order_expansion(d):
     pivots, rest = row_reduce(rows.values(), chords)
     if len(pivots) < len(chords):
         raise IrreducibleDiagramError("chord momenta underdetermined")
-    chord_forms = {
-        i: tuple(-pivots[i].get(e, Fraction(0)) for e in cyc) for i in chords}
-    constraints = [
-        tuple(r.get(e, Fraction(0)) for e in cyc) for r in rest if r]
+    forms = [(1, tuple(-pivots[i].get(e, Fraction(0)) for e in cyc))
+             for i in chords]
+    forms += [(0, tuple(r.get(e, Fraction(0)) for e in cyc))
+              for r in rest if r]
     labels = [d.edges[i][2] for i in cyc]
-    terms = []
+    cut = changes = False
+    expos = []
     for dd, assign in ordered_partitions(len(cyc)):
-        ok = True
-        for form in constraints:
-            sums = [Fraction(0)] * dd
-            for j, g in enumerate(assign):
-                sums[g] += form[j]
-            if any(s != 0 for s in sums):
-                ok = False
-                break
-        if not ok:
-            continue
-        feasible = True
-        for i in chords:
-            form = chord_forms[i]
+        signs = []
+        for wanted, form in forms:
             a = [Fraction(0)] * dd
             for j, g in enumerate(assign):
                 a[g] += form[j]
             if any(x.denominator != 1 for x in a):
                 raise IrreducibleDiagramError("non-integer chord decomposition")
-            partial = list(itertools.accumulate(a))
-            total = partial[-1]
-            if all(s >= 0 for s in partial[:-1]) and total >= 0:
-                if sum(partial[:-1]) + total >= 1:
-                    continue
-                feasible = False
-                break
-            if all(s <= 0 for s in partial[:-1]) and total <= 0:
-                feasible = False
-                break
-            raise IrreducibleDiagramError(
-                "chord momentum changes sign inside an ordering cell")
-        if not feasible:
+            signs.append((wanted, sign(list(itertools.accumulate(a)))))
+        if any(s is not None and s != wanted for wanted, s in signs):
+            continue
+        if any(s is None for wanted, s in signs):
+            cut = cut or any(s is None for wanted, s in signs if wanted == 0)
+            changes = True
             continue
         expo = [0] * dd
         for j, g in enumerate(assign):
             expo[g] += labels[j]
-        if any(k == 0 for k in expo):
-            raise IrreducibleDiagramError("free momentum with zero exponent")
-        terms.append(ProductTerm(1, (Composition(tuple(expo)),)))
-    return normalize(ZetaCombination(tuple(terms)))
+        expos.append(tuple(expo))
+    if cut:
+        raise IrreducibleDiagramError(
+            "momentum constraint cuts an ordering cell")
+    if changes:
+        raise IrreducibleDiagramError(
+            "chord momentum changes sign inside an ordering cell")
+    if any(0 in expo for expo in expos):
+        raise IrreducibleDiagramError("free momentum with zero exponent")
+    return normalize(ZetaCombination(tuple(
+        ProductTerm(1, (Composition(expo),)) for expo in expos)))
 
 
 @st.composite
@@ -328,10 +444,11 @@ def test_structural_takes_the_longest_cycle_it_allows():
 @pytest.mark.parametrize("parts", [(2,) + (1,) * 7, (2,) + (1,) * 9,
                                    (3, 2, 1, 1, 2, 1, 1, 2)])
 def test_structural_refuses_long_cycles_before_enumerating(parts, monkeypatch):
-    def no_cells(P):
-        raise AssertionError("ordering cells enumerated for %d positions" % P)
+    def no_cells(labels, chords, constraints):
+        raise AssertionError(
+            "ordering cells built for %d positions" % len(labels))
 
-    monkeypatch.setattr(diagrams, "_ordered_partitions", no_cells)
+    monkeypatch.setattr(diagrams, "_ordering_cells", no_cells)
     d = build_seashell(parts)
     start = time.perf_counter()
     with pytest.raises(IrreducibleDiagramError,
