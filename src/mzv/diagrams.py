@@ -367,10 +367,10 @@ def _hamiltonian_cycles(d: Diagram):
 def _ordering_cells(labels, chords, constraints):
     """The ordering cells where no form has a wrong fixed sign, each built
     one group at a time from the largest momenta down: ({exponents: count},
-    whether a constraint takes both signs on one, whether a chord does).  A
-    form sums to 0 (each vertex has one cycle edge in and one out), so its
-    partial sums to come rise above 0 only while a negative coefficient is
-    left, and fall below 0 only while a positive one is.
+    whether a chord takes both signs on one); refuses the first cell where a
+    constraint does.  A form sums to 0 (each vertex has one cycle edge in and
+    one out), so its partial sums to come rise above 0 only while a negative
+    coefficient is left, and fall below 0 only while a positive one is.
     """
     forms = chords + constraints
     kinds = [(sum(1 << j for j, c in enumerate(f) if c > 0),
@@ -382,7 +382,7 @@ def _ordering_cells(labels, chords, constraints):
         sums.append(tuple(map(add, sums[m & (m - 1)],
                               cols[(m & -m).bit_length() - 1])))
     cells = {}
-    both = [False, False]       # on some cell: a constraint, a chord
+    change = [False]            # a chord of both signs on some cell
 
     def walk(left, state, expo):
         sub = left
@@ -403,11 +403,14 @@ def _ordering_cells(labels, chords, constraints):
                 else:
                     cells[e] = cells.get(e, 0) + 1
                     for (_, up, down), (_, _, chord) in zip(nxt, kinds):
-                        both[chord] = both[chord] or up and down
+                        if up and down and not chord:
+                            raise IrreducibleDiagramError(
+                                "momentum constraint cuts an ordering cell")
+                        change[0] = change[0] or up and down
             sub = (sub - 1) & left
 
     walk((1 << len(labels)) - 1, [(0, False, False)] * len(forms), ())
-    return cells, *both
+    return cells, change[0]
 
 
 # The walk takes at most 16 ms at 7 positions (150 random diagrams, a 2-core
@@ -456,12 +459,9 @@ def order_expansion(d: Diagram) -> ZetaCombination:
             raise IrreducibleDiagramError("non-integer chord decomposition")
         return tuple(sign * int(row.get(e, 0)) for e in cyc)
 
-    cells, cut, change = _ordering_cells([d.edges[i][2] for i in cyc],
-                                         [ints(pivots[i], -1) for i in chords],
-                                         [ints(r, 1) for r in rest if r])
-    if cut:
-        raise IrreducibleDiagramError(
-            "momentum constraint cuts an ordering cell")
+    cells, change = _ordering_cells([d.edges[i][2] for i in cyc],
+                                    [ints(pivots[i], -1) for i in chords],
+                                    [ints(r, 1) for r in rest if r])
     if change:
         raise IrreducibleDiagramError(
             "chord momentum changes sign inside an ordering cell")
@@ -534,8 +534,9 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
 # it would run into Python's recursion limit.
 MAX_BRANCH_PARTS = 256
 
-# Raw terms of one rightward expansion (2,1^8,8 makes 30,745, 2,1^11,12 over
-# three million); the walk reaches the limit in about 0.4 s on a Xeon core.
+# Raw terms of one rightward expansion, by reduce or any rightward derive
+# family (2,1^8,8 makes 30,745, partial-int-3 2 1 3000 over four million);
+# the walk reaches the limit in about 0.4 s on a Xeon core.
 MAX_RIGHTWARD_TERMS = 1 << 15
 
 

@@ -4,10 +4,10 @@ Every emitter returns an Identity holding two combinations of equal value.
 The domain-splitting families (reflection, permutation) and the shuffle
 families (shuffle, leftward partial integration and trailing-one, all the
 diagrams module's double-branch recursion) take signed exponents.  The
-rightward families (rightward partial integration, partial-int-2 and the
-partial-int-3 alternative) are the diagrams module's rightward sweep on the
-chord reading of the seashell, and partial-int-3 rightward is a depth-3
-binomial closed form; these take unsigned exponents.
+rightward families (rightward partial integration, partial-int-2 and
+partial-int-3) are the diagrams module's rightward sweep on the chord reading
+of the seashell, or on reduce's reading for partial-int-3 rightward; these
+take unsigned exponents.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from . import diagrams
 from .algebra import (
@@ -27,7 +26,7 @@ from .algebra import (
     stuffle,
     zeta,
 )
-from .compositions import Composition, as_composition, composition, sort_key
+from .compositions import Composition, as_composition, composition
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,34 +212,17 @@ def partial_integration_length2(a: int, b: int) -> Identity:
 
 def partial_integration_length3(a: int, b: int, c: int,
                                 variant: str = "rightward") -> Identity:
-    """zeta(a, b, c) expressed through depth <= 3 sums and products.
-
-    "rightward" is a closed form of its own; "alternative" is the generic
-    rightward expansion with its divergent pieces eliminated.  The two give
-    genuinely different right-hand sides of the same value.
+    """zeta(a, b, c) through depth <= 3 sums and products: the rightward
+    sweep on the seashell of (a, b, c), divergent pieces eliminated.
+    "rightward" takes reduce's reading (c on the cycle), "alternative" the
+    chord reading (c on the last chord); their right-hand sides differ.
     """
     if a < 2 or b < 1 or c < 1:
         raise ValueError("needs a >= 2, b >= 1, c >= 1")
-    if variant == "alternative":
+    if variant == "rightward":
+        rhs = diagrams._rightward_terms((a, b, c), (0, 0))
+    elif variant == "alternative":
         rhs = _rightward_general_rhs((a, b, c))
-    elif variant == "rightward":
-        w = a + b + c
-        acc = {}
-
-        def add(coeff, *factors):
-            _add(acc, ((tuple(sorted(map(sort_key, factors))), coeff),))
-
-        for n in range(1, b + 1):
-            add((-1) ** (c % 2) * comb(b + c - n - 1, c - 1),
-                (a, n, b + c - n))
-        for n in range(1, c + 1):
-            for m in range(1, a + 1):
-                add((-1) ** (b % 2) * comb(b + c - n - 1, b - 1)
-                    * comb(w - m - n - 1, b + c - n - 1), (m, w - m - n, n))
-            for m in range(1, b + c - n + 1):
-                add((-1) ** ((b + m) % 2) * comb(b + c - n - 1, b - 1)
-                    * comb(w - m - n - 1, a - 1), (m,), (w - m - n, n))
-        rhs = _of(acc)
     else:
         raise ValueError("variant must be rightward or alternative")
     return Identity(

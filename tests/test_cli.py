@@ -623,6 +623,7 @@ OVERSIZED_RIGHTWARD = ",".join(["2"] + ["1"] * 11 + ["12"])
 @pytest.mark.parametrize("argv", [
     ["derive", "partial-int", OVERSIZED_RIGHTWARD],
     ["reduce", "--seashell", OVERSIZED_RIGHTWARD, "--strategy", "rightward"],
+    ["derive", "partial-int-3", "2", "1", "3000"],     # 4,507,501 raw terms
 ])
 def test_oversized_rightward_expansion_is_refused(argv):
     t0 = time.monotonic()

@@ -244,6 +244,45 @@ def test_rightward_walk_matches_the_closed_form():
                 == closed_form_rightward_rhs(ks).to_json()), ks
 
 
+def closed_form_partial_int_3(a, b, c):
+    """The depth-3 rightward expansion as it once ran: triple binomial sums.
+
+    Depth-3 sums (a, n, b+c-n) and (m, w-m-n, n), and products of a single
+    sum m with a depth-2 sum (w-m-n, n), each with its binomial path count.
+    """
+    w = a + b + c
+    terms = []
+    for n in range(1, b + 1):
+        terms.append(ProductTerm((-1) ** (c % 2) * comb(b + c - n - 1, c - 1),
+                                 (Composition((a, n, b + c - n)),)))
+    for n in range(1, c + 1):
+        for m in range(1, a + 1):
+            terms.append(ProductTerm(
+                (-1) ** (b % 2) * comb(b + c - n - 1, b - 1)
+                * comb(w - m - n - 1, b + c - n - 1),
+                (Composition((m, w - m - n, n)),)))
+        for m in range(1, b + c - n + 1):
+            terms.append(ProductTerm(
+                (-1) ** ((b + m) % 2) * comb(b + c - n - 1, b - 1)
+                * comb(w - m - n - 1, a - 1),
+                (Composition((m,)), Composition((w - m - n, n)))))
+    return normalize(ZetaCombination(tuple(terms)))
+
+
+def test_partial_int_3_rightward_matches_the_closed_form():
+    # the emitter is the rightward sweep on reduce's reading of the seashell,
+    # so C07's comparison with reduce is the walk against itself; the triple
+    # binomial sums are an independent derivation of the same expansion
+    triples = [(a, b, c) for a in range(2, 13) for b in range(1, 12)
+               for c in range(1, 12) if a + b + c <= 14]
+    assert len(triples) == 286
+    for a, b, c in triples:
+        got = partial_integration_length3(a, b, c).rhs
+        want = eliminate_divergent(closed_form_partial_int_3(a, b, c))
+        assert got.to_json() == want.to_json(), (a, b, c)
+        assert str(got) == str(want), (a, b, c)
+
+
 def test_cross_check_substitution_is_zero():
     for parts in [(2, 1), (3, 2), (2, 1, 1), (2, 2, 1, 1), (4, 1, 1, 2)]:
         assert partial_integration_cross_check(parts).is_zero()
@@ -260,7 +299,7 @@ def test_trailing_one_pinned_cases():
 
 
 def test_trailing_one_agrees_with_length3():
-    # two independent derivations of zeta(a,b,1); the closed forms need
+    # two independent derivations of zeta(a,b,1); the two forms need
     # not coincide termwise (at (2,2) they differ by a depth-3 identity)
     # but their difference always evaluates to zero
     for x in [(2, 1), (3, 1), (2, 2), (4, 1)]:
