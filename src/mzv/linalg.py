@@ -19,7 +19,8 @@ the exact elimination ``row_reduce`` decides, so no answer depends on the
 prime.  ``row_reduce`` also serves basis reduction and the chord solver of
 ``diagrams``, which need the exact reduced rows.  It eliminates
 fraction-free, each row integer numerators over one common denominator, and
-makes Fractions only for what it returns.
+makes Fractions only for what it returns.  Only the mod-p rank uses numpy; it
+is imported there on first use, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import ProductTerm, ZetaCombination, stuffle_template
 from .compositions import composition
@@ -207,6 +206,7 @@ def _reduce_mod_p(m):
     Leaves the reduced row echelon form in ``m`` and returns its pivot
     columns; pivot row i is row i of ``m``.
     """
+    import numpy as np
     pivots = []
     for j in range(m.shape[1]):
         r = len(pivots)
@@ -260,6 +260,7 @@ def certified_rank(rows, columns):
 
 def _certified_integer_rank(distinct, ncols):
     """certified_rank of distinct integer rows (column indices, values)."""
+    import numpy as np
     if not distinct:
         return 0
     lengths = [len(cols) for cols, _ in distinct]

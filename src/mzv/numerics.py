@@ -1,8 +1,9 @@
 """Numeric evaluation with explicit error bounds.
 
 Two independent evaluators are kept side by side on purpose: a truncated
-nested-sum evaluator (numpy, accumulated in 80-bit longdouble and returned as
-a float64, rigorous tail bound) and a high-precision evaluator based on
+nested-sum evaluator (numpy, imported on the evaluator's first call,
+accumulated in 80-bit longdouble and returned as a float64, rigorous tail
+bound) and a high-precision evaluator based on
 splitting the iterated-integral word at the midpoint (the Hölder convolution
 with p = 2 of Borwein, Bradley, Broadhurst and Lisoněk).  The former reads
 1/n from one read-only row per process, built on first use for the largest
@@ -25,7 +26,6 @@ from itertools import accumulate, cycle, islice
 from operator import floordiv, lshift, mul, rshift
 
 import mpmath as mp
-import numpy as np
 
 from .algebra import (CACHE_SIZE, EliminationError, ZetaCombination,
                       eliminate_divergent, zeta)
@@ -72,6 +72,7 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
     BLOCK-long row per distinct part above 1, and two more.
     """
     global _reciprocals
+    import numpy as np
     if not c.admissible:
         raise ValueError("divergent composition %s" % c)
     if N < 2:

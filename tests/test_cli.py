@@ -9,13 +9,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import mzv
 from mzv import (
     derive,
     normalize,
-    numerics,
     one,
     shuffle_expansion,
     zeta,
@@ -23,6 +23,7 @@ from mzv import (
 from mzv import cli
 from mzv.cli import main
 from mzv.identities import Identity
+from test_cli_corpus import CORPUS, CORPUS_DIR
 
 # Root of the source tree the tests imported ``mzv`` from, so that the
 # ``python -m mzv`` children check this checkout, not an installed copy.
@@ -136,7 +137,7 @@ def test_eval_oversized_truncation_is_an_input_error(monkeypatch):
     def no_arrays(*args, **kwargs):
         raise AssertionError("array allocated for an oversized truncation")
 
-    monkeypatch.setattr(numerics.np, "arange", no_arrays)
+    monkeypatch.setattr(np, "arange", no_arrays)
     code, out, err = run(["eval", "3", "--trunc", "1000000000"])
     assert code == 2
     assert out == ""
@@ -729,16 +730,21 @@ def test_derive_arguments_do_not_carry_over():
     assert out == "%s\n" % derive("trailing-one", ["2,1"])
 
 
-def run_console(*args, **env):
-    """Run ``python -m mzv ARGS`` (the console script's entry point) in a
-    child process; ``env`` entries are added to a clean environment."""
+def run_python(*args, **env):
+    """Run ``python ARGS`` in a fresh child process on this checkout's
+    source; ``env`` entries are added to a clean environment."""
     child_env = dict(os.environ)
     child_env.pop("MZV_PRECISION_DIGITS", None)
     child_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SOURCE_ROOT), child_env.get("PYTHONPATH")]))
     child_env.update(env)
-    return subprocess.run([sys.executable, "-m", "mzv", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, env=child_env, timeout=120)
+
+
+def run_console(*args, **env):
+    """Run ``python -m mzv ARGS``, the console script's entry point."""
+    return run_python("-m", "mzv", *args, **env)
 
 
 def test_console_script_wiring():
@@ -787,17 +793,39 @@ def test_symbolic_json_is_independent_of_hash_seed():
     ]
     code = "import sys\nfrom mzv.cli import main\n" + "".join(
         "assert main(%r) == 0\n" % argv for argv in commands)
-    path = os.pathsep.join(
-        filter(None, [str(SOURCE_ROOT), os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in ("1", "2"):
-        r = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, timeout=120,
-            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
+        r = run_python("-c", code, PYTHONHASHSEED=seed)
         assert r.returncode == 0, r.stderr
         outputs.append(r.stdout)
     assert outputs[0].count(b"\n") == len(commands)
     assert outputs[0] == outputs[1]
+
+
+def test_numpy_free_commands_leave_numpy_unloaded():
+    # only the mod-p rank and the direct evaluator import numpy
+    commands = [
+        ["derive", "permutation", "2,1", "2", "--json"],
+        ["reduce", "--seashell", "3,1,2", "--json"],
+        ["verify", "--json", "--eps", "1e-12",
+         str(CORPUS_DIR / "derive-partial-int-312-rightward.out")],
+        ["eval", "2,1", "--eps", "1e-12"],
+        ["sweep", "stuffle", "--max-weight", "5"],
+    ]
+    code = ("import sys\nimport mzv\nfrom mzv import cli\n"
+            "cli.build_parser()\n"
+            + "".join("assert cli.main(%r) == 0\n" % argv for argv in commands)
+            + "assert 'numpy' not in sys.modules\n")
+    r = run_python("-c", code)
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("name", ["rank-length-4", "eval-m3m11-trunc-100000"])
+def test_numpy_kernel_as_first_command(name):
+    # each kernel that imports numpy, run first in a fresh interpreter
+    r = run_console(*CORPUS[name])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (CORPUS_DIR / (name + ".out")).read_bytes()
 
 
 def test_precision_environment_variable():

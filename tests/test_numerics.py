@@ -232,8 +232,8 @@ def test_direct_refuses_oversized_truncation_before_allocating(monkeypatch):
     def no_arrays(*args, **kwargs):
         raise AssertionError("array allocated for an oversized truncation")
 
-    monkeypatch.setattr(numerics.np, "arange", no_arrays)
-    monkeypatch.setattr(numerics.np, "empty", no_arrays)
+    monkeypatch.setattr(np, "arange", no_arrays)
+    monkeypatch.setattr(np, "empty", no_arrays)
     monkeypatch.setattr(numerics, "_reciprocals", None)
     with pytest.raises(ValueError, match="exceeds the limit"):
         eval_mzv_direct(composition(3), MAX_TRUNCATION + 1)
@@ -286,7 +286,7 @@ def test_direct_buffers_are_one_row_per_distinct_part(monkeypatch):
         sizes.append(np.prod(shape))
         return np.zeros(shape, dtype)
 
-    monkeypatch.setattr(numerics.np, "empty", recorded_empty)
+    monkeypatch.setattr(np, "empty", recorded_empty)
     c = composition(40, 2, 40)
     assert eval_mzv_direct(c, BLOCK + 1).value == fresh_row_direct(c, BLOCK + 1)
     assert sum(sizes) == 4 * BLOCK
