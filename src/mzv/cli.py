@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-from mpmath import mp
-
 from . import diagrams, identities, linalg, numerics
 from .compositions import iter_admissible, parse_composition
 
@@ -59,6 +57,7 @@ def _parse_int_list(text, what):
 
 
 def cmd_eval(args):
+    from mpmath import mp
     c = parse_composition(args.composition)
     if args.digits is not None and args.digits < 1:
         raise ValueError("--digits must be positive, got %d" % args.digits)

@@ -14,6 +14,7 @@ integer rows, one chain of inner rows shared by the suffixes of a word, and
 bounds their floor error along with the series tail; its value caches share
 one bounded LRU policy and its row caches are small bounded LRU caches too.
 Identity verification always reports a residual with its propagated bound.
+mpmath too is imported on first use, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, cycle, islice
 from operator import floordiv, lshift, mul, rshift
-
-import mpmath as mp
 
 from .algebra import (CACHE_SIZE, EliminationError, ZetaCombination,
                       eliminate_divergent, zeta)
@@ -140,6 +139,7 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _half_word_scale(dps: int):
     """Terms M, scale bits B and the bound on rounding to dps + 8 digits."""
+    import mpmath as mp
     return (max(80, int(dps * 3.4) + 40), int(dps * 3.33) + 64,  # guard bits
             float(mp.mpf(10) ** (-(dps + 2))))
 
@@ -187,6 +187,7 @@ def _half_word_value(word: tuple, dps: int):
     {+-1, 2, 1/2}; the empty word is 1.  Its rows are Python integers at
     scale 2^-B, one ``_level`` pass each, and one mpf is made at the end.
     """
+    import mpmath as mp
     if not word:
         return mp.mpf(1), 0.0, 1.0
     M, B, rounding = _half_word_scale(dps)
@@ -212,6 +213,7 @@ def _midpoint_sum(word: tuple, dps: int):
     the path is split at 1/2, and the half over [1/2, 1] is the reversed
     prefix over [0, 1/2] with letters a -> 1 - a, negated for each letter
     2 since 1/(-1 - t) = -1/(2 - s) at s = 1 - t."""
+    import mpmath as mp
     with mp.workdps(dps):
         total = mp.mpf(0)
         err = 0.0
@@ -246,6 +248,7 @@ def eval_mzv_accel(c: Composition, eps: float) -> PrecisionValue:
 def eval_combination(comb: ZetaCombination, eps: float) -> PrecisionValue:
     """Evaluate a combination with no divergent factor (eliminate_divergent
     takes its stuffle regularization, T^0 coefficient) and bound the error."""
+    import mpmath as mp
     if comb.regularized:
         raise ValueError("combination contains divergent factors")
     terms = sorted(comb._coeffs.items())    # term keys and coefficients
@@ -284,6 +287,7 @@ def verify_identity(identity, eps: float = 1e-10) -> dict:
     Pass requires the residual to sit inside the propagated bound *and* the
     bound to meet the requested eps, so a sloppy evaluation cannot pass.
     """
+    import mpmath as mp
     comb = getattr(identity, "combination", identity)
     family = getattr(identity, "family", None)
     eliminated = identity.regularized
@@ -365,6 +369,7 @@ def eval_propagator(k: int, u, N: int) -> PropagatorValue:
     most min(q, N + 1) classes are then combined in mpmath at 40 digits.
     Also returns the Bernoulli closed-form real part.
     """
+    import mpmath as mp
     if k < 2:
         raise ValueError("k >= 2 required for absolute convergence")
     if isinstance(u, float):

@@ -820,12 +820,42 @@ def test_numpy_free_commands_leave_numpy_unloaded():
     assert r.returncode == 0, r.stderr
 
 
-@pytest.mark.parametrize("name", ["rank-length-4", "eval-m3m11-trunc-100000"])
-def test_numpy_kernel_as_first_command(name):
-    # each kernel that imports numpy, run first in a fresh interpreter
+def assert_first_command_matches_pin(name):
+    """Run corpus command ``name`` first in a fresh ``python -m mzv``."""
     r = run_console(*CORPUS[name])
     assert r.returncode == 0, r.stderr
     assert r.stdout == (CORPUS_DIR / (name + ".out")).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["rank-length-4", "eval-m3m11-trunc-100000"])
+def test_numpy_kernel_as_first_command(name):
+    # each kernel that imports numpy, run first in a fresh interpreter
+    assert_first_command_matches_pin(name)
+
+
+def test_mpmath_free_commands_leave_mpmath_unloaded():
+    # only the numeric kernels of numerics and cmd_eval import mpmath
+    commands = [
+        ["derive", "permutation", "2,1", "2", "--json"],
+        ["reduce", "--seashell", "3,1,2", "--json"],
+        ["rank", "--length", "3"],
+        ["sweep", "partial-int", "--max-weight", "6"],
+    ]
+    code = ("import sys\nimport mzv\nfrom mzv import cli\n"
+            "cli.build_parser()\n"
+            "assert not {'mpmath', 'numpy'} & sys.modules.keys()\n"
+            + "".join("assert cli.main(%r) == 0\n" % argv for argv in commands)
+            + "assert 'mpmath' not in sys.modules\n")
+    r = run_python("-c", code)
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("name", [
+    "eval-2m1-eps-1e-12", "eval-233-trunc-1000000",
+    "verify-partial-int-312-rightward"])
+def test_mpmath_kernel_as_first_command(name):
+    # each command that imports mpmath, run first in a fresh interpreter
+    assert_first_command_matches_pin(name)
 
 
 def test_precision_environment_variable():
