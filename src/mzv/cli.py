@@ -179,7 +179,12 @@ def _diagram_from_args(args):
 
 def cmd_reduce(args):
     d = _diagram_from_args(args)
-    comb, trace = diagrams.reduce(d, strategy=args.strategy, trace=True)
+    try:
+        comb, trace = diagrams.reduce(d, strategy=args.strategy, trace=True)
+    except ValueError as exc:       # the steps before the refusal
+        for line in exc.trace if args.trace else ():
+            print("# %s" % line, file=sys.stderr)
+        raise
     if args.json:
         value = comb.to_json()
         out = {
@@ -192,9 +197,8 @@ def cmd_reduce(args):
             out["trace"] = list(trace)
         _print_json(out)
     else:
-        if args.trace:
-            for line in trace:
-                print("# %s" % line)
+        for line in trace if args.trace else ():
+            print("# %s" % line)
         print(comb)
     return 0
 

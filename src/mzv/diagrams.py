@@ -26,7 +26,6 @@ from .algebra import (
 )
 from .compositions import (Composition, as_composition, json_ints, sort_key,
                            to_word)
-from .linalg import row_reduce
 
 
 class IrreducibleDiagramError(ValueError):
@@ -112,8 +111,7 @@ def canonical_key(d: Diagram):
 
 def combine_terms(terms):
     """Merge (coefficient, diagram) pairs by canonical key, dropping zeros."""
-    acc = {}
-    reps = {}
+    acc, reps = {}, {}
     for coeff, d in terms:
         k = canonical_key(d)
         acc[k] = acc.get(k, 0) + coeff
@@ -323,26 +321,14 @@ def rewrite_three_point(d: Diagram, v):
 # --- structural evaluation (order expansion) --------------------------------
 
 def _components(d: Diagram):
-    adj = {v: set() for v in d.vertices}
-    for (a, b, _) in d.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = set()
-    comps = []
-    for start in d.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            w = stack.pop()
-            for nb in adj[w]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    """The vertex sets of the connected components, by least vertex."""
+    comp = {v: {v} for v in d.vertices}
+    for a, b, _ in d.edges:
+        if comp[a] is not comp[b]:
+            merged = comp[a] | comp[b]
+            for w in merged:
+                comp[w] = merged
+    return list({min(c): c for c in comp.values()}.values())
 
 
 def _hamiltonian_cycles(d: Diagram):
@@ -421,17 +407,19 @@ MAX_ORDER_POSITIONS = 7
 def order_expansion(d: Diagram) -> ZetaCombination:
     """Value of a cycle-plus-zero-chords diagram by splitting the momentum cone.
 
-    Each chord momentum, and each constraint left by conservation, is an
-    integer form in the cycle momenta: the incidence matrix is totally
-    unimodular.  On an ordering cell n_0 > ... > n_(d-1) >= 1 of the cycle
-    momenta, a form is the sum of delta_h * A_h over the gaps delta_h >= 1
-    and the partial sums A_h of its group sums, so it is zero, positive or
-    negative throughout, or takes both signs.  A chord must be positive and
-    a constraint zero; a cell where a form has another fixed sign is empty,
-    and every other cell adds its nested sum.  Refuses more than
-    MAX_ORDER_POSITIONS cycle positions before any cell is built, a free
-    chord momentum, and then, over all the other cells, a constraint of both
-    signs, a chord of both signs and a zero exponent, in this order.
+    Each chord momentum is an integer form in the cycle momenta, found by
+    peeling the chord forest: a leaf chord takes the balance (cycle inflow
+    minus outflow) of its leaf vertex, which then moves to the chord's other
+    end; the balances left over are the constraints.  On an ordering cell
+    n_0 > ... > n_(d-1) >= 1 of the cycle momenta, a form is the sum of
+    delta_h * A_h over the gaps delta_h >= 1 and the partial sums A_h of its
+    group sums, so it is zero, positive or negative throughout, or takes
+    both signs.  A chord must be positive and a constraint zero; a cell
+    where a form has another fixed sign is empty, and every other cell adds
+    its nested sum.  Refuses more than MAX_ORDER_POSITIONS cycle positions
+    before any cell is built, a free chord momentum (no leaf left), and then,
+    over all the other cells, a constraint of both signs, a chord of both
+    signs and a zero exponent, in this order.
     """
     if len(d.vertices) > MAX_ORDER_POSITIONS:
         raise IrreducibleDiagramError(
@@ -445,23 +433,25 @@ def order_expansion(d: Diagram) -> ZetaCombination:
             "no cycle through all vertices with zero-labeled chords")
     cyc = min(candidates)
     chords = [i for i in range(len(d.edges)) if i not in cyc]
-    rows = {v: {} for v in d.vertices}
-    for i, (a, b, _) in enumerate(d.edges):
-        if a != b:
-            rows[a][i] = -1
-            rows[b][i] = 1
-    pivots, rest = row_reduce(rows.values(), chords)
-    if len(pivots) < len(chords):
-        raise IrreducibleDiagramError("chord momenta underdetermined")
-
-    def ints(row, sign):
-        if any(v.denominator != 1 for v in row.values()):
-            raise IrreducibleDiagramError("non-integer chord decomposition")
-        return tuple(sign * int(row.get(e, 0)) for e in cyc)
-
+    # each vertex's cycle inflow minus outflow, a form in the cycle momenta
+    balance = {v: [(d.edges[i][1] == v) - (d.edges[i][0] == v) for i in cyc]
+               for v in d.vertices}
+    forms, todo = {}, chords
+    while todo:
+        ends = [v for i in todo for v in d.edges[i][:2]]
+        leaf = next(((i, v) for i in todo for v in d.edges[i][:2]
+                     if ends.count(v) == 1), None)
+        if leaf is None:                # a chord cycle or a chord loop
+            raise IrreducibleDiagramError("chord momenta underdetermined")
+        i, v = leaf
+        a, b, _ = d.edges[i]
+        x = balance.pop(v)
+        forms[i], u = (x, b) if v == a else ([-c for c in x], a)
+        balance[u] = list(map(add, balance[u], x))
+        todo = [t for t in todo if t != i]
     cells, change = _ordering_cells([d.edges[i][2] for i in cyc],
-                                    [ints(pivots[i], -1) for i in chords],
-                                    [ints(r, 1) for r in rest if r])
+                                    [forms[i] for i in chords],
+                                    [f for f in balance.values() if any(f)])
     if change:
         raise IrreducibleDiagramError(
             "chord momentum changes sign inside an ordering cell")
@@ -778,27 +768,33 @@ def reduce(d: Diagram, strategy: str = "auto", trace: bool = False):
     Strategies: "structural" (order expansion of zero-chord diagrams),
     "rightward" (iterated partial integration, right to left, divergent
     pieces eliminated), "shuffle" (double-branch recursion), "auto"
-    (structural when it applies, then shuffle, then rightward).
+    (structural when it applies, then shuffle, then rightward).  A refusal
+    carries the steps taken before it as its ``trace`` attribute.
     """
     tr = []
-    if strategy == "structural":
-        comb_ = _structural_value(d, tr)
-    elif strategy == "rightward":
-        comb_ = _reduce_rightward(d, tr)
-    elif strategy == "shuffle":
-        comb_ = _reduce_shuffle(d, tr)
-    elif strategy == "auto":
-        try:
+    try:
+        if strategy == "structural":
             comb_ = _structural_value(d, tr)
-        except IrreducibleDiagramError:
-            tr.append("order expansion not applicable; matching known shapes")
+        elif strategy == "rightward":
+            comb_ = _reduce_rightward(d, tr)
+        elif strategy == "shuffle":
+            comb_ = _reduce_shuffle(d, tr)
+        elif strategy == "auto":
             try:
-                comb_ = _reduce_shuffle(d, tr)
-            except IrreducibleDiagramError as exc:
-                tr.append("branch recursion not applicable: %s" % exc)
-                comb_ = _reduce_rightward(d, tr)
-    else:
-        raise ValueError("unknown strategy %r" % strategy)
+                comb_ = _structural_value(d, tr)
+            except IrreducibleDiagramError:
+                tr.append("order expansion not applicable; matching known "
+                          "shapes")
+                try:
+                    comb_ = _reduce_shuffle(d, tr)
+                except IrreducibleDiagramError as exc:
+                    tr.append("branch recursion not applicable: %s" % exc)
+                    comb_ = _reduce_rightward(d, tr)
+        else:
+            raise ValueError("unknown strategy %r" % strategy)
+    except ValueError as exc:
+        exc.trace = tuple(tr)
+        raise
     if trace:
         return comb_, tuple(tr)
     return comb_

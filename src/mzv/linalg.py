@@ -16,11 +16,11 @@ mod-p reduced form gives a kernel vector; lifted to integers by rational
 reconstruction and checked exactly against every row, these vectors bound
 the rank from above.  When the two bounds meet the rank is exact; otherwise
 the exact elimination ``row_reduce`` decides, so no answer depends on the
-prime.  ``row_reduce`` also serves basis reduction and the chord solver of
-``diagrams``, which need the exact reduced rows.  It eliminates
-fraction-free, each row integer numerators over one common denominator, and
-makes Fractions only for what it returns.  Only the mod-p rank uses numpy; it
-is imported there on first use, so importing this module does not load it.
+prime.  ``row_reduce`` also serves basis reduction, which needs the exact
+reduced rows.  It eliminates fraction-free, each row integer numerators over
+one common denominator, and makes Fractions only for what it returns.  Only
+the mod-p rank uses numpy; it is imported there on first use, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import identities
 from .algebra import ProductTerm, ZetaCombination, stuffle_template
 from .compositions import composition
 
@@ -550,8 +551,6 @@ def three_point_rows(symbols=("a", "b", "c")):
     symbols = tuple(symbols)
     if len(symbols) != 3:
         raise ValueError("three-point rows need exactly three symbols")
-    from . import identities   # identities -> diagrams -> linalg
-
     labels = [16, 256, 4096]
 
     def decode_part(p):

@@ -302,6 +302,7 @@ def verify_identity(identity, eps: float = 1e-10) -> dict:
         comb = eliminate_divergent(comb)
     pv = eval_combination(comb, eps)
     residual = abs(pv.value)
+    # real input keeps bound <= eps: every value's error is under eps_atom
     ok = bool(residual <= pv.bound and pv.bound <= eps)
     report = {
         "residual": mp.nstr(residual, 6, strip_zeros=False),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import brute_combination, brute_mzv, brute_mzv_exact
 from mzv import (
     EliminationError,
+    algebra,
     composition,
     eliminate_divergent,
     normalize,
@@ -192,6 +193,15 @@ def test_eliminate_divergent_keeps_the_stuffle_constant_term():
         zeta(4).scaled(-1) - zeta(3, 1))
     assert eliminate_divergent(zeta(1, -2) - z1 * zeta(-2)) == normalize(
         zeta(-3).scaled(-1) - zeta(-2, 1))
+
+
+def test_stuffle_regularization_cache_holds_weight_13():
+    # cold, zeta(1^8,3,2) keeps 5,716 entries: a bound below that evicts
+    # entries the recursion needs again, and the time grows by a large factor
+    algebra._stuffle_regularized.cache_clear()
+    algebra._stuffle_regularized(Composition((1,) * 8 + (3, 2)).sort_key)
+    info = algebra._stuffle_regularized.cache_info()
+    assert info.currsize == 5716 < info.maxsize
 
 
 def test_json_round_trip():

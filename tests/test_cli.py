@@ -24,6 +24,7 @@ from mzv import cli
 from mzv.cli import main
 from mzv.identities import Identity
 from test_cli_corpus import CORPUS, CORPUS_DIR
+from test_diagrams import CUT_BY_A_CONSTRAINT
 
 # Root of the source tree the tests imported ``mzv`` from, so that the
 # ``python -m mzv`` children check this checkout, not an installed copy.
@@ -442,6 +443,22 @@ def test_reduce_trace_lines():
     lines = out.splitlines()
     assert len(lines) > 1
     assert all(line.startswith("# ") for line in lines[:-1])
+
+
+def test_reduce_trace_on_a_refusal(tmp_path):
+    # the steps taken before the refusal go to stderr ahead of the error;
+    # the exit code and stdout are those without --trace
+    f = tmp_path / "cut.json"
+    f.write_text(json.dumps(CUT_BY_A_CONSTRAINT.to_json()))
+    argv = ["reduce", "--file", str(f), "--strategy", "auto"]
+    error = "mzv: error: not a cycle-with-chords diagram\n"
+    assert run(argv) == (2, "", error)
+    for extra in ([], ["--json"]):
+        assert run(argv + ["--trace"] + extra) == (2, "", (
+            "# order expansion over 4 cycle positions\n"
+            "# order expansion not applicable; matching known shapes\n"
+            "# branch recursion not applicable: not a double-branch "
+            "diagram\n" + error))
 
 
 def test_reduce_peacock_shuffle():

@@ -51,6 +51,7 @@ from mzv.diagrams import (
     MAX_ORDER_POSITIONS,
     _hamiltonian_cycles,
     _integration_exits,
+    _ordering_cells,
     canonical_key,
     order_expansion,
 )
@@ -195,8 +196,9 @@ def test_order_expansion_constraint_cuts_a_cell():
     with pytest.raises(IrreducibleDiagramError,
                        match="^momentum constraint cuts an ordering cell$"):
         reduce(d, strategy="structural")
-    with pytest.raises(IrreducibleDiagramError):
+    with pytest.raises(IrreducibleDiagramError) as info:
         reduce(d, strategy="auto")
+    assert info.value.trace[0] == "order expansion over 4 cycle positions"
 
 
 @pytest.mark.parametrize("vertices, root, edges, text", [
@@ -291,6 +293,24 @@ def test_order_expansion_matches_the_truncated_lattice_sum():
     assert checked > 250
 
 
+def row_reduce_forms(d, cyc):
+    """The chord forms and the nonzero constraints over the cycle edges cyc,
+    in Fractions, by Gauss-Jordan elimination of the vertex conservation
+    rows; None when a chord momentum is free."""
+    chords = [i for i in range(len(d.edges)) if i not in cyc]
+    rows = {v: {} for v in d.vertices}
+    for i, (a, b, _) in enumerate(d.edges):
+        if a != b:
+            rows[a][i] = Fraction(-1)
+            rows[b][i] = Fraction(1)
+    pivots, rest = row_reduce(rows.values(), chords)
+    if len(pivots) < len(chords):
+        return None
+    return ([tuple(-pivots[i].get(e, Fraction(0)) for e in cyc)
+             for i in chords],
+            [tuple(r.get(e, Fraction(0)) for e in cyc) for r in rest if r])
+
+
 def fraction_order_expansion(d):
     """The order expansion as a plain loop over every ordering cell: every
     chord and constraint form a tuple of Fractions, one coefficient-1 term
@@ -331,20 +351,10 @@ def fraction_order_expansion(d):
         raise IrreducibleDiagramError(
             "no cycle through all vertices with zero-labeled chords")
     cyc = min(candidates)
-    cyc_set = set(cyc)
-    chords = [i for i in range(len(d.edges)) if i not in cyc_set]
-    rows = {v: {} for v in d.vertices}
-    for i, (a, b, _) in enumerate(d.edges):
-        if a != b:
-            rows[a][i] = Fraction(-1)
-            rows[b][i] = Fraction(1)
-    pivots, rest = row_reduce(rows.values(), chords)
-    if len(pivots) < len(chords):
+    found = row_reduce_forms(d, cyc)
+    if found is None:
         raise IrreducibleDiagramError("chord momenta underdetermined")
-    forms = [(1, tuple(-pivots[i].get(e, Fraction(0)) for e in cyc))
-             for i in chords]
-    forms += [(0, tuple(r.get(e, Fraction(0)) for e in cyc))
-              for r in rest if r]
+    forms = [(1, f) for f in found[0]] + [(0, f) for f in found[1]]
     labels = [d.edges[i][2] for i in cyc]
     cut = changes = False
     expos = []
@@ -407,6 +417,64 @@ def expansion_outcome(expand, d):
 def test_order_expansion_matches_the_fraction_loop(d):
     assert (expansion_outcome(order_expansion, d)
             == expansion_outcome(fraction_order_expansion, d)), d.edges
+
+
+def row_reduce_order_expansion(d):
+    """order_expansion's cell walk and refusals on row_reduce_forms: the
+    outcome and the forms."""
+    cyc = min(c for c in _hamiltonian_cycles(d)
+              if all(d.edges[i][2] == 0
+                     for i in range(len(d.edges)) if i not in c))
+    forms = row_reduce_forms(d, cyc)
+    if forms is None:
+        return "refused: chord momenta underdetermined", None
+    # the incidence matrix is totally unimodular: no entry has a denominator
+    assert all(x.denominator == 1 for f in forms[0] + forms[1] for x in f)
+    forms = tuple([tuple(map(int, f)) for f in fs] for fs in forms)
+
+    def expand(_):
+        cells, change = _ordering_cells([d.edges[i][2] for i in cyc], *forms)
+        if change:
+            raise IrreducibleDiagramError(
+                "chord momentum changes sign inside an ordering cell")
+        if any(0 in expo for expo in cells):
+            raise IrreducibleDiagramError("free momentum with zero exponent")
+        return normalize(ZetaCombination(tuple(
+            ProductTerm(n, (Composition(expo),))
+            for expo, n in cells.items())))
+
+    return expansion_outcome(expand, d), forms
+
+
+def test_chord_forms_on_diagrams_with_constraints(monkeypatch):
+    # 6 and 7 cycle positions with fewer chords than it takes to span them,
+    # so conservation leaves constraints; the peeled forms may differ from
+    # the eliminated ones by multiples of a constraint, the outcome may not
+    seen = []
+    monkeypatch.setattr(diagrams, "_ordering_cells", lambda *args: (
+        seen.append(args) or _ordering_cells(*args)))
+    rng = random.Random(32)
+    kinds = Counter()
+    differ = 0
+    while sum(kinds.values()) < 1000:
+        n = rng.choice((6, 7))
+        order = rng.sample(range(n), n)
+        edges = [(order[i], order[(i + 1) % n], rng.choice((0, 1, 2, 3)))
+                 for i in range(n)]
+        edges += [tuple(rng.sample(range(n), 2)) + (0,)
+                  for _ in range(rng.randint(1, n - 2))]
+        d = Diagram(tuple(range(n)), rng.randrange(n), tuple(edges))
+        outcome, forms = row_reduce_order_expansion(d)
+        if forms is None or not forms[1]:
+            continue
+        seen.clear()
+        assert expansion_outcome(order_expansion, d) == outcome, d.edges
+        kinds[outcome if isinstance(outcome, str) else "value"] += 1
+        differ += [list(map(tuple, f)) for f in seen[0][1:]] != list(forms)
+    # a value and each of the three refusals after the forms, and forms
+    # that differ, on more than a hundred diagrams each
+    assert len(kinds) == 4 and min(kinds.values()) > 100, kinds
+    assert differ > 100
 
 
 def test_structural_and_auto_digest():

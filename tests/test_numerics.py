@@ -522,6 +522,16 @@ def test_verify_identity_report():
     assert rep["pass"] is False
 
 
+def test_verify_identity_demands_a_bound_within_eps(monkeypatch):
+    # a residual of 0 inside a bound of 10 eps does not show 0 to eps
+    eps = 1e-10
+    monkeypatch.setattr(numerics, "eval_combination", lambda comb, eps: (
+        numerics.PrecisionValue(mp.mpf(0), 10 * eps)))
+    rep = verify_identity(permutation_identity((2,), (3,)), eps=eps)
+    assert rep["pass"] is False
+    assert rep["bound"] == "1.000e-09"
+
+
 def test_verify_identity_eliminates_regularized_input():
     raw = partial_integration((2, 1), variant="rightward")
     assert raw.regularized
