@@ -317,7 +317,11 @@ def eliminate_divergent(comb: ZetaCombination) -> ZetaCombination:
             operator.mul, map(_stuffle_regularized, k), one(v))._coeffs.items())
     bad = _of({k: v for k, v in acc.items() if _T in k})
     if not bad.is_zero():
+        # the residual keeps every term; the message names the first eight
+        terms = bad.terms
+        shown = "; ".join(str(t) for t in terms[:8])
+        if len(terms) > 8:
+            shown += "; … (%d terms in all)" % len(terms)
         raise EliminationError(
-            "divergent terms survive elimination: %s"
-            % "; ".join(str(t) for t in bad.terms), residual=bad)
+            "divergent terms survive elimination: %s" % shown, residual=bad)
     return _of(acc)

@@ -56,6 +56,25 @@ def _parse_int_list(text, what):
                          % (what, text))
 
 
+def _read_json_file(path, what, parse):
+    """``parse`` of the JSON in the ``what`` file at ``path`` ("-" reads
+    stdin); a file that cannot be read or parsed is a ValueError."""
+    try:
+        if path == "-":
+            payload = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                payload = json.load(fh)
+    except OSError as exc:
+        raise ValueError("cannot read %s file: %s" % (what, exc))
+    except json.JSONDecodeError as exc:
+        raise ValueError("%s file is not valid JSON: %s" % (what, exc))
+    try:
+        return parse(payload)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("malformed %s file: %r" % (what, exc))
+
+
 def cmd_eval(args):
     from mpmath import mp
     c = parse_composition(args.composition)
@@ -102,20 +121,8 @@ def cmd_derive(args):
 
 
 def cmd_verify(args):
-    try:
-        if args.file == "-":
-            payload = json.load(sys.stdin)
-        else:
-            with open(args.file) as fh:
-                payload = json.load(fh)
-    except OSError as exc:
-        raise ValueError("cannot read identity file: %s" % exc)
-    except json.JSONDecodeError as exc:
-        raise ValueError("identity file is not valid JSON: %s" % exc)
-    try:
-        identity = identities.identity_from_json(payload)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError("malformed identity file: %r" % exc)
+    identity = _read_json_file(args.file, "identity",
+                               identities.identity_from_json)
     eps = args.eps if args.eps is not None else 10.0 ** (-_default_digits())
     report = numerics.verify_identity(identity, eps=eps)
     if args.json:
@@ -164,17 +171,7 @@ def _diagram_from_args(args):
         trunk, b1, b2 = (_parse_int_list(t, "peacock labels")
                          for t in args.peacock)
         return diagrams.build_peacock(trunk, b1, b2)
-    try:
-        with open(args.file) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ValueError("cannot read diagram file: %s" % exc)
-    except json.JSONDecodeError as exc:
-        raise ValueError("diagram file is not valid JSON: %s" % exc)
-    try:
-        return diagrams.diagram_from_json(payload)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError("malformed diagram file: %r" % exc)
+    return _read_json_file(args.file, "diagram", diagrams.diagram_from_json)
 
 
 def cmd_reduce(args):
@@ -313,7 +310,7 @@ def build_parser():
                    help="two-vertex diagram with labels a; b, c")
     g.add_argument("--peacock", nargs=3, metavar=("TRUNK", "B1", "B2"),
                    help='three label lists, e.g. 0 2 2')
-    g.add_argument("--file", help="diagram JSON file")
+    g.add_argument("--file", help='diagram JSON file, or "-"')
     p.add_argument("--strategy", default="auto",
                    choices=["auto", "structural", "rightward", "shuffle"])
     p.add_argument("--trace", action="store_true",

@@ -1,4 +1,4 @@
-"""Rank analysis of the permutation-identity system, certified from both sides.
+"""Rank analysis of the permutation-identity system, by exact elimination.
 
 Nested sums over l formal exponents satisfy one quasi-shuffle relation for
 every ordered split of the exponent tuple.  The unknowns of the system are
@@ -10,17 +10,12 @@ minus the shuffle product of u and v, so ``permutation_rank`` counts shuffle
 terms as ints and never builds the right-hand side, which only basis
 reduction needs.
 
-Rank is computed modulo a word-size prime and then certified over Q.  The
-rank mod p is a lower bound for the rational rank.  Each free column of the
-mod-p reduced form gives a kernel vector; lifted to integers by rational
-reconstruction and checked exactly against every row, these vectors bound
-the rank from above.  When the two bounds meet the rank is exact; otherwise
-the exact elimination ``row_reduce`` decides, so no answer depends on the
-prime.  ``row_reduce`` also serves basis reduction, which needs the exact
-reduced rows.  It eliminates fraction-free, each row integer numerators over
-one common denominator, and makes Fractions only for what it returns.  Only
-the mod-p rank uses numpy; it is imported there on first use, so importing
-this module does not load it.
+One exact elimination serves both.  It is fraction-free: each row is
+integer numerators over one common denominator, kept coprime by a gcd
+rather than by Bareiss's exact division (Math. Comp. 22, 1968), and
+Fractions are made only for what ``row_reduce`` returns.  Basis reduction
+takes the reduced rows of ``row_reduce``; a rank takes the row echelon form
+of the distinct integer-scaled rows and counts its pivots.
 """
 
 from __future__ import annotations
@@ -41,12 +36,6 @@ from .compositions import composition
 MAX_UNKNOWNS = 720
 # Splits run over all 2^l subsets: ten symbols take seconds at one unknown.
 MAX_SYMBOLS = 9
-
-# Prime of the modular rank: a product of two residues fits in int64.
-PRIME = 2 ** 31 - 1
-# Rational reconstruction returns a/b with |a|, b <= this; 2 * bound^2 < PRIME
-# makes the fraction unique.
-RECONSTRUCTION_BOUND = math.isqrt((PRIME - 1) // 2)
 
 
 def check_system_size(symbols):
@@ -183,7 +172,7 @@ class ExactMatrix:
         """Rank over Q on the unknown columns (all columns if unset)."""
         columns = self.columns if self.unknowns is None else self.unknowns
         index = {c: i for i, c in enumerate(columns)}
-        return _integer_rank(_integer_rows(self.rows, index), len(columns))
+        return _rank(_integer_rows(self.rows, index), len(columns))
 
 
 def _integer_rows(rows, index):
@@ -201,113 +190,10 @@ def _integer_rows(rows, index):
     return list(distinct)
 
 
-def _reduce_mod_p(m):
-    """Gauss-Jordan elimination of the int64 matrix ``m`` mod PRIME, in place.
-
-    Leaves the reduced row echelon form in ``m`` and returns its pivot
-    columns; pivot row i is row i of ``m``.
-    """
-    import numpy as np
-    pivots = []
-    for j in range(m.shape[1]):
-        r = len(pivots)
-        if r == m.shape[0]:
-            break
-        nz = np.flatnonzero(m[r:, j])
-        if not len(nz):
-            continue
-        k = r + nz[0]
-        if k != r:
-            m[[r, k]] = m[[k, r]]
-        m[r, j:] = m[r, j:] * pow(int(m[r, j]), PRIME - 2, PRIME) % PRIME
-        hit = np.flatnonzero(m[:, j])
-        hit = hit[hit != r]
-        if len(hit):
-            m[hit, j:] = (m[hit, j:] - m[hit, j, None] * m[r, j:]) % PRIME
-        pivots.append(j)
-    return pivots
-
-
-def rational_reconstruction(x):
-    """The fraction a/b congruent to ``x`` mod PRIME with |a|, b at most
-    RECONSTRUCTION_BOUND, as (a, b); None if there is none."""
-    r0, r1, t0, t1 = PRIME, x % PRIME, 0, 1
-    while r1 > RECONSTRUCTION_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    if t1 > RECONSTRUCTION_BOUND or math.gcd(r1, t1) != 1:
-        return None
-    return r1, t1
-
-
-def certified_rank(rows, columns):
-    """Rank over Q of sparse rational rows on ``columns``, or None.
-
-    The rank of the integer-scaled rows mod PRIME is a lower bound.  Each
-    free column f of their reduced form mod PRIME gives the kernel vector
-    e_f - sum_i R[i, f] e_pivot(i); its entries are lifted by rational
-    reconstruction and scaled to integers.  Every lifted vector is nonzero
-    in its own free column and zero in the others, so if all of them
-    annihilate every row exactly, the kernel over Q has at least that many
-    dimensions and the rank mod PRIME is the rank over Q.  Returns None when
-    a reconstruction or the exact check fails.
-    """
-    index = {c: i for i, c in enumerate(columns)}
-    return _certified_integer_rank(_integer_rows(rows, index), len(columns))
-
-
-def _certified_integer_rank(distinct, ncols):
-    """certified_rank of distinct integer rows (column indices, values)."""
-    import numpy as np
-    if not distinct:
-        return 0
-    lengths = [len(cols) for cols, _ in distinct]
-    row_of = np.repeat(np.arange(len(distinct)), lengths)
-    col_of = np.fromiter(itertools.chain.from_iterable(
-        cols for cols, _ in distinct), np.int64, len(row_of))
-    values = [v for _, vals in distinct for v in vals]
-    m = np.zeros((len(distinct), ncols), np.int64)
-    m[row_of, col_of] = [v % PRIME for v in values]
-    pivots = _reduce_mod_p(m)
-    free = sorted(set(range(ncols)) - set(pivots))
-    if not free:
-        return len(pivots)
-
-    residues, where = np.unique(
-        -m[:len(pivots), free].ravel() % PRIME, return_inverse=True)
-    lifted = [rational_reconstruction(int(x)) for x in residues]
-    if None in lifted:
-        return None
-    shape = (len(pivots), len(free))
-    num = np.array([a for a, _ in lifted], object)[where].reshape(shape)
-    den = np.array([b for _, b in lifted], object)[where].reshape(shape)
-    scale = np.array([math.lcm(*col) for col in den.T.tolist()], object)
-    kernel = np.zeros((ncols, len(free)), object)
-    kernel[pivots] = num * (scale // den)
-    kernel[free, np.arange(len(free))] = scale
-
-    # A.V row by row: the products of each row's entries with the matching
-    # kernel rows, summed over the row's run of entries.
-    top = max(abs(v) for v in values) * abs(kernel).max() * ncols
-    dtype = np.int64 if top < 2 ** 62 else object
-    kernel = kernel.astype(dtype)
-    products = np.array(values, dtype)[:, None] * kernel[col_of]
-    starts = np.cumsum([0] + lengths[:-1])
-    if np.add.reduceat(products, starts, axis=0).any():
-        return None
-    return len(pivots)
-
-
-def _integer_rank(distinct, ncols):
-    """Rank over Q of distinct integer rows: certified, else by row_reduce."""
-    rank = _certified_integer_rank(distinct, ncols)
-    if rank is None:
-        rows = [dict(zip(cols, vals)) for cols, vals in distinct]
-        rank = len(row_reduce(rows, range(ncols))[0])
-    return rank
+def _rank(distinct, ncols):
+    """Rank over Q of integer rows (column indices, values) on range(ncols)."""
+    rows = [dict(zip(cols, vals)) for cols, vals in distinct]
+    return len(_eliminate(rows, range(ncols), reduced=False)[0])
 
 
 def row_reduce(rows, columns):
@@ -319,62 +205,8 @@ def row_reduce(rows, columns):
     column that no remaining row holds gets no pivot.  Returns ({column: pivot
     row}, the rows left without a pivot), with Fraction entries.  The input
     rows are not mutated.
-
-    The work is fraction-free: a row is held as integer numerators over one
-    positive common denominator, the two without a common factor.  Clearing
-    a column scales the row only by the part of the pivot's denominator that
-    its own entry does not cancel, so rows and pivots of integers stay
-    integers throughout.  The arithmetic is exact, so every entry and every
-    zero is that of elimination over Fractions, and so is each row's key
-    order: an entry that stays keeps its place, one that cancels is removed
-    and one that fills in is appended in the pivot row's order.
     """
-    rest = []
-    for r in rows:
-        den = math.lcm(*(v.denominator for v in r.values()))
-        rest.append([{c: v.numerator * (den // v.denominator)
-                      for c, v in r.items()}, den])
-    pivots = {}
-    for col in columns:
-        holding = [i for i, (r, _) in enumerate(rest) if col in r]
-        if not holding:
-            continue
-        # min keeps the first of equally short rows
-        piv = rest.pop(min(holding, key=lambda i: len(rest[i][0])))[0]
-        # piv / piv[col], over the positive denominator |piv[col]| / g
-        g = math.gcd(*piv.values())
-        if piv[col] < 0:
-            g = -g
-        if g != 1:
-            piv = {c: v // g for c, v in piv.items()}
-        pden = piv[col]
-        for row in itertools.chain(rest, pivots.values()):
-            r, den = row
-            f = r.get(col)
-            if f:
-                # r - (f / den) * piv: the numerators scaled by pden / g,
-                # less (f / g) * piv, over den * pden / g
-                g = math.gcd(f, pden)
-                scale, f = pden // g, f // g
-                if scale != 1:
-                    for c in r:
-                        r[c] *= scale
-                    den *= scale
-                get = r.get
-                for c, v in piv.items():
-                    nv = get(c, 0) - f * v
-                    if nv:
-                        r[c] = nv
-                    else:           # only an entry r held can cancel
-                        del r[c]
-                if den != 1:
-                    g = math.gcd(den, *r.values())
-                    if g != 1:
-                        for c in r:
-                            r[c] //= g
-                        den //= g
-                    row[1] = den
-        pivots[col] = [piv, pden]
+    pivots, rest = _eliminate(rows, columns)
 
     # Equal entries share one Fraction: they are few (mostly small integers)
     # and making a Fraction costs far more than looking one up.
@@ -388,6 +220,94 @@ def row_reduce(rows, columns):
 
     return ({col: fractions(p) for col, p in pivots.items()},
             [fractions(r) for r in rest])
+
+
+def _eliminate(rows, columns, reduced=True):
+    """row_reduce's elimination, each row held as [integer numerators, one
+    positive common denominator], the two without a common factor.
+
+    Returns ({column: pivot row}, rest) in that form.  With ``reduced``
+    false the pivot rows are left as they are taken, which gives the row
+    echelon form: the pivot columns and the rest are the same either way,
+    and a rank needs no more.
+
+    Clearing a column scales a row only by the part of the pivot's
+    denominator that its own entry does not cancel, so rows and pivots of
+    integers stay integers throughout.  The arithmetic is exact, so every
+    entry and every zero is that of elimination over Fractions, and so is
+    each row's key order: an entry that stays keeps its place, one that
+    cancels is removed and one that fills in is appended in the pivot row's
+    order.  An index from each column still to pivot to the rows that hold
+    it lets each column visit only those rows.  A pivot row stays in the
+    index; with ``reduced`` false it is no longer updated, and skipped.
+    """
+    work = []
+    for r in rows:
+        den = math.lcm(*(v.denominator for v in r.values()))
+        work.append([{c: v.numerator * (den // v.denominator)
+                      for c, v in r.items()}, den])
+    index = {c: set() for c in columns}
+    for i, (r, _) in enumerate(work):
+        for c in r:
+            if c in index:
+                index[c].add(i)
+    rest = set(range(len(work)))
+    pivots = {}
+    for col in list(index):
+        holding = index.pop(col)
+        free = [i for i in holding if i in rest]
+        if not free:
+            continue
+        # the shortest row, the first of equally short ones
+        p = min(free, key=lambda i: (len(work[i][0]), i))
+        rest.remove(p)
+        piv = work[p][0]
+        # piv / piv[col], over the positive denominator |piv[col]| / g
+        g = math.gcd(*piv.values())
+        if piv[col] < 0:
+            g = -g
+        if g != 1:
+            piv = {c: v // g for c, v in piv.items()}
+        pden = piv[col]
+        work[p] = pivots[col] = [piv, pden]
+        entries = [(c, v, index.get(c)) for c, v in piv.items()]
+        for i in holding if reduced else free:
+            if i == p:
+                continue
+            row = work[i]
+            r, den = row
+            # r - (f / den) * piv: the numerators scaled by pden / g, less
+            # (f / g) * piv, over den * pden / g
+            f = r[col]
+            g = math.gcd(f, pden)
+            scale, f = pden // g, f // g
+            if scale != 1:
+                for c in r:
+                    r[c] *= scale
+                den *= scale
+            get = r.get
+            for c, v, held in entries:
+                old = get(c)
+                if old is None:             # a fill-in
+                    r[c] = -f * v
+                    if held is not None:
+                        held.add(i)
+                    continue
+                old -= f * v
+                if old:
+                    r[c] = old
+                else:                       # a cancellation
+                    del r[c]
+                    if held is not None:
+                        held.discard(i)
+            if den != 1:
+                g = math.gcd(den, *r.values())
+                if g != 1:
+                    for c in r:
+                        r[c] //= g
+                    den //= g
+                row[1] = den
+    return pivots, [work[i] for i in sorted(rest)]
 
 
 def permutation_unknowns(symbols):
@@ -442,7 +362,7 @@ def _shuffle_rows(symbols):
 def permutation_rank(symbols) -> int:
     """Rank of the permutation system, without its right-hand side."""
     check_system_size(symbols)
-    return _integer_rank(*_shuffle_rows(tuple(symbols)))
+    return _rank(*_shuffle_rows(tuple(symbols)))
 
 
 def permutation_system_size(symbols):

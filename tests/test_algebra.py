@@ -183,6 +183,19 @@ def test_eliminate_divergent_reports_surviving_divergent_terms():
         z1 * zeta(3) + z1 * zeta(2, 1))
 
 
+def test_eliminate_divergent_names_at_most_eight_terms():
+    # zeta(1^6,3) leaves 81 terms with a power of T: the message names the
+    # first eight and the count, and the residual keeps all of them
+    with pytest.raises(EliminationError) as info:
+        eliminate_divergent(zeta(1, 1, 1, 1, 1, 1, 3))
+    terms = info.value.residual.terms
+    assert len(terms) == 81
+    assert str(info.value) == (
+        "divergent terms survive elimination: %s; … (81 terms in all)"
+        % "; ".join(str(t) for t in terms[:8]))
+    assert len(str(info.value).encode()) < 1024
+
+
 def test_eliminate_divergent_keeps_the_stuffle_constant_term():
     # zeta(1,1) = (T^2 - zeta(2)) / 2 and zeta(1,3) = T zeta(3) - zeta(4)
     # - zeta(3,1); leading ones with signs follow the same recursion

@@ -538,6 +538,15 @@ def test_reduce_file_refuses_dense_diagrams_fast(tmp_path, strategy, n, edges):
     assert time.monotonic() - t0 < 1.0
 
 
+def test_reduce_reads_a_diagram_file_from_stdin():
+    # "-" reads stdin, as verify's identity file does
+    code, out, _ = run(["reduce", "--seashell", "2,1", "--json"])
+    diagram = json.dumps(json.loads(out)["diagram"])
+    assert code == 0
+    assert run(["reduce", "--file", "-", "--json"], stdin=diagram) == (
+        0, out, "")
+
+
 @pytest.mark.parametrize("text, error", [
     ("2.9", "TypeError('expected an integer, got 2.9')"),
     ('"2"', "TypeError(\"expected an integer, got '2'\")"),
@@ -820,7 +829,7 @@ def test_symbolic_json_is_independent_of_hash_seed():
 
 
 def test_numpy_free_commands_leave_numpy_unloaded():
-    # only the mod-p rank and the direct evaluator import numpy
+    # only the direct evaluator imports numpy
     commands = [
         ["derive", "permutation", "2,1", "2", "--json"],
         ["reduce", "--seashell", "3,1,2", "--json"],
@@ -828,6 +837,8 @@ def test_numpy_free_commands_leave_numpy_unloaded():
          str(CORPUS_DIR / "derive-partial-int-312-rightward.out")],
         ["eval", "2,1", "--eps", "1e-12"],
         ["sweep", "stuffle", "--max-weight", "5"],
+        ["rank", "--length", "4"],
+        ["rank", "--pattern", "a,b,b"],
     ]
     code = ("import sys\nimport mzv\nfrom mzv import cli\n"
             "cli.build_parser()\n"
@@ -846,7 +857,8 @@ def assert_first_command_matches_pin(name):
 
 @pytest.mark.parametrize("name", ["rank-length-4", "eval-m3m11-trunc-100000"])
 def test_numpy_kernel_as_first_command(name):
-    # each kernel that imports numpy, run first in a fresh interpreter
+    # the direct evaluator, which imports numpy, and the rank elimination,
+    # each run first in a fresh interpreter
     assert_first_command_matches_pin(name)
 
 

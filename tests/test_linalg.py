@@ -25,12 +25,10 @@ from mzv import (
 )
 from mzv.algebra import ProductTerm, ZetaCombination
 from mzv.linalg import (
-    PRIME,
-    RECONSTRUCTION_BOUND,
+    _eliminate,
     _integer_rows,
     _shuffle_rows,
     _split_row,
-    certified_rank,
     check_system_size,
     generic_symbols,
     instantiate_column,
@@ -38,7 +36,6 @@ from mzv.linalg import (
     ordered_splits,
     permutation_system_size,
     product_column,
-    rational_reconstruction,
     row_reduce,
     symbolic_stuffle,
     zeta_column,
@@ -465,6 +462,23 @@ def test_row_reduce_matches_the_fraction_elimination_on_systems(symbols):
                           fraction_row_reduce(rows, columns))
 
 
+@pytest.mark.parametrize("symbols", ["abcd", "aabcd"])
+def test_row_echelon_form_keeps_the_pivots_and_the_rest(symbols):
+    # pivot rows left uncleared change no other row: the pivot columns and
+    # the rest, key order included, are those of the reduced form
+    mat = assemble_permutation_system(symbols)
+    rows = mat.rows + three_point_rows()
+    columns = list(reversed(mat.unknowns)) + mat.rhs_columns[:40]
+    pivots, rest = _eliminate(rows, columns)
+    echelon, echelon_rest = _eliminate(rows, columns, reduced=False)
+    assert list(echelon) == list(pivots)
+    assert [(list(r.items()), d) for r, d in echelon_rest] == [
+        (list(r.items()), d) for r, d in rest]
+    # each pivot row holds no earlier pivot column
+    for k, (col, (r, _)) in enumerate(echelon.items()):
+        assert col in r and not set(list(echelon)[:k]) & r.keys()
+
+
 def test_permutation_system_is_independent_of_hash_seed():
     source_root = pathlib.Path(mzv.__file__).resolve().parent.parent
     code = ("from mzv import assemble_permutation_system, reduce_to_basis\n"
@@ -481,17 +495,6 @@ def test_permutation_system_is_independent_of_hash_seed():
     assert outputs[0] == outputs[1]
 
 
-def test_rational_reconstruction():
-    assert rational_reconstruction(0) == (0, 1)
-    assert rational_reconstruction(-7) == (-7, 1)
-    assert rational_reconstruction(3 * pow(5, PRIME - 2, PRIME)) == (3, 5)
-    b = RECONSTRUCTION_BOUND
-    assert rational_reconstruction(-b * pow(b - 1, PRIME - 2, PRIME)) == (
-        -b, b - 1)
-    assert rational_reconstruction(b + 1) is None
-    assert rational_reconstruction(40000) is None
-
-
 def restricted_rank(mat):
     keep = set(mat.unknowns)
     rows = [{c: v for c, v in r.items() if c in keep} for r in mat.rows]
@@ -499,20 +502,20 @@ def restricted_rank(mat):
 
 
 def test_rank_below_mod_p_falls_back():
-    # PRIME vanishes mod p, so the rank mod p (1) is below the rank over Q
-    rows = [{"x": Fraction(1), "y": Fraction(PRIME)}, {"x": Fraction(1)}]
-    assert certified_rank(rows, ["x", "y"]) is None
+    # the entry 2^31 - 1 vanishes modulo that prime, where the rank is 1;
+    # over Q it is 2
+    rows = [{"x": Fraction(1), "y": Fraction(2 ** 31 - 1)}, {"x": Fraction(1)}]
     assert ExactMatrix(rows, ["r1", "r2"]).rank() == 2 == dense_rank(
         rows, ["x", "y"])
 
 
 def test_kernel_beyond_reconstruction_bound_falls_back():
-    # the kernel vector (40000, 1, 0, 0) cannot be reconstructed
+    # the kernel vector (40000, 1, 0, 0) is past what a rational
+    # reconstruction modulo 2^31 - 1 recovers; exact elimination needs none
     rows = [{"x": Fraction(1), "y": Fraction(-40000)},
             {"z": Fraction(1), "w": Fraction(2, 3)},
             {"w": Fraction(3), "v": Fraction(-1)}]
     columns = ["x", "y", "z", "w", "v"]
-    assert certified_rank(rows, columns) is None
     assert ExactMatrix(rows, ["r1", "r2", "r3"]).rank() == 3 == dense_rank(
         rows, columns)
 
@@ -522,15 +525,16 @@ def test_repeated_and_scaled_rows_count_once():
             {"x": Fraction(3), "y": Fraction(2)},
             {"y": Fraction(0), "z": Fraction(5)},
             {}]
-    assert certified_rank(rows, ["x", "y", "z"]) == 2
-    assert certified_rank(rows, ["y"]) == 1
-    assert certified_rank([], ["x"]) == 0
+    labels = list(range(len(rows)))
+    assert ExactMatrix(rows, labels, unknowns=("x", "y", "z")).rank() == 2
+    assert ExactMatrix(rows, labels, unknowns=("y",)).rank() == 1
+    assert ExactMatrix([], [], unknowns=("x",)).rank() == 0
 
 
 def test_large_entries_are_checked_in_python_ints():
     big = Fraction(2 ** 70 + 1)
     rows = [{"x": big, "y": -big, "z": Fraction(1)}, {"z": Fraction(1)}]
-    assert certified_rank(rows, ["x", "y", "z"]) == 2
+    assert ExactMatrix(rows, ["r1", "r2"]).rank() == 2
 
 
 sparse_rows = st.lists(st.dictionaries(
@@ -559,12 +563,11 @@ def test_permutation_systems_are_certified_without_fallback():
     for l in range(2, 6):
         mat = assemble_permutation_system(generic_symbols(l))
         expected = math.factorial(l) - math.factorial(l - 1)
-        assert certified_rank(mat.rows, mat.unknowns) == expected
+        assert mat.rank() == expected
     for shape in BENCHMARK_SHAPES:
         symbols = "".join(s * m for s, m in zip("abcd", shape))
         mat = assemble_permutation_system(symbols)
-        assert certified_rank(mat.rows, mat.unknowns) == restricted_rank(
-            mat), symbols
+        assert mat.rank() == restricted_rank(mat), symbols
 
 
 def multiplicity_shapes(length):
@@ -577,7 +580,7 @@ def multiplicity_shapes(length):
 
 
 def test_shuffle_rows_are_the_assembled_rows_on_the_unknowns():
-    # equal rows go through the same certified rank, so the ranks agree too;
+    # equal rows go through the same elimination, so the ranks agree too;
     # the letter patterns hold every shape of at most three letters
     words = list(letter_patterns(6))
     words += ["".join(s * m for s, m in zip("abcdef", shape))
@@ -600,20 +603,19 @@ def test_permutation_rank_falls_back_to_row_reduce_without_assembly(
         symbols = "".join(s * m for s, m in zip("abcd", shape))
         expected[symbols] = restricted_rank(
             assemble_permutation_system(symbols))
-    reduced = []
+    eliminated = []
 
-    def counted_row_reduce(rows, columns):
-        reduced.append(len(rows))
-        return row_reduce(rows, columns)
+    def counted_eliminate(rows, columns, reduced=True):
+        eliminated.append(reduced)
+        return _eliminate(rows, columns, reduced)
 
     def no_assembly(symbols):
         raise AssertionError("permutation system assembled")
 
-    monkeypatch.setattr(mzv.linalg, "_certified_integer_rank",
-                        lambda distinct, ncols: None)
-    monkeypatch.setattr(mzv.linalg, "row_reduce", counted_row_reduce)
+    monkeypatch.setattr(mzv.linalg, "_eliminate", counted_eliminate)
     monkeypatch.setattr(mzv.linalg, "assemble_permutation_system",
                         no_assembly)
     for symbols, rank in expected.items():
         assert permutation_rank(symbols) == rank, symbols
-    assert len(reduced) == len(BENCHMARK_SHAPES)
+    # one row echelon form per system, from the shuffle rows alone
+    assert eliminated == [False] * len(BENCHMARK_SHAPES)
