@@ -450,15 +450,44 @@ def test_reduce_trace_on_a_refusal(tmp_path):
     # the exit code and stdout are those without --trace
     f = tmp_path / "cut.json"
     f.write_text(json.dumps(CUT_BY_A_CONSTRAINT.to_json()))
-    argv = ["reduce", "--file", str(f), "--strategy", "auto"]
-    error = "mzv: error: not a cycle-with-chords diagram\n"
-    assert run(argv) == (2, "", error)
-    for extra in ([], ["--json"]):
-        assert run(argv + ["--trace"] + extra) == (2, "", (
-            "# order expansion over 4 cycle positions\n"
-            "# order expansion not applicable; matching known shapes\n"
-            "# branch recursion not applicable: not a double-branch "
-            "diagram\n" + error))
+    for argv, error, steps in [
+        (["--file", str(f), "--strategy", "auto"],
+         "not a cycle-with-chords diagram",
+         ["order expansion over 4 cycle positions",
+          "order expansion not applicable; matching known shapes",
+          "branch recursion not applicable: not a double-branch diagram"]),
+        # auto passes through all three strategies before the refusal
+        (["--peacock", "2,0", "0,3", "2"],
+         "only the last chord may start nonzero for the rightward sweep",
+         ["order expansion over 4 cycle positions",
+          "order expansion not applicable; matching known shapes",
+          "double-branch structure: trunk [2, 0], branches [2] | [0, 3]",
+          "zero branch head pushed onto the trunk",
+          "branch recursion not applicable: interior zero labels are not "
+          "reducible",
+          "fan structure: cycle [2, 0, 0, 3], chords [0, 2, 0]"]),
+        (["--peacock", "0", "0,3", "2,1", "--strategy", "shuffle"],
+         "interior zero labels are not reducible",
+         ["double-branch structure: trunk [0], branches [0, 3] | [2, 1]",
+          "zero branch head pushed onto the trunk"]),
+    ]:
+        error = "mzv: error: %s\n" % error
+        assert run(["reduce"] + argv) == (2, "", error)
+        for extra in ([], ["--json"]):
+            assert run(["reduce"] + argv + ["--trace"] + extra) == (
+                2, "", "".join("# %s\n" % line for line in steps) + error)
+
+
+@pytest.mark.parametrize("edges, out", [
+    # vertex 1 is a component without edges
+    ([(0, 0, 5)], "1·ζ(5)\n"),
+    ([(0, 0, 2), (1, 1, 5)], "1·ζ(2)·ζ(5)\n")])
+def test_reduce_file_of_a_disconnected_diagram(tmp_path, edges, out):
+    f = tmp_path / "diagram.json"
+    f.write_text(json.dumps({
+        "vertices": [0, 1], "root": 0,
+        "edges": [{"from": a, "to": b, "label": k} for a, b, k in edges]}))
+    assert run(["reduce", "--file", str(f)]) == (0, out, "")
 
 
 def test_reduce_peacock_shuffle():

@@ -99,6 +99,12 @@ CORPUS = {
         "reduce", "--seashell", "2,1,1,1,1,1,1,1", "--trace", "--json"],
     "reduce-peacock-20-21-3-auto": [
         "reduce", "--peacock", "2,0", "2,1", "3", "--trace", "--json"],
+    # a zero branch head pushed onto the trunk, and a fan with no chords
+    "reduce-peacock-2-03-21-auto": [
+        "reduce", "--peacock", "2", "0,3", "2,1", "--trace", "--json"],
+    "reduce-seashell-3-rightward": [
+        "reduce", "--seashell", "3", "--strategy", "rightward", "--trace",
+        "--json"],
     "derive-shuffle-21-3": ["derive", "shuffle", "2,1", "3", "--json"],
     "derive-permutation-2m1-3": [
         "derive", "permutation", "2,-1", "3", "--json"],
