@@ -176,10 +176,11 @@ def _diagram_from_args(args):
 
 def cmd_reduce(args):
     d = _diagram_from_args(args)
+    steps = []
     try:
-        comb, trace = diagrams.reduce(d, strategy=args.strategy, trace=True)
-    except ValueError as exc:       # the steps before the refusal
-        for line in exc.trace if args.trace else ():
+        comb = diagrams.reduce(d, strategy=args.strategy, steps=steps)
+    except ValueError:              # the steps before the refusal
+        for line in steps if args.trace else ():
             print("# %s" % line, file=sys.stderr)
         raise
     if args.json:
@@ -191,10 +192,10 @@ def cmd_reduce(args):
             "value": value,
         }
         if args.trace:
-            out["trace"] = list(trace)
+            out["trace"] = steps
         _print_json(out)
     else:
-        for line in trace if args.trace else ():
+        for line in steps if args.trace else ():
             print("# %s" % line)
         print(comb)
     return 0

@@ -460,7 +460,7 @@ def order_expansion(d: Diagram) -> ZetaCombination:
     return _of({(sort_key(expo),): n for expo, n in cells.items()})
 
 
-def _structural_value(d: Diagram, trace) -> ZetaCombination:
+def _structural_value(d: Diagram, steps) -> ZetaCombination:
     total = one()
     for comp in _components(d):
         sub_edges = tuple(e for e in d.edges if e[0] in comp)
@@ -468,13 +468,14 @@ def _structural_value(d: Diagram, trace) -> ZetaCombination:
             continue
         root = d.root if d.root in comp else min(comp)
         sub = Diagram(tuple(sorted(comp)), root, sub_edges)
-        total = total * _connected_value(sub, trace)
+        total = total * _connected_value(sub, steps)
     return total
 
 
-def _connected_value(d: Diagram, trace) -> ZetaCombination:
+def _connected_value(d: Diagram, steps) -> ZetaCombination:
     """Self-loops, dead vertices and the root-zero factor rule, then order
-    expansion on what is left."""
+    expansion on what is left, which stays connected: a loop joins no two
+    vertices, and the zero-arc rule fuses its head into the root."""
     factors = one()
     while True:
         loops = [(i, e) for i, e in enumerate(d.edges) if e[0] == e[1]]
@@ -483,7 +484,7 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
             if k == 0:
                 raise IrreducibleDiagramError("zero-labeled loop is singular")
             factors = factors * zeta(k)
-            trace.append("loop at %d gives a weight-%d factor" % (w, k))
+            steps.append("loop at %d gives a weight-%d factor" % (w, k))
             d = d.replace_edges(drop=(i,))
             continue
         if not d.edges:
@@ -491,7 +492,7 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
         dead = [v for v in d.vertices
                 if bool(d.in_edges(v)) != bool(d.out_edges(v))]
         if dead:
-            trace.append("vertex %d is all-in or all-out: value 0" % dead[0])
+            steps.append("vertex %d is all-in or all-out: value 0" % dead[0])
             return ZetaCombination()
         for i, (a, b, k) in enumerate(d.edges):
             if a == d.root and k == 0 and b != d.root:
@@ -503,18 +504,16 @@ def _connected_value(d: Diagram, trace) -> ZetaCombination:
                     if back:
                         j, (_, _, q) = min(back, key=lambda jt: jt[1][2])
                         factors = factors * zeta(q)
-                        trace.append(
+                        steps.append(
                             "zero arc into %d frees a weight-%d factor" % (b, q))
                         d = d.replace_edges(drop=(i, j)).fuse({d.root, b})
                         break
         else:
             break
-    if len(_components(d)) > 1:
-        return factors * _structural_value(d, trace)
     note = "order expansion over %d cycle positions" % len(d.vertices)
     if len(d.vertices) > MAX_ORDER_POSITIONS:
         note += " exceeds the limit %d" % MAX_ORDER_POSITIONS
-    trace.append(note)
+    steps.append(note)
     return factors * order_expansion(d)
 
 
@@ -635,7 +634,7 @@ def _peacock_structure(d: Diagram):
     return None
 
 
-def _branch_state_value(trunk, B, C, trace) -> ZetaCombination:
+def _branch_state_value(trunk, B, C, steps) -> ZetaCombination:
     for X, Y in ((B, C), (C, B)):
         if X == (0,):
             if 0 in trunk + Y:
@@ -644,8 +643,8 @@ def _branch_state_value(trunk, B, C, trace) -> ZetaCombination:
             return zeta(Composition(trunk + Y))
     for X, Y in ((B, C), (C, B)):
         if X[0] == 0:
-            trace.append("zero branch head pushed onto the trunk")
-            return _branch_state_value(trunk + (0,), X[1:], Y, trace)
+            steps.append("zero branch head pushed onto the trunk")
+            return _branch_state_value(trunk + (0,), X[1:], Y, steps)
     if not trunk or trunk[-1] != 0:
         raise IrreducibleDiagramError(
             "trunk must end in a zero label for the branch recursion")
@@ -653,18 +652,18 @@ def _branch_state_value(trunk, B, C, trace) -> ZetaCombination:
     if any(k == 0 for k in prefix + B + C):
         raise IrreducibleDiagramError("interior zero labels are not reducible")
     suffixes = _branch_suffixes(B, C)
-    trace.append("branch recursion produced %d terms" % len(suffixes))
+    steps.append("branch recursion produced %d terms" % len(suffixes))
     return _of({(sort_key(prefix + suf),): c for suf, c in suffixes})
 
 
-def _reduce_shuffle(d: Diagram, trace) -> ZetaCombination:
+def _reduce_shuffle(d: Diagram, steps) -> ZetaCombination:
     struct = _peacock_structure(d)
     if struct is None:
         raise IrreducibleDiagramError("not a double-branch diagram")
     trunk, B, C = struct
-    trace.append("double-branch structure: trunk %s, branches %s | %s"
+    steps.append("double-branch structure: trunk %s, branches %s | %s"
                  % (list(trunk), list(B), list(C)))
-    return _branch_state_value(trunk, B, C, trace)
+    return _branch_state_value(trunk, B, C, steps)
 
 
 # --- rightward strategy -----------------------------------------------------
@@ -740,12 +739,12 @@ def _rightward_terms(t, c) -> ZetaCombination:
     return _of(acc)
 
 
-def _reduce_rightward(d: Diagram, trace) -> ZetaCombination:
+def _reduce_rightward(d: Diagram, steps) -> ZetaCombination:
     fan = _fan_structure(d)
     if fan is None:
         raise IrreducibleDiagramError("not a cycle-with-chords diagram")
     t, c = fan
-    trace.append("fan structure: cycle %s, chords %s" % (list(t), list(c)))
+    steps.append("fan structure: cycle %s, chords %s" % (list(t), list(c)))
     if not c:
         return zeta(Composition(t))
     if any(k != 0 for k in c[:-1]):
@@ -754,47 +753,44 @@ def _reduce_rightward(d: Diagram, trace) -> ZetaCombination:
     if any(k == 0 for k in t):
         raise IrreducibleDiagramError("zero cycle labels need an exchange first")
     total = _rightward_terms(t, c)
-    trace.append("raw reduction has %d terms" % len(total._coeffs))
+    steps.append("raw reduction has %d terms" % len(total._coeffs))
     final = eliminate_divergent(total)
-    trace.append("divergence elimination leaves %d terms" % len(final._coeffs))
+    steps.append("divergence elimination leaves %d terms" % len(final._coeffs))
     return final
 
 
 # --- entry point ------------------------------------------------------------
 
-def reduce(d: Diagram, strategy: str = "auto", trace: bool = False):
+# The strategies in auto's order, each with the step that auto notes when it
+# refuses; the last one's refusal stands.
+_STRATEGIES = {
+    "structural": (_structural_value,
+                   "order expansion not applicable; matching known shapes"),
+    "shuffle": (_reduce_shuffle, "branch recursion not applicable: {}"),
+    "rightward": (_reduce_rightward, None),
+}
+
+
+def reduce(d: Diagram, strategy: str = "auto", steps=None) -> ZetaCombination:
     """Reduce a diagram to an equal-valued combination of nested sums.
 
     Strategies: "structural" (order expansion of zero-chord diagrams),
     "rightward" (iterated partial integration, right to left, divergent
     pieces eliminated), "shuffle" (double-branch recursion), "auto"
-    (structural when it applies, then shuffle, then rightward).  A refusal
-    carries the steps taken before it as its ``trace`` attribute.
+    (structural when it applies, then shuffle, then rightward).  Each step
+    taken is appended to the list ``steps`` when one is given, the steps
+    before a refusal included.
     """
-    tr = []
-    try:
-        if strategy == "structural":
-            comb_ = _structural_value(d, tr)
-        elif strategy == "rightward":
-            comb_ = _reduce_rightward(d, tr)
-        elif strategy == "shuffle":
-            comb_ = _reduce_shuffle(d, tr)
-        elif strategy == "auto":
-            try:
-                comb_ = _structural_value(d, tr)
-            except IrreducibleDiagramError:
-                tr.append("order expansion not applicable; matching known "
-                          "shapes")
-                try:
-                    comb_ = _reduce_shuffle(d, tr)
-                except IrreducibleDiagramError as exc:
-                    tr.append("branch recursion not applicable: %s" % exc)
-                    comb_ = _reduce_rightward(d, tr)
-        else:
-            raise ValueError("unknown strategy %r" % strategy)
-    except ValueError as exc:
-        exc.trace = tuple(tr)
-        raise
-    if trace:
-        return comb_, tuple(tr)
-    return comb_
+    steps = [] if steps is None else steps
+    if strategy == "auto":
+        tried = list(_STRATEGIES.values())
+    elif strategy in _STRATEGIES:
+        tried = [_STRATEGIES[strategy]]
+    else:
+        raise ValueError("unknown strategy %r" % strategy)
+    for run, note in tried[:-1]:
+        try:
+            return run(d, steps)
+        except IrreducibleDiagramError as exc:
+            steps.append(note.format(exc))
+    return tried[-1][0](d, steps)

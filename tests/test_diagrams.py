@@ -196,9 +196,10 @@ def test_order_expansion_constraint_cuts_a_cell():
     with pytest.raises(IrreducibleDiagramError,
                        match="^momentum constraint cuts an ordering cell$"):
         reduce(d, strategy="structural")
-    with pytest.raises(IrreducibleDiagramError) as info:
-        reduce(d, strategy="auto")
-    assert info.value.trace[0] == "order expansion over 4 cycle positions"
+    steps = []
+    with pytest.raises(IrreducibleDiagramError):
+        reduce(d, strategy="auto", steps=steps)
+    assert steps[0] == "order expansion over 4 cycle positions"
 
 
 @pytest.mark.parametrize("vertices, root, edges, text", [
@@ -793,7 +794,8 @@ def test_rightward_sweep_digest():
     assert len(diagrams) == 502 + 64
     lines = []
     for d in diagrams:
-        comb, trace = reduce(d, strategy="rightward", trace=True)
+        trace = []
+        comb = reduce(d, strategy="rightward", steps=trace)
         lines.append(json.dumps(comb.to_json(), sort_keys=True))
         lines.extend(trace)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
@@ -856,7 +858,8 @@ def test_half_moon_with_two_zero_labels_is_irreducible(labels, strategy, capsys)
 
 
 def test_reduce_trace_and_bad_strategy():
-    comb, trace = reduce(build_seashell((2, 1)), strategy="rightward", trace=True)
+    trace = []
+    comb = reduce(build_seashell((2, 1)), strategy="rightward", steps=trace)
     assert comb == normalize(zeta(3))
     assert trace and all(isinstance(line, str) for line in trace)
     with pytest.raises(ValueError):

@@ -269,7 +269,8 @@ def test_three_point_rows_shape_and_truth():
 
 
 def test_rows_handed_to_row_reduce_hold_fractions():
-    # row_reduce divides by its pivots; an int row would make that a float
+    # ExactMatrix rows are exact rationals, the Fraction entries that
+    # row_reduce's docstring asks for; its elimination would take ints too
     rows = assemble_permutation_system("abc").rows + three_point_rows()
     values = [v for row in rows for v in row.values()]
     assert values and all(type(v) is Fraction for v in values)
@@ -501,7 +502,7 @@ def restricted_rank(mat):
     return len(row_reduce(rows, mat.unknowns)[0])
 
 
-def test_rank_below_mod_p_falls_back():
+def test_exact_rank_with_a_word_size_prime_entry():
     # the entry 2^31 - 1 vanishes modulo that prime, where the rank is 1;
     # over Q it is 2
     rows = [{"x": Fraction(1), "y": Fraction(2 ** 31 - 1)}, {"x": Fraction(1)}]
@@ -509,7 +510,7 @@ def test_rank_below_mod_p_falls_back():
         rows, ["x", "y"])
 
 
-def test_kernel_beyond_reconstruction_bound_falls_back():
+def test_exact_rank_with_a_large_kernel_vector():
     # the kernel vector (40000, 1, 0, 0) is past what a rational
     # reconstruction modulo 2^31 - 1 recovers; exact elimination needs none
     rows = [{"x": Fraction(1), "y": Fraction(-40000)},
@@ -559,7 +560,7 @@ BENCHMARK_SHAPES = ((2, 1), (3,), (2, 1, 1), (2, 2), (3, 1), (2, 1, 1, 1),
                     (3, 2, 1))
 
 
-def test_permutation_systems_are_certified_without_fallback():
+def test_exact_rank_of_permutation_systems():
     for l in range(2, 6):
         mat = assemble_permutation_system(generic_symbols(l))
         expected = math.factorial(l) - math.factorial(l - 1)
@@ -596,7 +597,7 @@ def test_shuffle_rows_are_the_assembled_rows_on_the_unknowns():
             len(mat.rows), len(set().union(*mat.rows))), symbols
 
 
-def test_permutation_rank_falls_back_to_row_reduce_without_assembly(
+def test_permutation_rank_is_one_echelon_form_without_assembly(
         monkeypatch):
     expected = {}
     for shape in BENCHMARK_SHAPES:
