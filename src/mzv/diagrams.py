@@ -782,12 +782,10 @@ def reduce(d: Diagram, strategy: str = "auto", steps=None) -> ZetaCombination:
     before a refusal included.
     """
     steps = [] if steps is None else steps
-    if strategy == "auto":
-        tried = list(_STRATEGIES.values())
-    elif strategy in _STRATEGIES:
-        tried = [_STRATEGIES[strategy]]
-    else:
+    if strategy != "auto" and strategy not in _STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
+    tried = [entry for name, entry in _STRATEGIES.items()
+             if strategy in (name, "auto")]
     for run, note in tried[:-1]:
         try:
             return run(d, steps)
