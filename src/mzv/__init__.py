@@ -56,7 +56,6 @@ from .linalg import (
     assemble_permutation_system,
     permutation_rank,
     reduce_to_basis,
-    three_point_rows,
 )
 from .numerics import (
     PrecisionValue,

@@ -27,7 +27,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import identities
 from .algebra import ProductTerm, ZetaCombination, stuffle_template
 from .compositions import composition
 
@@ -460,39 +459,3 @@ def instantiate_expression(comp, expression, assignment) -> ZetaCombination:
               for col, coeff in expression.items()]
     return ZetaCombination(terms)
 
-
-def three_point_rows(symbols=("a", "b", "c")):
-    """The six three-point relations over the given three symbol names.
-
-    Runs the diagram-level identity on power-coded integer labels and decodes
-    every resulting part back into a symbol multiset, so the rows share the
-    column encoding of assemble_permutation_system.
-    """
-    symbols = tuple(symbols)
-    if len(symbols) != 3:
-        raise ValueError("three-point rows need exactly three symbols")
-    labels = [16, 256, 4096]
-
-    def decode_part(p):
-        out = []
-        rest = p
-        for i in range(3):
-            digit = (p >> (4 * (i + 1))) & 15
-            out.extend([symbols[i]] * digit)
-            rest -= digit << (4 * (i + 1))
-        if rest:
-            raise ValueError("part %d is not a sum of coded labels" % p)
-        return tuple(sorted(out))
-
-    rows = []
-    for perm in itertools.permutations(range(3)):
-        ident = identities.three_point_identity(
-            labels[perm[0]], labels[perm[1]], labels[perm[2]])
-        row = {}
-        for t in ident.combination.terms:
-            comps = [tuple(map(decode_part, f.parts)) for f in t.factors]
-            key = (zeta_column(comps[0]) if len(comps) == 1
-                   else product_column(comps))
-            row[key] = row.get(key, Fraction(0)) + t.coefficient
-        rows.append({k: v for k, v in row.items() if v})
-    return rows

@@ -18,10 +18,11 @@ from mzv import (
     assemble_permutation_system,
     composition,
     eval_combination,
-    normalize,
     permutation_rank,
     reduce_to_basis,
-    three_point_rows,
+    stuffle,
+    three_point_identity,
+    zeta,
 )
 from mzv.algebra import ProductTerm, ZetaCombination
 from mzv.linalg import (
@@ -255,34 +256,35 @@ def test_instantiate_column():
     assert len(term.factors) == 2
 
 
-def test_three_point_rows_shape_and_truth():
-    rows = three_point_rows()
-    assert len(rows) == 6
-    assignment = {"a": 4, "b": 3, "c": 2}
-    for row in rows:
-        comb = normalize(ZetaCombination(tuple(
-            instantiate_column(col, assignment).scaled(coeff)
-            for col, coeff in row.items())))
-        assert residual(comb) < 1e-10
-    with pytest.raises(ValueError):
-        three_point_rows(("a", "b"))
+def stuffle_expanded(comb):
+    """comb with every product of nested sums expanded by stuffle."""
+    out = ZetaCombination()
+    for t in comb.terms:
+        part = zeta(t.factors[0])
+        for f in t.factors[1:]:
+            part = sum((stuffle(g.factors[0], f).scaled(g.coefficient)
+                        for g in part.terms), ZetaCombination())
+        out += part.scaled(t.coefficient)
+    return out
+
+
+def test_three_point_identities_are_stuffle_consequences():
+    # every three-point identity is a harmonic-product identity: once its
+    # products are expanded it vanishes exactly, exponent 1 included
+    triples = [t for t in itertools.product(range(1, 7), repeat=3)
+               if sum(t) <= 11]
+    assert len(triples) == 135
+    for t in triples:
+        expanded = stuffle_expanded(three_point_identity(*t).combination)
+        assert expanded.is_zero(), (t, str(expanded))
 
 
 def test_rows_handed_to_row_reduce_hold_fractions():
     # ExactMatrix rows are exact rationals, the Fraction entries that
     # row_reduce's docstring asks for; its elimination would take ints too
-    rows = assemble_permutation_system("abc").rows + three_point_rows()
+    rows = assemble_permutation_system("abc").rows
     values = [v for row in rows for v in row.values()]
     assert values and all(type(v) is Fraction for v in values)
-
-
-def test_three_point_rows_leave_rank_unchanged():
-    mat = assemble_permutation_system(generic_symbols(3))
-    extended = ExactMatrix(
-        mat.rows + three_point_rows(),
-        mat.row_labels + ["3pt"] * 6,
-        unknowns=mat.unknowns)
-    assert extended.rank() == mat.rank() == 4
 
 
 def dense_rank(rows, columns):
@@ -454,10 +456,10 @@ def test_row_reduce_matches_the_fraction_elimination(rows, data):
 
 @pytest.mark.parametrize("symbols", ["abcd", "aabcd", "abcde"])
 def test_row_reduce_matches_the_fraction_elimination_on_systems(symbols):
-    # the permutation rows and the three-point rows, with every unknown
+    # the permutation rows and the abc system's rows, with every unknown
     # pivoted last-first and the right-hand sides after them
     mat = assemble_permutation_system(symbols)
-    rows = mat.rows + three_point_rows()
+    rows = mat.rows + assemble_permutation_system("abc").rows
     columns = list(reversed(mat.unknowns)) + mat.rhs_columns[:40]
     assert_same_reduction(row_reduce(rows, columns),
                           fraction_row_reduce(rows, columns))
@@ -468,7 +470,7 @@ def test_row_echelon_form_keeps_the_pivots_and_the_rest(symbols):
     # pivot rows left uncleared change no other row: the pivot columns and
     # the rest, key order included, are those of the reduced form
     mat = assemble_permutation_system(symbols)
-    rows = mat.rows + three_point_rows()
+    rows = mat.rows + assemble_permutation_system("abc").rows
     columns = list(reversed(mat.unknowns)) + mat.rhs_columns[:40]
     pivots, rest = _eliminate(rows, columns)
     echelon, echelon_rest = _eliminate(rows, columns, reduced=False)
