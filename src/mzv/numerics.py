@@ -258,20 +258,20 @@ def eval_combination(comb: ZetaCombination, eps: float) -> PrecisionValue:
               for c in comb.compositions()}
     dps = max(30, int(math.ceil(-math.log10(eps_atom))) + 10)
     with mp.workdps(dps):
-        total = mp.mpf(0)
-        bound = 0.0
+        total, bound = mp.mpf(0), 0.0
         for k, q in terms:
-            prod = mp.mpf(1)
-            lo = 1.0
-            hi = 1.0
+            prod, lo, err = mp.mpf(1), 1.0, 0.0  # err = Π(|a|+b) - Π|a|
             for f in k:
                 pv = values[f]
                 prod *= pv.value
                 a = abs(float(pv.value))
+                err = err * (a + pv.bound) + lo * pv.bound
                 lo *= a
-                hi *= a + pv.bound
             total += mp.mpf(q.numerator) / q.denominator * prod
-            bound += abs(float(q)) * (hi - lo)
+            bound += abs(float(q)) * err
+        # each term's path through the float sums above takes fewer than
+        # sum(6·len(k) + 4) roundings, each low by at most 2^-53 relative
+        bound *= 1 + sum(6 * len(k) + 4 for k, _ in terms) * 2.0 ** -52
         bound += float(mp.mpf(10) ** (-(dps - 6)))
     return PrecisionValue(total, bound)
 

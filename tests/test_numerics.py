@@ -15,6 +15,7 @@ from mzv import (
     bernoulli_number,
     bernoulli_polynomial,
     composition,
+    eliminate_divergent,
     eval_combination,
     eval_mzv_accel,
     eval_mzv_direct,
@@ -25,6 +26,7 @@ from mzv import (
     partial_integration,
     permutation_identity,
     propagator_real_closed_form,
+    shuffle_identity,
     three_point_identity,
     verify_identity,
     zeta,
@@ -510,6 +512,39 @@ def test_eval_combination_residual():
 def test_eval_combination_rejects_regularized():
     with pytest.raises(ValueError):
         eval_combination(zeta(1, 2), 1e-8)
+
+
+def test_eval_combination_bound_covers_the_exact_propagation(monkeypatch):
+    # the reported bound is at least the atoms' bounds propagated exactly,
+    # sum |q| (prod(|a_i| + b_i) - prod |a_i|) at 60 digits, though each
+    # b_i is far below 1 ulp of |a_i|
+    atoms = {}
+
+    def recorded(c, eps):
+        atoms[c.sort_key] = pv = eval_mzv_accel(c, eps)
+        return pv
+
+    monkeypatch.setattr(numerics, "eval_mzv_accel", recorded)
+    admissible = [c.parts for c in iter_admissible(6)]
+    idents = [shuffle_identity(x, y) for x in admissible for y in admissible
+              if sum(x) + sum(y) <= 8]
+    idents += [three_point_identity(a, b, c) for a in (2, 3, 4)
+               for b in (1, 2, 3) for c in (1, 2, 3)]
+    assert len(idents) == 156
+    for ident in idents:
+        comb = eliminate_divergent(ident.combination)
+        atoms.clear()
+        pv = eval_combination(comb, 1e-12)
+        with mp.workdps(60):
+            exact = mp.fsum(abs(mp.mpf(t.coefficient.numerator)
+                                / t.coefficient.denominator)
+                            * (mp.fprod(abs(atoms[f.sort_key].value)
+                                        + atoms[f.sort_key].bound
+                                        for f in t.factors)
+                               - mp.fprod(abs(atoms[f.sort_key].value)
+                                          for f in t.factors))
+                            for t in comb.terms)
+            assert pv.bound >= exact, (ident.parameters, pv.bound, exact)
 
 
 def test_verify_identity_report():
