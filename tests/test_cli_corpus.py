@@ -9,12 +9,14 @@ a new entry's file before the source change it is meant to guard.
 """
 
 import contextlib
+import importlib.util
 import io
 import pathlib
 import sys
 
 import pytest
 
+from mzv import diagrams
 from mzv.cli import main
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent / "cli_corpus"
@@ -171,6 +173,26 @@ def run_stdout(argv):
 def test_cli_stdout_pinned(name):
     expected = (CORPUS_DIR / (name + ".out")).read_bytes()
     assert run_stdout(CORPUS[name]) == expected
+
+
+def test_corpus_files_are_the_corpus():
+    # --write never removes a file, so a renamed entry would leave its old
+    # pin behind, unread
+    assert sorted(p.stem for p in CORPUS_DIR.glob("*.out")) == sorted(CORPUS)
+
+
+def test_bench_tracer_finds_every_traced_name():
+    # the traced benchmark run wraps package functions by name and reads
+    # canonical_key's cache; a renamed or deleted one breaks only that run
+    path = CORPUS_DIR.parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    uninstall = tracing.install(tracing.Tracer())
+    try:
+        assert callable(diagrams.canonical_key.cache_info)
+    finally:
+        uninstall()
 
 
 if __name__ == "__main__":

@@ -536,14 +536,13 @@ def test_eval_combination_bound_covers_the_exact_propagation(monkeypatch):
         atoms.clear()
         pv = eval_combination(comb, 1e-12)
         with mp.workdps(60):
-            exact = mp.fsum(abs(mp.mpf(t.coefficient.numerator)
-                                / t.coefficient.denominator)
-                            * (mp.fprod(abs(atoms[f.sort_key].value)
-                                        + atoms[f.sort_key].bound
-                                        for f in t.factors)
-                               - mp.fprod(abs(atoms[f.sort_key].value)
-                                          for f in t.factors))
-                            for t in comb.terms)
+            exact = mp.mpf(0)
+            for t in comb.terms:
+                got = [atoms[f.sort_key] for f in t.factors]
+                hi = mp.fprod(abs(a.value) + a.bound for a in got)
+                lo = mp.fprod(abs(a.value) for a in got)
+                q = t.coefficient
+                exact += abs(mp.mpf(q.numerator) / q.denominator) * (hi - lo)
             assert pv.bound >= exact, (ident.parameters, pv.bound, exact)
 
 
