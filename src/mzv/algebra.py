@@ -10,7 +10,6 @@ combination is "regularized" while it still contains one).
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,43 +17,16 @@ from fractions import Fraction
 from .compositions import (Composition, composition, composition_from_json,
                            sort_key)
 
-LEFT = frozenset({1})
-RIGHT = frozenset({2})
-BOTH = frozenset({1, 2})
-
 # One bound for the caches holding an entry per word or diagram state:
 # numerics' _half_word_scale, _half_word_value and _midpoint_sum, and
 # diagrams' canonical_key and _branch_suffixes.  A verify stream touches a
 # few thousand (word, dps) pairs, and a miss costs well under a millisecond.
 CACHE_SIZE = 1 << 13
 
-# An interleaving pattern is a tuple over {LEFT, RIGHT, BOTH}: the slots of the
-# merged composition, each tagged with the operand(s) contributing to it.
-
-
-def interleavings(a1: int, a2: int, a12: int):
-    """All patterns with a1 left-only, a2 right-only and a12 merged slots."""
-    if min(a1, a2, a12) < 0:
-        raise ValueError("slot counts must be >= 0")
-    n = a1 + a2 + a12
-    out = set()
-    for left_pos in itertools.combinations(range(n), a1):
-        rest = [i for i in range(n) if i not in left_pos]
-        for right_pos in itertools.combinations(rest, a2):
-            slots = [BOTH] * n
-            for i in left_pos:
-                slots[i] = LEFT
-            for i in right_pos:
-                slots[i] = RIGHT
-            out.add(tuple(slots))
-    # The set's own order, which every caller's output order follows.
-    return tuple(out)
-
 
 # The quasi-shuffle of two operands depends on their part counts alone, so
 # each (m, n) pair is turned into index getters once and every stuffle with
-# those counts only picks parts; interleavings, called only from here, builds
-# each pattern set once per pair.  256 entries hold every pair of positive
+# those counts only picks parts.  256 entries hold every pair of positive
 # depths summing to at most 22, far more than a permutation system of up to
 # 9 symbols or a stuffle of total weight 11 asks for.  The getters of a pair
 # grow exponentially with m + n, so the bound keeps a long-lived process from
@@ -62,38 +34,30 @@ def interleavings(a1: int, a2: int, a12: int):
 @functools.lru_cache(maxsize=256)
 def stuffle_template(m: int, n: int):
     """The quasi-shuffle of m left parts with n right parts, as one getter
-    per term in the order of ``interleavings``.
+    per term, from Hoffman's recursion u*v = u1 (u'*v) + v1 (u*v') +
+    (u1 v1)(u'*v') on the positions of u and v.
 
     The getters index one tuple of parts: the m left parts, the n right
     parts, then left part i merged with right part j at m + n + i*n + j.
     Each returns the term's tuple of parts; a one-part term takes a slice,
-    since ``itemgetter`` of a single index returns the part itself.  A
-    pattern is recovered from its indices, so no term repeats here: a
-    multiplicity in a stuffle comes from equal parts in the operands.  The
-    terms come in blocks of a = 0, 1, ... merged parts; the a = 0 block, the
+    since ``itemgetter`` of a single index returns the part itself.  No
+    term repeats here: a multiplicity in a stuffle comes from equal parts
+    in the operands.  The terms come in blocks of a = 0, 1, ... merged
+    parts, each in lexicographic order of its indices; the a = 0 block, the
     first comb(m + n, m) getters, is the shuffle product, and its getters
     take only the m left and n right parts.
     """
-    template = []
-    for a in range(min(m, n) + 1):
-        for pattern in interleavings(m - a, n - a, a):
-            i = j = 0
-            slots = []
-            for slot in pattern:
-                if slot == LEFT:
-                    slots.append(i)
-                    i += 1
-                elif slot == RIGHT:
-                    slots.append(m + j)
-                    j += 1
-                else:
-                    slots.append(m + n + i * n + j)
-                    i += 1
-                    j += 1
-            if len(slots) == 1:
-                slots = [slice(slots[0], slots[0] + 1)]
-            template.append(operator.itemgetter(*slots))
-    return tuple(template)
+    def terms(i, j):
+        if i == m or j == n:
+            return [(*range(i, m), *range(m + j, m + n))]
+        return [(head, *tail)
+                for head, rest in ((i, (i + 1, j)), (m + j, (i, j + 1)),
+                                   (m + n + i * n + j, (i + 1, j + 1)))
+                for tail in terms(*rest)]
+
+    return tuple(operator.itemgetter(*t) if len(t) > 1
+                 else operator.itemgetter(slice(t[0], t[0] + 1))
+                 for t in sorted(terms(0, 0), key=lambda t: (-len(t), t)))
 
 
 @dataclass(frozen=True)

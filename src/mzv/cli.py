@@ -27,8 +27,8 @@ def _default_digits():
         digits = int(raw)
     except ValueError:
         raise ValueError("MZV_PRECISION_DIGITS must be an integer, got %r" % raw)
-    if digits < 1:
-        raise ValueError("MZV_PRECISION_DIGITS must be positive")
+    if not 1 <= digits <= 307:  # 1e-307 is the least normal power of ten
+        raise ValueError("MZV_PRECISION_DIGITS must be 1..307, got %r" % raw)
     return digits
 
 
@@ -94,7 +94,7 @@ def cmd_eval(args):
                else 10.0 ** (-_default_digits()))
         pv = numerics.eval_mzv_accel(c, eps)
         method = "accelerated"
-    supported = int(math.log10(max(1.0, abs(float(pv.value)) / pv.bound)))
+    supported = int(max(0, mp.log10(abs(pv.value)) - mp.log10(pv.bound)))
     if args.digits is not None and args.digits > supported:
         raise ValueError("--digits %d exceeds the %d digits that the bound "
                          "%.3e supports" % (args.digits, supported, pv.bound))

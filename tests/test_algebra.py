@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -17,15 +18,7 @@ from mzv import (
     stuffle,
     zeta,
 )
-from mzv.algebra import (
-    BOTH,
-    LEFT,
-    RIGHT,
-    ProductTerm,
-    ZetaCombination,
-    interleavings,
-    stuffle_template,
-)
+from mzv.algebra import ProductTerm, ZetaCombination, stuffle_template
 from mzv.compositions import Composition
 from mzv.linalg import (
     _split_row,
@@ -223,30 +216,33 @@ def test_json_round_trip():
     assert combination_from_json(comb.to_json()) == comb
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_interleavings_are_the_multinomial_patterns(n):
-    for a1 in range(n + 1):
-        for a2 in range(n + 1 - a1):
-            a12 = n - a1 - a2
-            patterns = interleavings(a1, a2, a12)
-            assert len(patterns) == math.factorial(n) // (
-                math.factorial(a1) * math.factorial(a2) * math.factorial(a12))
-            assert len(set(patterns)) == len(patterns)
-            for p in patterns:
-                assert (p.count(LEFT), p.count(RIGHT), p.count(BOTH)) == (
-                    a1, a2, a12)
-
-
-def _brute_quasi_shuffle(u, v):
+def _brute_quasi_shuffle(u, v, merge=lambda x, y: tuple(sorted(x + y))):
     """u * v = u1 (u' * v) + v1 (u * v') + (u1 v1)(u' * v'), as counts."""
     if not u or not v:
         return Counter([u + v])
     out = Counter()
     for head, rest in ((u[0], (u[1:], v)), (v[0], (u, v[1:])),
-                       (tuple(sorted(u[0] + v[0])), (u[1:], v[1:]))):
-        for comp, count in _brute_quasi_shuffle(*rest).items():
+                       (merge(u[0], v[0]), (u[1:], v[1:]))):
+        for comp, count in _brute_quasi_shuffle(*rest, merge).items():
             out[(head,) + comp] += count
     return out
+
+
+@pytest.mark.parametrize("m, n", itertools.product(range(1, 6), repeat=2))
+def test_stuffle_template_is_the_quasi_shuffle_in_blocks(m, n):
+    # each getter's index tuple: left part i, right part m + j, merged
+    # m + n + i*n + j
+    indices = tuple(range(m + n + m * n))
+    got = [take(indices) for take in stuffle_template(m, n)]
+    assert Counter(got) == _brute_quasi_shuffle(
+        indices[:m], indices[m:m + n], lambda i, mj: m + n + i * n + mj - m)
+    merges = [m + n - len(t) for t in got]
+    assert merges == sorted(merges)
+    for a in range(min(m, n) + 1):
+        block = [t for t in got if len(t) == m + n - a]
+        assert len(set(block)) == len(block) == math.factorial(m + n - a) // (
+            math.factorial(m - a) * math.factorial(n - a) * math.factorial(a))
+        assert block == sorted(block)
 
 
 def test_symbolic_stuffle_matches_the_recursive_definition():
@@ -257,36 +253,12 @@ def test_symbolic_stuffle_matches_the_recursive_definition():
             _brute_quasi_shuffle(u_comp, v_comp))
 
 
-# The slot walker the stuffle templates replaced, kept as their reference:
-# it fills one pattern of interleavings with the operands' parts.
-def _merge_parts(left_parts, right_parts, pattern, combine):
-    li = iter(left_parts)
-    ri = iter(right_parts)
-    out = []
-    for slot in pattern:
-        if slot == LEFT:
-            out.append(next(li))
-        elif slot == RIGHT:
-            out.append(next(ri))
-        else:
-            out.append(combine(next(li), next(ri)))
-    for leftover in (li, ri):
-        assert next(leftover, None) is None
-    return tuple(out)
-
-
-def _reference_patterns(m, n):
-    for a in range(min(m, n) + 1):
-        yield from interleavings(m - a, n - a, a)
-
-
 def _reference_symbolic_stuffle(left, right):
-    out = {}
-    for pattern in _reference_patterns(len(left), len(right)):
-        comp = _merge_parts(left, right, pattern,
-                            lambda x, y: tuple(sorted(x + y)))
-        out[comp] = out.get(comp, 0) + 1
-    return out
+    # the recursion walks the terms in the lexicographic order of their
+    # index tuples, and equal terms have equal length, so a stable sort by
+    # merge count puts each term where the template first gives it
+    return dict(sorted(_brute_quasi_shuffle(left, right).items(),
+                       key=lambda item: -len(item[0])))
 
 
 def _reference_split_row(u, v):
@@ -327,15 +299,14 @@ def test_symbolic_stuffle_of_multi_symbol_parts(left, right):
 
 def _reference_stuffle(left, right):
     def signed(c):
-        return [(p, c.sign(i)) for i, p in enumerate(c.parts)]
+        return tuple((p, c.sign(i)) for i, p in enumerate(c.parts))
 
-    terms = []
-    for pattern in _reference_patterns(left.depth, right.depth):
-        merged = _merge_parts(signed(left), signed(right), pattern,
-                              lambda x, y: (x[0] + y[0], x[1] * y[1]))
-        terms.append(ProductTerm(1, (Composition(
-            tuple(p for p, _ in merged), tuple(s for _, s in merged)),)))
-    return normalize(ZetaCombination(tuple(terms)))
+    merged = _brute_quasi_shuffle(signed(left), signed(right),
+                                  lambda x, y: (x[0] + y[0], x[1] * y[1]))
+    return normalize(ZetaCombination(tuple(
+        ProductTerm(count, (Composition(tuple(p for p, _ in comp),
+                                        tuple(s for _, s in comp)),))
+        for comp, count in merged.items())))
 
 
 signed_compositions = st.lists(
@@ -356,7 +327,7 @@ def test_stuffle_matches_the_merge_parts_reference(left, right):
 def test_stuffle_template_is_built_once_per_part_count_pair():
     template = stuffle_template(3, 2)
     assert stuffle_template(3, 2) is template
-    assert len(template) == len(tuple(_reference_patterns(3, 2)))
+    assert len(template) == 25  # the Delannoy number D(3, 2)
     # a one-part term is still a tuple of parts
     assert stuffle_template(1, 1)[-1](("x", "y", "xy")) == ("xy",)
 

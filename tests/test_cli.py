@@ -916,9 +916,21 @@ def test_mpmath_kernel_as_first_command(name):
     assert_first_command_matches_pin(name)
 
 
-def test_precision_environment_variable():
+def test_precision_environment_variable(monkeypatch):
     r = run_console("eval", "2,1", MZV_PRECISION_DIGITS="6")
     assert r.returncode == 0
     assert r.stdout == b"1.202056903\n"
     r = run_console("eval", "2,1", MZV_PRECISION_DIGITS="abc")
     assert r.returncode == 2
+    # 10.0 ** -400 is 0.0 and 1e-308 is subnormal: both refused by name
+    identity = json.dumps(derive("reflection", ["2", "3"]).to_json())
+    commands = ((["eval", "2"], None), (["verify", "-"], identity))
+    for digits in ("400", "308"):
+        monkeypatch.setenv("MZV_PRECISION_DIGITS", digits)
+        for argv, stdin in commands:
+            assert run(argv, stdin=stdin) == (2, "", (
+                "mzv: error: MZV_PRECISION_DIGITS must be 1..307, got %r\n"
+                % digits))
+    monkeypatch.setenv("MZV_PRECISION_DIGITS", "307")
+    for argv, stdin in commands:
+        assert run(argv, stdin=stdin)[0] == 0
