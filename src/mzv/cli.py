@@ -33,7 +33,7 @@ def _default_digits():
 
 
 def _positive_float(text):
-    """argparse type for accuracy targets: a positive finite number."""
+    """argparse type for accuracy targets: a finite number >= 1e-307."""
     try:
         value = float(text)
     except ValueError:
@@ -41,6 +41,9 @@ def _positive_float(text):
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             "must be a positive finite number, got %r" % text)
+    if value < 1e-307:  # below it an atom's share of eps underflows to 0.0
+        raise argparse.ArgumentTypeError(
+            "must be at least 1e-307, got %r" % text)
     return value
 
 

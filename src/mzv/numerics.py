@@ -8,11 +8,13 @@ splitting the iterated-integral word at the midpoint (the Hölder convolution
 with p = 2 of Borwein, Bradley, Broadhurst and Lisoněk).  The former reads
 1/n from one read-only row per process, built on first use for the largest
 truncation asked so far, and walks it in fixed blocks, so its other arrays do
-not grow with the truncation.  The latter takes signed words as unsigned ones
-(letters 0, 1, -1 and, on the dual half, 2), sums each half on fixed-point
-integer rows, one chain of inner rows shared by the suffixes of a word, and
-bounds their floor error along with the series tail; its value caches share
-one bounded LRU policy and its row caches are small bounded LRU caches too.
+not grow with the truncation; it sums the outer level with one dot product
+per block and stops walking once that sum is stationary.  The latter takes
+signed words as unsigned ones (letters 0, 1, -1 and, on the dual half, 2),
+sums each half on fixed-point integer rows, one chain of inner rows shared by
+the suffixes of a word, and bounds their floor error along with the series
+tail; its value caches share one bounded LRU policy and its row caches are
+small bounded LRU caches too.
 Identity verification always reports a residual with its propagated bound.
 mpmath too is imported on first use, so importing this module loads neither.
 """
@@ -60,15 +62,18 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
 
     Cost O(N m), walked in blocks of BLOCK indices.  Per block, the powers
     r^k of the parts are kept from one chain of K - 1 multiplications by
-    r = 1/n, K the largest part; each depth level, innermost first, then
-    copies its power, takes one product with the inner level's sums and one
-    cumulative sum, continuing from the sums that end the previous block.
-    Every element sees the longdouble roundings of one whole-row pass, in
-    the same order.  One 1/n row is shared by every call in the process,
-    built for the largest N asked so far (16 N bytes, 160 MB at
-    MAX_TRUNCATION); 1/n does not depend on N, so its prefix has the bits of
-    a row built for a smaller N.  Apart from it the working set is one
-    BLOCK-long row per distinct part above 1, and two more.
+    r = 1/n, K the largest part; each inner depth level, innermost first,
+    then copies its power, takes one product with the inner level's sums and
+    one cumulative sum, continuing from the sums that end the previous
+    block, and the outer level takes one sequential dot product.  The walk
+    stops once every term still to come is below a quarter ulp of the outer
+    sum; the tail bound is still that of N.  Every element sees the
+    longdouble roundings of one whole-row pass, in the same order.  One 1/n
+    row is shared by every call in the process, built for the largest N
+    asked so far (16 N bytes, 160 MB at MAX_TRUNCATION); 1/n does not
+    depend on N, so its prefix has the bits of a row built for a smaller N.
+    Apart from it the working set is one BLOCK-long row per distinct part
+    above 1, and two rows of BLOCK + 1.
     """
     global _reciprocals
     import numpy as np
@@ -87,10 +92,17 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
         _reciprocals = np.arange(1, N + 1, dtype=np.longdouble)
         np.divide(1, _reciprocals, out=_reciprocals)
         _reciprocals.flags.writeable = False
+    m, k1 = c.depth, c.parts[0]
     ks = sorted(set(c.parts) - {1})
     powers = np.empty((len(ks), BLOCK), dtype=np.longdouble)
-    rows = np.empty((2, BLOCK), dtype=np.longdouble)
-    last = [0] * c.depth    # each level's sum over the blocks done so far
+    # inner sums sit one slot right, leaving slot 0 of rows[1] to the outer
+    # level; at depth 1 that row is all ones
+    rows = np.empty((2, BLOCK + 1), dtype=np.longdouble)
+    rows[1] = inner_last = 1
+    # envelope (e + 1)^-k1 is twice any term past index e, as |inner sums|
+    # <= (1 + ln N)^(m-1); longdouble, to underflow no sooner than a spacing
+    envelope = 2 * np.longdouble(1 + math.log(N)) ** (m - 1)
+    last = [0] * m          # each level's sum over the blocks done so far
     for s in range(0, N, BLOCK):
         r = _reciprocals[s:min(s + BLOCK, N)]
         power, top = {1: r}, 1  # power[k] = r^k, one chain of products by r
@@ -101,23 +113,36 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
                     break
                 p *= r
             power[k], top = p, k
-        inner = None
-        for j in reversed(range(c.depth)):
-            x = rows[j % 2, :len(r)]
+        for j in reversed(range(1, m)):
+            x = rows[j % 2, 1:len(r) + 1]
             x[:] = power[c.parts[j]]
             if c.sign(j) == -1:
                 x[s % 2::2] *= -1        # odd n
-            if inner is not None:
+            if j < m - 1:
                 x[1:] *= inner[:-1]      # inner indices strictly below n
-                x[0] = x[0] * inner_last if s else 0
-            if s:
-                x[0] = last[j] + x[0]
+                x[0] *= inner_last       # 0 in the first block
+            x[0] += last[j]
             inner = np.cumsum(x, out=x)
             inner_last, last[j] = last[j], x[-1]
+        # outer level: [1, p_1, ...] . [last + p_0 inner_last, inner_0, ...]
+        # adds in order from 0, as the cumulative sum's last element does
+        a = power[k1]
+        if c.sign(0) == -1:
+            a = rows[0, :len(r)]
+            a[:] = power[k1]
+            a[s % 2::2] *= -1
+        b = rows[1, :len(r)]
+        b[0] = last[0] + a[0] * inner_last
+        a[0] = 1
+        last[0] = np.dot(a, b)
+        # stationary: each later term is below a quarter ulp of the sum, so
+        # it rounds back to it, a power of two included
+        e = s + len(r)
+        if e < N and (envelope * np.longdouble(e + 1) ** -k1
+                      < np.spacing(abs(last[0])) / 4):
+            break
     value = float(last[0])
 
-    m = c.depth
-    k1 = c.parts[0]
     if c.sign(0) == -1:
         # alternating outer sum: first-omitted-term bound
         tail = 2.0 * (1.0 + math.log(N + 1)) ** (m - 1) * (N + 1) ** (-k1)

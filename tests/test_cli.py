@@ -720,6 +720,29 @@ def test_eps_must_be_positive_and_finite(argv):
     assert "argument --eps: must be a positive finite number" in err.getvalue()
 
 
+# below 1e-307 the accelerated bound and an atom's share of eps underflowed
+# to 0.0, and the commands failed with float errors instead of a refusal
+@pytest.mark.parametrize("argv", [
+    ["eval", "2", "--eps", "1e-315"],
+    ["eval", "2", "--eps", "1e-308"],
+    ["verify", "-", "--eps", "1e-323"],
+    ["sweep", "stuffle", "--max-weight", "4", "--eps", "5e-324"],
+])
+def test_eps_below_the_least_normal_power_of_ten_is_refused(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert ("argument --eps: must be at least 1e-307, got %r" % argv[-1]
+            in err.getvalue())
+
+
+def test_eps_at_the_least_normal_power_of_ten_is_met():
+    identity = json.dumps(derive("permutation", ["2,1", "3"]).to_json())
+    assert run(["eval", "2", "--eps", "1e-307"])[0] == 0
+    assert run(["verify", "-", "--eps", "1e-307"], stdin=identity)[0] == 0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["eval", "2", "--trunc", "0"], "truncation too small"),
     (["eval", "2", "--trunc", "-5"], "truncation too small"),

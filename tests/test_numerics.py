@@ -68,7 +68,10 @@ def test_direct_matches_exact_truncated_sum(parts, signs, N):
 
 # float.hex of value and bound, "composition N value bound", written by the
 # whole-array evaluator; the sizes straddle 4096 and 16384 and reach 10^6.
-# The last line's part is far past the point where 1/n^k underflows.
+# The nine rows from "4 1000000" on were written by the blocked evaluator
+# while it still summed every block to the end; they pin the blocks at which
+# its walk may stop.  The last line's part is far past the point where 1/n^k
+# underflows.
 DIRECT_PINS = """
 2 2 0x1.4000000000000p+0 0x1.000000000232fp-1
 2 4095 0x1.a50a65a52dd28p+0 0x1.00100111a79a8p-12
@@ -190,6 +193,15 @@ DIRECT_PINS = """
 3,-1,2,1 65537 -0x1.df31e1ff1ecccp-10 0x1.f55bb8f8a0143p-23
 3,-1,2,1 100000 -0x1.df31e208ba469p-10 0x1.db5d5d8f2606fp-24
 3,-1,2,1 1000000 -0x1.df31e20fe3765p-10 0x1.efa27d95c894fp-30
+4 1000000 0x1.151322ac7d844p+0 0x1.19799e38fde70p-40
+6 1000000 0x1.0470984c09245p+0 0x1.19799812dea11p-40
+-5 1000000 -0x1.f1b9aebbbaa02p-1 0x1.19799812dea11p-40
+4,1 1000000 0x1.8b793aa8ba76fp-4 0x1.1979f53900229p-40
+5,2 1000000 0x1.3c01e62fb8643p-5 0x1.19799812e32ebp-40
+4,1,1 1000000 0x1.1e8dc2d7db0f6p-6 0x1.197f1bdb1614bp-40
+5,1,1 1000000 0x1.0e373b7c5722cp-8 0x1.19799813233edp-40
+-4,1 1000000 0x1.90e3101d3ceeap-5 0x1.1979981302736p-40
+3,-1 1000000 -0x1.61fcb48a6c7b8p-3 0x1.309e207c4b4b9p-37
 3000000 100 0x1.0000000000000p+0 0x1.19799812dea11p-40
 """
 
@@ -281,7 +293,8 @@ def test_direct_shared_row_matches_fresh_row(signed_parts, sizes):
 
 
 def test_direct_buffers_are_one_row_per_distinct_part(monkeypatch):
-    # a row per power up to the largest part would be 39 rows here
+    # a row per power up to the largest part would be 39 rows here; the two
+    # level rows have one slot more, where the outer level's dot starts
     sizes = []
 
     def recorded_empty(shape, dtype):
@@ -291,7 +304,39 @@ def test_direct_buffers_are_one_row_per_distinct_part(monkeypatch):
     monkeypatch.setattr(np, "empty", recorded_empty)
     c = composition(40, 2, 40)
     assert eval_mzv_direct(c, BLOCK + 1).value == fresh_row_direct(c, BLOCK + 1)
-    assert sum(sizes) == 4 * BLOCK
+    assert sum(sizes) == 4 * BLOCK + 2
+
+
+def test_longdouble_dot_adds_sequentially_like_cumsum():
+    # the direct evaluator's outer level is one dot per block and keeps the
+    # bits of a cumulative sum only if numpy's longdouble dot adds the
+    # products one by one from 0, in order
+    rng = np.random.default_rng(20261020)
+    for _ in range(200):
+        n = int(rng.integers(1, 3000))
+        a = rng.standard_normal(n).astype(np.longdouble) / np.arange(
+            1, n + 1, dtype=np.longdouble)
+        b = rng.standard_normal(n).astype(np.longdouble) * np.longdouble(
+            rng.random())
+        assert np.dot(a, b) == np.cumsum(a * b)[-1]
+
+
+@pytest.mark.parametrize("k, blocks", [(6, 1), (3, 62)])
+def test_direct_walk_stops_once_the_outer_sum_is_stationary(monkeypatch, k,
+                                                            blocks):
+    # one dot per block walked; 10^6 indices are 62 blocks
+    calls = []
+
+    def counted_dot(a, b):
+        calls.append(len(a))
+        return dot(a, b)
+
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", counted_dot)
+    pv = eval_mzv_direct(composition(k), 10 ** 6)
+    assert len(calls) == blocks
+    with mp.workdps(30):
+        assert abs(pv.value - mp.zeta(k)) <= pv.bound
 
 
 def test_direct_shared_row_is_read_only():
