@@ -10,6 +10,7 @@ combination is "regularized" while it still contains one).
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,12 @@ from .compositions import (Composition, composition, composition_from_json,
 # diagrams' canonical_key and _branch_suffixes.  A verify stream touches a
 # few thousand (word, dps) pairs, and a miss costs well under a millisecond.
 CACHE_SIZE = 1 << 13
+
+
+# Terms of one quasi-shuffle: `derive permutation` of 2^7 with 2^7 (D(7, 7) =
+# 48,639 terms) takes under half a second on a Xeon core, of 2^8 with 2^8
+# (265,729) about 2.5 s; no test, pin or bench input needs more than 1683.
+MAX_STUFFLE_TERMS = 1 << 16
 
 
 # The quasi-shuffle of two operands depends on their part counts alone, so
@@ -45,8 +52,17 @@ def stuffle_template(m: int, n: int):
     in the operands.  The terms come in blocks of a = 0, 1, ... merged
     parts, each in lexicographic order of its indices; the a = 0 block, the
     first comb(m + n, m) getters, is the shuffle product, and its getters
-    take only the m left and n right parts.
+    take only the m left and n right parts.  The count of terms, the
+    Delannoy number D(m, n) = sum_k C(m, k) C(n, k) 2^k, is checked against
+    MAX_STUFFLE_TERMS before any is built.
     """
+    count = sum(math.comb(m, k) * math.comb(n, k) << k
+                for k in range(min(m, n) + 1))
+    if count > MAX_STUFFLE_TERMS:
+        raise ValueError("the quasi-shuffle of %d parts with %d parts has %d "
+                         "terms, above the limit %d"
+                         % (m, n, count, MAX_STUFFLE_TERMS))
+
     def terms(i, j):
         if i == m or j == n:
             return [(*range(i, m), *range(m + j, m + n))]

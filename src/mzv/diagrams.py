@@ -523,6 +523,11 @@ def _connected_value(d: Diagram, steps) -> ZetaCombination:
 # it would run into Python's recursion limit.
 MAX_BRANCH_PARTS = 256
 
+# Terms of one state of the branch recursion: the shuffle of 2^7 with 2^7
+# makes 8192 in under half a second on a Xeon core, and each part more on
+# both sides quadruples them; no test, pin or bench input makes more than 255.
+MAX_BRANCH_TERMS = 1 << 14
+
 # Raw terms of one rightward expansion, by reduce or any rightward derive
 # family (2,1^8,8 makes 30,745, partial-int-3 2 1 3000 over four million);
 # the walk reaches the limit in about 0.4 s on a Xeon core.
@@ -571,6 +576,9 @@ def _branch_suffixes(B, C):
             for suf, c2 in tails:
                 key = (y * head,) + suf
                 items[key] = items.get(key, 0) + coeff * c2
+            if len(items) > MAX_BRANCH_TERMS:
+                raise ValueError("the branch recursion makes more than %d "
+                                 "terms in one state" % MAX_BRANCH_TERMS)
     return tuple(sorted(items.items()))
 
 

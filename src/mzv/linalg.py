@@ -7,15 +7,15 @@ lower-length sums produced by merging exponents are known quantities and sit
 in right-hand-side columns.  Rank therefore means: rank of the coefficient
 matrix over the unknown columns alone.  There the row of a split (u, v) is
 minus the shuffle product of u and v, so ``permutation_rank`` counts shuffle
-terms as ints and never builds the right-hand side, which only basis
-reduction needs.
+terms and never builds the right-hand side, which only basis reduction needs.
 
-One exact elimination serves both.  It is fraction-free: each row is
-integer numerators over one common denominator, kept coprime by a gcd
-rather than by Bareiss's exact division (Math. Comp. 22, 1968), and
-Fractions are made only for what ``row_reduce`` returns.  Basis reduction
-takes the reduced rows of ``row_reduce``; a rank takes the row echelon form
-of the distinct integer-scaled rows and counts its pivots.
+Rows hold ints, as ``algebra``'s coefficients do until something divides.
+One exact elimination serves every rank and basis reduction.  It is
+fraction-free: each row is integer numerators over one common denominator,
+kept coprime by a gcd rather than by Bareiss's exact division (Math. Comp.
+22, 1968), and Fractions are made only for what ``row_reduce`` returns.
+Basis reduction takes its reduced rows; every rank, through ``_rank``, the
+row echelon form of the rows normalized to coprime integers.
 """
 
 from __future__ import annotations
@@ -123,27 +123,19 @@ def ordered_splits(symbols):
                 yield u, v
 
 
-# Shared entries of the split rows: every row holds a 1 and mostly -1s.
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
-
-
 def _split_row(u, v):
     u_comp = tuple((s,) for s in u)
     v_comp = tuple((s,) for s in v)
-    row = {product_column((u_comp, v_comp)): _ONE}
-    counts = symbolic_stuffle(u_comp, v_comp)
-    entry = {c: _MINUS_ONE if c == 1 else Fraction(-c)
-             for c in set(counts.values())}
-    for comp, count in counts.items():
+    row = {product_column((u_comp, v_comp)): 1}
+    for comp, count in symbolic_stuffle(u_comp, v_comp).items():
         # the parts are tuples already: this is zeta_column(comp)
-        row["z", comp] = entry[count]
+        row["z", comp] = -count
     return row
 
 
 @dataclass
 class ExactMatrix:
-    """Sparse rows of exact rationals with hashable column keys.
+    """Sparse rows of exact rationals (int or Fraction) by hashable column.
 
     ``unknowns``, when set, names the columns the system is solved for;
     everything else is a right-hand-side column and is ignored by rank().
@@ -155,10 +147,7 @@ class ExactMatrix:
 
     @property
     def columns(self):
-        cols = set()
-        for r in self.rows:
-            cols.update(r)
-        return sorted(cols)
+        return sorted(set().union(*self.rows))
 
     @property
     def rhs_columns(self):
@@ -170,40 +159,46 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank over Q on the unknown columns (all columns if unset)."""
         columns = self.columns if self.unknowns is None else self.unknowns
-        index = {c: i for i, c in enumerate(columns)}
-        return _rank(_integer_rows(self.rows, index), len(columns))
+        return _rank(self.rows, {c: i for i, c in enumerate(columns)})
 
 
-def _integer_rows(rows, index):
-    """The distinct nonzero rows restricted to ``index``, each scaled to
-    coprime integers, as (column indices, values) in column order."""
+def _integer_row(row):
+    """(integer numerators, their common denominator) of a row; a row of
+    ints is returned as it is, over 1."""
+    if all(type(v) is int for v in row.values()):
+        return row, 1
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator)
+            for c, v in row.items()}, den
+
+
+def _rank(rows, index):
+    """Rank over Q of rows {column: int or Fraction} on the columns that
+    ``index`` maps to positions 0, 1, ...  Each row is restricted to them
+    and scaled to coprime integers, a row that repeats an earlier one is
+    dropped, and the pivots of a row echelon form are counted."""
     distinct = {}
     for r in rows:
-        items = sorted((index[c], v) for c, v in r.items() if c in index and v)
-        if not items:
-            continue
-        scale = math.lcm(*(v.denominator for _, v in items))
-        values = [v.numerator * (scale // v.denominator) for _, v in items]
-        g = math.gcd(*values)
-        distinct[tuple(i for i, _ in items), tuple(v // g for v in values)] = 0
-    return list(distinct)
-
-
-def _rank(distinct, ncols):
-    """Rank over Q of integer rows (column indices, values) on range(ncols)."""
-    rows = [dict(zip(cols, vals)) for cols, vals in distinct]
-    return len(_eliminate(rows, range(ncols), reduced=False)[0])
+        r = _integer_row({index[c]: v for c, v in r.items()
+                          if c in index and v})[0]
+        g = math.gcd(*r.values())
+        if g > 1:
+            r = {c: v // g for c, v in r.items()}
+        if r:
+            distinct.setdefault((tuple(r), tuple(r.values())), r)
+    return len(_eliminate(list(distinct.values()), range(len(index)),
+                          reduced=False)[0])
 
 
 def row_reduce(rows, columns):
-    """Gauss-Jordan elimination over Q of sparse rows {column: nonzero Fraction}.
+    """Gauss-Jordan elimination over Q of sparse rows {column: nonzero entry}.
 
     Columns are pivoted in the order given.  Each takes the shortest remaining
     row that holds it (the first one on ties), scaled so the pivot entry is 1,
     and is then cleared from every other row, earlier pivot rows included; a
     column that no remaining row holds gets no pivot.  Returns ({column: pivot
-    row}, the rows left without a pivot), with Fraction entries.  The input
-    rows are not mutated.
+    row}, the rows left without a pivot).  Entries go in as ints or Fractions
+    and come out as Fractions; the input rows are not mutated.
     """
     pivots, rest = _eliminate(rows, columns)
 
@@ -240,11 +235,7 @@ def _eliminate(rows, columns, reduced=True):
     it lets each column visit only those rows.  A pivot row stays in the
     index; with ``reduced`` false it is no longer updated, and skipped.
     """
-    work = []
-    for r in rows:
-        den = math.lcm(*(v.denominator for v in r.values()))
-        work.append([{c: v.numerator * (den // v.denominator)
-                      for c, v in r.items()}, den])
+    work = [[dict(r), den] for r, den in map(_integer_row, rows)]
     index = {c: set() for c in columns}
     for i, (r, _) in enumerate(work):
         for c in r:
@@ -336,14 +327,14 @@ def assemble_permutation_system(symbols) -> ExactMatrix:
     return ExactMatrix(rows, labels, unknowns=permutation_unknowns(symbols))
 
 
-def _shuffle_rows(symbols):
-    """(rows, unknown count) of the permutation system on its unknowns, the
-    rows as _integer_rows makes them of the assembled system.  There a
-    split's row is minus the shuffle product of its sides, since every term
-    with a merged part is shorter; row (v, u) repeats (u, v) and is skipped.
-    """
+def permutation_rank(symbols) -> int:
+    """Rank of the permutation system, without its right-hand side: on the
+    unknowns a split's row is minus the shuffle product of its sides, since
+    every term with a merged part is shorter.  Row (v, u) repeats (u, v)."""
+    check_system_size(symbols)
+    symbols = tuple(symbols)
     index = {p: i for i, p in enumerate(_distinct_permutations(symbols))}
-    rows = {}
+    rows = []
     built = set()
     for u, v in ordered_splits(symbols):
         if (v, u) in built:
@@ -352,16 +343,8 @@ def _shuffle_rows(symbols):
         uv = u + v
         shuffle = stuffle_template(len(u), len(v))[:math.comb(len(uv), len(u))]
         counts = Counter(index[take(uv)] for take in shuffle)
-        g = math.gcd(*counts.values())
-        cols = sorted(counts)
-        rows[tuple(cols), tuple(-(counts[c] // g) for c in cols)] = 0
-    return list(rows), len(index)
-
-
-def permutation_rank(symbols) -> int:
-    """Rank of the permutation system, without its right-hand side."""
-    check_system_size(symbols)
-    return _rank(*_shuffle_rows(tuple(symbols)))
+        rows.append({i: -count for i, count in counts.items()})
+    return _rank(rows, {i: i for i in range(len(index))})
 
 
 def permutation_system_size(symbols):
@@ -415,13 +398,8 @@ def reduce_to_basis(l: int) -> BasisReduction:
     basis = tuple(c[1] for c in mat.unknowns if c[1][0] == (symbols[0],))
 
     # row (v, u) repeats row (u, v); a repeated row only ever reduces to zero
-    seen = set()
-    distinct = []
-    for (u, v), r in zip(mat.row_labels, mat.rows):
-        if (v, u) not in seen:
-            seen.add((u, v))
-            distinct.append(r)
-    pivots, rest = row_reduce(distinct, pivot_cols)
+    distinct = {(tuple(r), tuple(r.values())): r for r in mat.rows}
+    pivots, rest = row_reduce(list(distinct.values()), pivot_cols)
     for col in pivot_cols:
         if col not in pivots:
             raise ArithmeticError("no pivot row for column %s" % (col,))

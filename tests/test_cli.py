@@ -1,10 +1,12 @@
 import argparse
+import ast
 import contextlib
 import importlib
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -638,6 +640,59 @@ def test_empty_sweep_is_refused(family, max_weight):
     assert "--max-weight %s leaves no %s identity" % (max_weight, family) in err
 
 
+@pytest.mark.parametrize("family, max_weight", [
+    ("stuffle", "14"), ("shuffle", "30"), ("partial-int", "1000")])
+def test_oversized_sweep_is_refused_before_enumerating(family, max_weight):
+    t0 = time.monotonic()
+    code, out, err = run(["sweep", family, "--max-weight", max_weight])
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "mzv: error: --max-weight %s is above the limit 13\n" % max_weight)
+
+
+def test_sweep_at_the_weight_limit_is_not_refused(monkeypatch):
+    # with nothing to enumerate, weight 13 gets as far as the empty sweep
+    monkeypatch.setattr(cli, "iter_admissible", lambda *args, **kw: iter(()))
+    code, _, err = run(["sweep", "partial-int", "--max-weight", "13"])
+    assert code == 2
+    assert "--max-weight 13 leaves no partial-int identity" in err
+
+
+def _twos(depth):
+    return ",".join(["2"] * depth)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["derive", "permutation", _twos(8), _twos(8)],
+     "the quasi-shuffle of 8 parts with 8 parts has 265729 terms, above the "
+     "limit 65536"),
+    (["derive", "permutation", _twos(9), _twos(9)],
+     "the quasi-shuffle of 9 parts with 9 parts has 1462563 terms, above the "
+     "limit 65536"),
+    (["derive", "shuffle", _twos(8), _twos(8)],
+     "the branch recursion makes more than 16384 terms in one state"),
+    (["derive", "shuffle", _twos(10), _twos(10)],
+     "the branch recursion makes more than 16384 terms in one state"),
+])
+def test_deep_products_are_refused_fast(argv, message):
+    t0 = time.monotonic()
+    code, out, err = run(argv)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "mzv: error: %s\n" % message
+
+
+@pytest.mark.parametrize("family", ["permutation", "shuffle"])
+def test_deep_products_below_the_limits_derive(family):
+    # 2^7 by 2^7: 48,639 quasi-shuffle terms, 8192 shuffle terms
+    code, out, _ = run(["derive", family, _twos(7), _twos(7)])
+    assert code == 0
+    assert out
+
+
 def _deep_command(family, parts):
     """A command whose branch recursion gets ``parts`` parts."""
     def ones(n):
@@ -832,6 +887,20 @@ def test_console_script_wiring():
     assert target == "mzv.cli:main"
     module, _, name = target.partition(":")
     assert getattr(importlib.import_module(module), name) is main
+
+
+def test_every_source_file_parses_at_the_python_floor():
+    # the floor that pyproject declares, read without tomllib (3.11+)
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      PYPROJECT.read_text(encoding="utf-8"))
+    version = tuple(map(int, floor.groups()))
+    assert version == (3, 10)
+    files = sorted(path for top in ("src", "tests", "bench")
+                   for path in (PYPROJECT.parent / top).rglob("*.py"))
+    assert len(files) >= 25
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=version)
 
 
 def test_console_script_pinned_example():

@@ -27,8 +27,6 @@ from mzv import (
 from mzv.algebra import ProductTerm, ZetaCombination
 from mzv.linalg import (
     _eliminate,
-    _integer_rows,
-    _shuffle_rows,
     _split_row,
     check_system_size,
     generic_symbols,
@@ -279,12 +277,12 @@ def test_three_point_identities_are_stuffle_consequences():
         assert expanded.is_zero(), (t, str(expanded))
 
 
-def test_rows_handed_to_row_reduce_hold_fractions():
-    # ExactMatrix rows are exact rationals, the Fraction entries that
-    # row_reduce's docstring asks for; its elimination would take ints too
+def test_rows_handed_to_row_reduce_hold_ints():
+    # the split rows hold plain ints, which row_reduce's docstring admits
+    # next to Fractions; nothing divides before the elimination
     rows = assemble_permutation_system("abc").rows
     values = [v for row in rows for v in row.values()]
-    assert values and all(type(v) is Fraction for v in values)
+    assert values and all(type(v) is int for v in values)
 
 
 def dense_rank(rows, columns):
@@ -590,7 +588,22 @@ def multiplicity_shapes(length):
             if not rest or rest[0] <= k]
 
 
-def test_shuffle_rows_are_the_assembled_rows_on_the_unknowns():
+def eliminated_rows(rank, monkeypatch):
+    """The rows, as item lists, that rank() hands to _eliminate; the
+    elimination itself is skipped."""
+    handed = []
+
+    def recorded_eliminate(rows, columns, reduced=True):
+        handed.extend(list(r.items()) for r in rows)
+        return {}, []
+
+    with monkeypatch.context() as m:
+        m.setattr(mzv.linalg, "_eliminate", recorded_eliminate)
+        rank()
+    return handed
+
+
+def test_shuffle_rows_are_the_assembled_rows_on_the_unknowns(monkeypatch):
     # equal rows go through the same elimination, so the ranks agree too;
     # the letter patterns hold every shape of at most three letters
     words = list(letter_patterns(6))
@@ -598,13 +611,16 @@ def test_shuffle_rows_are_the_assembled_rows_on_the_unknowns():
               for l in range(4, 7) for shape in multiplicity_shapes(l)
               if len(shape) > 3]
     assert len(words) == 1 + 2 + 5 + 14 + 41 + 122 + 7
+    compared = 0
     for symbols in words:
         mat = assemble_permutation_system(symbols)
-        index = {c: i for i, c in enumerate(mat.unknowns)}
-        assert _shuffle_rows(tuple(symbols)) == (
-            _integer_rows(mat.rows, index), len(mat.unknowns)), symbols
+        shuffle_rows = eliminated_rows(
+            lambda: permutation_rank(symbols), monkeypatch)
+        assert shuffle_rows == eliminated_rows(mat.rank, monkeypatch), symbols
+        compared += len(shuffle_rows)
         assert permutation_system_size(symbols) == (
             len(mat.rows), len(set().union(*mat.rows))), symbols
+    assert compared > len(words)
 
 
 def test_permutation_rank_is_one_echelon_form_without_assembly(

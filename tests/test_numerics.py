@@ -591,6 +591,44 @@ def test_eval_combination_bound_covers_the_exact_propagation(monkeypatch):
             assert pv.bound >= exact, (ident.parameters, pv.bound, exact)
 
 
+@pytest.mark.parametrize("dps", [30, 45])
+def test_midpoint_bound_covers_the_exact_propagation(dps):
+    # the bound is at least its halves' (value, bound) pairs propagated
+    # exactly, the sum over the splits of (|v1| + e1)(|v2| + e2) - |v1||v2|,
+    # plus its rounding term, short only by the float rounding of that sum
+    comps = [*iter_admissible(7), *signed_compositions(7)]
+    words = {to_word(c) for c in comps}
+    with mp.workdps(dps):
+        rounding = float(mp.mpf(10) ** (-(dps - 6)))
+    for word in sorted(words):
+        _, err = numerics._midpoint_sum(word, dps)
+        with mp.workdps(dps + 30):
+            exact = mp.mpf(rounding)
+            for j in range(len(word) + 1):
+                v1, e1, _ = numerics._half_word_value(word[j:], dps)
+                v2, e2, _ = numerics._half_word_value(
+                    tuple(1 - a for a in reversed(word[:j])), dps)
+                exact += (abs(v1) + e1) * (abs(v2) + e2) - abs(v1 * v2)
+            assert err >= exact * (1 - mp.mpf(2) ** -50), (word, err, exact)
+
+
+def test_propagator_bound_covers_the_full_series():
+    # the full series is (Cl_k cos + i Cl_k sin)(2 pi u) / (2 pi i)^k, with
+    # Cl_k cos(t) = sum cos(n t) / n^k and Cl_k sin(t) = sum sin(n t) / n^k
+    us = [Fraction(j, 12) for j in range(-11, 12)]
+    us += [Fraction(1, 7), Fraction(-3, 11)]
+    for k in range(2, 6):
+        for u in us:
+            with mp.workdps(50):
+                t = 2 * mp.pi * u.numerator / u.denominator
+                full = ((mp.clcos(k, t) + 1j * mp.clsin(k, t))
+                        / (2j * mp.pi) ** k)
+            for N in (1, 10, 100, 1000):
+                pv = eval_propagator(k, u, N)
+                with mp.workdps(50):
+                    assert abs(pv.value - full) <= pv.bound, (k, u, N)
+
+
 def test_verify_identity_report():
     rep = verify_identity(permutation_identity((2,), (3,)))
     assert rep["pass"] is True
