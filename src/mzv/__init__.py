@@ -9,6 +9,7 @@ from .algebra import (
     eliminate_divergent,
     normalize,
     one,
+    shuffle,
     stuffle,
     zeta,
 )
@@ -33,7 +34,6 @@ from .diagrams import (
     rewrite_partial_integration,
     rewrite_reverse_edge,
     rewrite_three_point,
-    shuffle_expansion,
 )
 from .identities import (
     FAMILIES,

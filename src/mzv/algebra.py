@@ -1,4 +1,4 @@
-"""Linear combinations of nested-sum products and the quasi-shuffle product.
+"""Linear combinations of nested-sum products; the stuffle and the shuffle.
 
 Values live in the free Q-module on formal products zeta(c1)*...*zeta(cr) of
 compositions.  Nothing here is numeric: a coefficient is whatever exact
@@ -10,18 +10,19 @@ combination is "regularized" while it still contains one).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compositions import (Composition, composition, composition_from_json,
-                           sort_key)
+from .compositions import (Composition, as_composition, composition,
+                           composition_from_json, sort_key)
 
 # One bound for the caches holding an entry per word or diagram state:
-# numerics' _half_word_scale, _half_word_value and _midpoint_sum, and
-# diagrams' canonical_key and _branch_suffixes.  A verify stream touches a
-# few thousand (word, dps) pairs, and a miss costs well under a millisecond.
+# numerics' _half_word_scale, _half_word_value and _midpoint_sum, diagrams'
+# canonical_key and the shuffle's _branch_suffixes.  A verify stream touches
+# a few thousand (word, dps) pairs, and a miss costs well under a millisecond.
 CACHE_SIZE = 1 << 13
 
 
@@ -250,6 +251,84 @@ def combination_from_json(obj) -> ZetaCombination:
         _add(acc, ((tuple(sorted(composition_from_json(f).sort_key
                                  for f in t["factors"])), coeff),))
     return _of(acc)
+
+
+# The branch recursion nests one call per branch part; beyond this many parts
+# it would run into Python's recursion limit.
+MAX_BRANCH_PARTS = 256
+
+# Terms of one state of the branch recursion: the shuffle of 2^7 with 2^7
+# makes 8192 in under half a second on a Xeon core, and each part more on
+# both sides quadruples them; no test, pin or bench input makes more than 255.
+MAX_BRANCH_TERMS = 1 << 14
+
+
+def _integration_exits(x, z):
+    """Iterated partial integration of exponents x and z against a raised edge.
+
+    Each step raises the edge by one unit taken from x, or from z with a minus
+    sign, until one of them runs out (z, if both start at zero).  Returns the
+    exits where z ran out, then those where x did, as (units left, units
+    raised, paths); a path to an exit is signed (-1) ** (units taken from z).
+    Callers: _branch_suffixes and diagrams._rightward_terms.
+    """
+    if z == 0:
+        return ((x, 0, 1),), ()
+    if x == 0:
+        return (), ((z, 0, 1),)
+    return (tuple((r, x + z - r, math.comb(x + z - r - 1, z - 1))
+                  for r in range(1, x + 1)),
+            tuple((s, x + z - s, math.comb(x + z - s - 1, x - 1))
+                  for s in range(1, z + 1)))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _branch_suffixes(B, C):
+    """Expansion of the double-branch state whose trunk ends in a zero label.
+
+    The state equals sum coeff * zeta(trunk . suffix) over the returned
+    (suffix, coefficient) pairs; the recursion integrates the trunk end by
+    parts against both branch heads and pushes the resulting zero label up
+    the branch whose head ran out.  A part is k*b, b = +-1 its word letter;
+    the new part takes the letter of the head that ran out.
+    """
+    if len(B) + len(C) > MAX_BRANCH_PARTS:
+        raise ValueError("the branch recursion takes at most %d parts, got %d"
+                         % (MAX_BRANCH_PARTS, len(B) + len(C)))
+    items = {}
+    exits = _integration_exits(abs(B[0]), abs(C[0]))
+    for (X, Y), side in zip(((B, C), (C, B)), exits):
+        x, y = (1 if X[0] > 0 else -1), (1 if Y[0] > 0 else -1)
+        for nu, head, coeff in side:
+            X2 = (x * nu,) + X[1:]
+            tails = _branch_suffixes(Y[1:], X2) if len(Y) > 1 else ((X2, 1),)
+            for suf, c2 in tails:
+                key = (y * head,) + suf
+                items[key] = items.get(key, 0) + coeff * c2
+            if len(items) > MAX_BRANCH_TERMS:
+                raise ValueError("the branch recursion makes more than %d "
+                                 "terms in one state" % MAX_BRANCH_TERMS)
+    return tuple(sorted(items.items()))
+
+
+def shuffle(left, right) -> ZetaCombination:
+    """Shuffle product of two nested sums read by as_composition: the
+    quasi-shuffle of their to_word words with no merge (Hoffman 1997)."""
+    return _of(_shuffle(*(as_composition(c).sort_key for c in (left, right))))
+
+
+def _shuffle(left, right) -> dict:
+    """shuffle on sort_keys, as a {term key: coefficient} dict.  Signed parts
+    enter the recursion as k_i * b_i, b_i = sigma_1...sigma_i the letter
+    ending its run in to_word; a suffix of such parts p_i leaves signed
+    sigma_i = sgn(p_i) * sgn(p_(i-1))."""
+    signed = -1 in left[3] + right[3]
+    L, R = (tuple(map(operator.mul, f[2], itertools.accumulate(
+        f[3], operator.mul))) if signed else f[2] for f in (left, right))
+    return {(sort_key(tuple(map(abs, suf)), tuple(
+        1 if p * q > 0 else -1 for q, p in zip((1,) + suf, suf)))
+        if signed else sort_key(suf),): c
+        for suf, c in _branch_suffixes(L, R) if c}
 
 
 # --- divergence elimination -------------------------------------------------

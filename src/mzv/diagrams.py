@@ -13,19 +13,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from operator import add
 
 from .algebra import (
     CACHE_SIZE,
     ZetaCombination,
+    _branch_suffixes,
+    _integration_exits,
     _of,
     eliminate_divergent,
     one,
+    shuffle as shuffle_expansion,  # the name bench/tracing.py traces
     zeta,
 )
-from .compositions import (Composition, as_composition, json_ints, sort_key,
-                           to_word)
+from .compositions import Composition, json_ints, sort_key
 
 
 class IrreducibleDiagramError(ValueError):
@@ -519,89 +520,10 @@ def _connected_value(d: Diagram, steps) -> ZetaCombination:
 
 # --- shuffle-structure reduction -------------------------------------------
 
-# The branch recursion nests one call per branch part; beyond this many parts
-# it would run into Python's recursion limit.
-MAX_BRANCH_PARTS = 256
-
-# Terms of one state of the branch recursion: the shuffle of 2^7 with 2^7
-# makes 8192 in under half a second on a Xeon core, and each part more on
-# both sides quadruples them; no test, pin or bench input makes more than 255.
-MAX_BRANCH_TERMS = 1 << 14
-
 # Raw terms of one rightward expansion, by reduce or any rightward derive
 # family (2,1^8,8 makes 30,745, partial-int-3 2 1 3000 over four million);
 # the walk reaches the limit in about 0.4 s on a Xeon core.
 MAX_RIGHTWARD_TERMS = 1 << 15
-
-
-def _integration_exits(x, z):
-    """Iterated partial integration of exponents x and z against a raised edge.
-
-    Each step raises the edge by one unit taken from x, or from z with a minus
-    sign, until one of them runs out (z, if both start at zero).  Returns the
-    exits where z ran out, then those where x did, as (units left, units
-    raised, paths); a path to an exit is signed (-1) ** (units taken from z).
-    Callers: _branch_suffixes and _rightward_terms.
-    """
-    if z == 0:
-        return ((x, 0, 1),), ()
-    if x == 0:
-        return (), ((z, 0, 1),)
-    return (tuple((r, x + z - r, comb(x + z - r - 1, z - 1))
-                  for r in range(1, x + 1)),
-            tuple((s, x + z - s, comb(x + z - s - 1, x - 1))
-                  for s in range(1, z + 1)))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _branch_suffixes(B, C):
-    """Expansion of the double-branch state whose trunk ends in a zero label.
-
-    The state equals sum coeff * zeta(trunk . suffix) over the returned
-    (suffix, coefficient) pairs; the recursion integrates the trunk end by
-    parts against both branch heads and pushes the resulting zero label up
-    the branch whose head ran out.  A part is k*b, b = +-1 its word letter;
-    the new part takes the letter of the head that ran out.
-    """
-    if len(B) + len(C) > MAX_BRANCH_PARTS:
-        raise ValueError("the branch recursion takes at most %d parts, got %d"
-                         % (MAX_BRANCH_PARTS, len(B) + len(C)))
-    items = {}
-    exits = _integration_exits(abs(B[0]), abs(C[0]))
-    for (X, Y), side in zip(((B, C), (C, B)), exits):
-        x, y = (1 if X[0] > 0 else -1), (1 if Y[0] > 0 else -1)
-        for nu, head, coeff in side:
-            X2 = (x * nu,) + X[1:]
-            tails = _branch_suffixes(Y[1:], X2) if len(Y) > 1 else ((X2, 1),)
-            for suf, c2 in tails:
-                key = (y * head,) + suf
-                items[key] = items.get(key, 0) + coeff * c2
-            if len(items) > MAX_BRANCH_TERMS:
-                raise ValueError("the branch recursion makes more than %d "
-                                 "terms in one state" % MAX_BRANCH_TERMS)
-    return tuple(sorted(items.items()))
-
-
-def _shuffle_terms(L, R) -> dict:
-    """The nonzero terms of zeta(L)*zeta(R) as {term key: coefficient}, the
-    parts of L and R entering as k_i * b_i, b_i = sigma_1...sigma_i the
-    letter ending its run in to_word; a suffix of such parts p_i leaves
-    signed sigma_i = sgn(p_i) * sgn(p_(i-1))."""
-    signed = min(L + R) < 0
-    return {(sort_key(tuple(map(abs, suf)), tuple(
-        1 if p * q > 0 else -1 for q, p in zip((1,) + suf, suf)))
-        if signed else sort_key(suf),): c
-        for suf, c in _branch_suffixes(L, R) if c}
-
-
-def shuffle_expansion(left, right) -> ZetaCombination:
-    """The product zeta(left)*zeta(right) expanded into single nested sums by
-    the double-branch recursion."""
-    L, R = (c.parts if c.signs is None else tuple(
-        k * b for k, b in zip(c.parts, filter(None, to_word(c))))
-        for c in map(as_composition, (left, right)))
-    return _of(_shuffle_terms(L, R))
-
 
 def _rebuilds(d: Diagram, order, built: Diagram) -> bool:
     """Whether d, its vertices numbered in the walk order given, is built."""

@@ -3,7 +3,7 @@
 Every emitter returns an Identity holding two combinations of equal value.
 The domain-splitting families (reflection, permutation) and the shuffle
 families (shuffle, leftward partial integration and trailing-one, all the
-diagrams module's double-branch recursion) take signed exponents.  The
+shuffle product of the algebra module) take signed exponents.  The
 rightward families (rightward partial integration, partial-int-2 and
 partial-int-3) are the diagrams module's rightward sweep on the chord reading
 of the seashell, or on reduce's reading for partial-int-3 rightward; these
@@ -21,8 +21,10 @@ from .algebra import (
     ZetaCombination,
     _add,
     _of,
+    _shuffle,
     combination_from_json,
     eliminate_divergent,
+    shuffle,
     stuffle,
     zeta,
 )
@@ -80,16 +82,21 @@ def reflection(a: int, b: int) -> Identity:
     )
 
 
-def permutation_identity(left, right) -> Identity:
-    """The quasi-shuffle product of two nested sums of any depth."""
+def _product_identity(family, product, left, right) -> Identity:
+    """zeta(left) zeta(right) = product(left, right), stuffle or shuffle."""
     left = as_composition(left)
     right = as_composition(right)
     return Identity(
-        family="permutation",
+        family=family,
         parameters={"left": left.to_json(), "right": right.to_json()},
         lhs=zeta(left) * zeta(right),
-        rhs=stuffle(left, right),
+        rhs=product(left, right),
     )
+
+
+def permutation_identity(left, right) -> Identity:
+    """The quasi-shuffle product of two nested sums of any depth."""
+    return _product_identity("permutation", stuffle, left, right)
 
 
 def three_point_identity(a: int, b: int, c: int) -> Identity:
@@ -117,14 +124,7 @@ def three_point_identity(a: int, b: int, c: int) -> Identity:
 def shuffle_identity(left, right) -> Identity:
     """zeta(left) zeta(right) expanded into single nested sums by repeated
     partial integration of a double-branch diagram."""
-    left = as_composition(left)
-    right = as_composition(right)
-    return Identity(
-        family="shuffle",
-        parameters={"left": left.to_json(), "right": right.to_json()},
-        lhs=zeta(left) * zeta(right),
-        rhs=diagrams.shuffle_expansion(left, right),
-    )
+    return _product_identity("shuffle", shuffle, left, right)
 
 
 # --- partial integration, generic depth ------------------------------------
@@ -159,7 +159,7 @@ def partial_integration(ks, variant: str = "rightward") -> Identity:
     elif variant == "leftward":
         head, tail = composition(ks[0]), composition(*ks[1:])
         lhs = zeta(head) * zeta(tail)
-        rhs = diagrams.shuffle_expansion(head, tail)
+        rhs = shuffle(head, tail)
     else:
         raise ValueError("variant must be rightward or leftward")
     return Identity(
@@ -191,7 +191,7 @@ def partial_integration_cross_check(ks) -> ZetaCombination:
         head, tail = k if k[0][1] == 1 else k[::-1]  # depth-1 factor first
         if head[1] != 1:
             raise ValueError("no single-sum factor in %s" % _of({k: v}))
-        _add(acc, diagrams._shuffle_terms(head[2], tail[2]).items(), v)
+        _add(acc, _shuffle(head, tail).items(), v)
     return _of(acc)
 
 
@@ -244,7 +244,7 @@ def trailing_one(x) -> Identity:
     if not x.admissible:
         raise ValueError("base composition must be admissible")
     target = composition(*x.to_json(), 1)
-    z = stuffle(Composition((1,)), x) - diagrams.shuffle_expansion((1,), x)
+    z = stuffle(Composition((1,)), x) - shuffle((1,), x)
     rest = dict(z._coeffs)
     coeff = rest.pop((target.sort_key,), 0)
     if coeff == 0:
@@ -297,6 +297,12 @@ def derive(family: str, args, variant: str = None) -> Identity:
 
 def identity_from_json(obj) -> Identity:
     """Rebuild an Identity from its to_json form."""
+    missing = [k for k in ("family", "lhs", "rhs") if k not in obj]
+    if missing and "diagram" in obj and "value" in obj:
+        raise TypeError("a reduce output holds a diagram and its value, not "
+                        "the lhs and rhs of an identity")
+    if missing:
+        raise TypeError("missing identity keys: %s" % ", ".join(missing))
     return Identity(
         family=obj["family"],
         parameters=obj.get("parameters", {}),

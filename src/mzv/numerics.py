@@ -350,7 +350,7 @@ def verify_identity(identity, eps: float = 1e-10) -> dict:
 def bernoulli_number(k: int) -> Fraction:
     """B_k as an exact rational (B_1 = -1/2 convention)."""
     if k < 0:
-        raise ValueError
+        raise ValueError("B_k needs k >= 0, got %d" % k)
     bs = [Fraction(1)]
     for m in range(1, k + 1):
         acc = Fraction(0)
@@ -398,6 +398,8 @@ def eval_propagator(k: int, u, N: int) -> PropagatorValue:
     import mpmath as mp
     if k < 2:
         raise ValueError("k >= 2 required for absolute convergence")
+    if N < 1:
+        raise ValueError("truncation N = %d is below 1" % N)
     if isinstance(u, float):
         # its exact value has denominator 2^54: one class, one expjpi per n
         raise TypeError("u must be an int or a Fraction, not %r" % u)

@@ -9,7 +9,7 @@ import collections
 import itertools
 from fractions import Fraction
 
-from mzv import composition
+from mzv import ProductTerm, ZetaCombination, composition, to_word
 
 
 def _as_comp(c):
@@ -93,6 +93,39 @@ def word_parts(word):
     if not parts or k != 1:
         raise ValueError("word must be nonempty and end in a nonzero letter")
     return parts
+
+
+def brute_quasi_shuffle(u, v, merge=lambda x, y: tuple(sorted(x + y))):
+    """u * v = u1 (u' * v) + v1 (u * v') + (u1 v1)(u' * v'), as counts; with
+    merge None the last term is dropped, which leaves the shuffle."""
+    if not u or not v:
+        return collections.Counter([u + v])
+    out = collections.Counter()
+    steps = [(u[0], (u[1:], v)), (v[0], (u, v[1:]))]
+    if merge:
+        steps.append((merge(u[0], v[0]), (u[1:], v[1:])))
+    for head, rest in steps:
+        for comp, count in brute_quasi_shuffle(*rest, merge).items():
+            out[(head,) + comp] += count
+    return out
+
+
+def word_composition(word):
+    """The composition of a word over {0, 1, -1}: part i is the run ending in
+    the letter b_i, with sign sigma_i = b_i * b_(i-1)."""
+    parts = word_parts(word)
+    return composition(*(k * b * a for (k, b), (_, a)
+                         in zip(parts, [(1, 1)] + parts)))
+
+
+def brute_shuffle(left, right):
+    """The shuffle of two signed compositions, given as tuples of signed ints:
+    the merge-free quasi-shuffle of their to_word words, each word read back
+    as a composition."""
+    words = brute_quasi_shuffle(to_word(composition(*left)),
+                                to_word(composition(*right)), None)
+    return ZetaCombination(tuple(ProductTerm(c, (word_composition(w),))
+                                 for w, c in words.items()))
 
 
 def brute_term(term, N=200):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_combination, brute_mzv, brute_mzv_exact
+import conftest
+from conftest import (all_compositions, brute_combination, brute_mzv,
+                      brute_mzv_exact, brute_quasi_shuffle, brute_shuffle)
 from mzv import (
     EliminationError,
     algebra,
@@ -18,7 +21,8 @@ from mzv import (
     stuffle,
     zeta,
 )
-from mzv.algebra import ProductTerm, ZetaCombination, stuffle_template
+from mzv.algebra import (CACHE_SIZE, ProductTerm, ZetaCombination,
+                         _integration_exits, shuffle, stuffle_template)
 from mzv.compositions import Composition
 from mzv.linalg import (
     _split_row,
@@ -216,25 +220,13 @@ def test_json_round_trip():
     assert combination_from_json(comb.to_json()) == comb
 
 
-def _brute_quasi_shuffle(u, v, merge=lambda x, y: tuple(sorted(x + y))):
-    """u * v = u1 (u' * v) + v1 (u * v') + (u1 v1)(u' * v'), as counts."""
-    if not u or not v:
-        return Counter([u + v])
-    out = Counter()
-    for head, rest in ((u[0], (u[1:], v)), (v[0], (u, v[1:])),
-                       (merge(u[0], v[0]), (u[1:], v[1:]))):
-        for comp, count in _brute_quasi_shuffle(*rest, merge).items():
-            out[(head,) + comp] += count
-    return out
-
-
 @pytest.mark.parametrize("m, n", itertools.product(range(1, 6), repeat=2))
 def test_stuffle_template_is_the_quasi_shuffle_in_blocks(m, n):
     # each getter's index tuple: left part i, right part m + j, merged
     # m + n + i*n + j
     indices = tuple(range(m + n + m * n))
     got = [take(indices) for take in stuffle_template(m, n)]
-    assert Counter(got) == _brute_quasi_shuffle(
+    assert Counter(got) == brute_quasi_shuffle(
         indices[:m], indices[m:m + n], lambda i, mj: m + n + i * n + mj - m)
     merges = [m + n - len(t) for t in got]
     assert merges == sorted(merges)
@@ -250,14 +242,14 @@ def test_symbolic_stuffle_matches_the_recursive_definition():
         u_comp = tuple((s,) for s in u)
         v_comp = tuple((s,) for s in v)
         assert symbolic_stuffle(u_comp, v_comp) == dict(
-            _brute_quasi_shuffle(u_comp, v_comp))
+            brute_quasi_shuffle(u_comp, v_comp))
 
 
 def _reference_symbolic_stuffle(left, right):
     # the recursion walks the terms in the lexicographic order of their
     # index tuples, and equal terms have equal length, so a stable sort by
     # merge count puts each term where the template first gives it
-    return dict(sorted(_brute_quasi_shuffle(left, right).items(),
+    return dict(sorted(brute_quasi_shuffle(left, right).items(),
                        key=lambda item: -len(item[0])))
 
 
@@ -301,8 +293,8 @@ def _reference_stuffle(left, right):
     def signed(c):
         return tuple((p, c.sign(i)) for i, p in enumerate(c.parts))
 
-    merged = _brute_quasi_shuffle(signed(left), signed(right),
-                                  lambda x, y: (x[0] + y[0], x[1] * y[1]))
+    merged = brute_quasi_shuffle(signed(left), signed(right),
+                                 lambda x, y: (x[0] + y[0], x[1] * y[1]))
     return normalize(ZetaCombination(tuple(
         ProductTerm(count, (Composition(tuple(p for p, _ in comp),
                                         tuple(s for _, s in comp)),))
@@ -330,6 +322,70 @@ def test_stuffle_template_is_built_once_per_part_count_pair():
     assert len(template) == 25  # the Delannoy number D(3, 2)
     # a one-part term is still a tuple of parts
     assert stuffle_template(1, 1)[-1](("x", "y", "xy")) == ("xy",)
+
+
+# --- the shuffle product ----------------------------------------------------
+
+def test_shuffle_is_the_word_shuffle():
+    comps = all_compositions(8)
+    pairs = [(u, v) for u in comps for v in comps if sum(u) + sum(v) <= 8]
+    assert len(pairs) == 769
+    signed = conftest.signed_compositions(6)
+    signed_pairs = [(u, v) for u in signed for v in signed
+                    if min(u + v) < 0 and sum(map(abs, u + v)) <= 6]
+    assert len(signed_pairs) == 2059
+    for u, v in pairs + signed_pairs:
+        assert shuffle(u, v) == brute_shuffle(u, v), (u, v)
+
+
+@pytest.mark.parametrize("left, right", [
+    ((2,), (2,) + (1,) * 255),
+    (composition(-2), (2,) + (-1,) * 255),
+])
+def test_branch_recursion_refuses_more_than_256_parts(left, right):
+    t0 = time.monotonic()
+    with pytest.raises(ValueError) as exc:
+        shuffle(left, right)
+    assert time.monotonic() - t0 < 0.5
+    assert str(exc.value) == (
+        "the branch recursion takes at most 256 parts, got 257")
+
+
+def test_branch_recursion_cache_takes_the_shared_bound():
+    assert algebra._branch_suffixes.cache_info().maxsize == CACHE_SIZE
+
+
+def walk_end_states(x, z):
+    """The per-path partial-integration walk the rightward sweep once ran.
+
+    Each path moves one unit from x, or with a minus sign from z, onto the
+    raised edge y until one of them runs out (z, if both start at zero);
+    returns the signed number of paths reaching each end state.
+    """
+    ends = Counter()
+    stack = [(1, x, 0, z)]
+    while stack:
+        cf, x, y, z = stack.pop()
+        if z == 0:
+            ends["z spent", x, y] += cf
+        elif x == 0:
+            ends["x spent", z, y] += cf
+        else:
+            stack.append((cf, x - 1, y + 1, z))
+            stack.append((-cf, x, y + 1, z - 1))
+    return ends
+
+
+def test_integration_exits_sum_the_walk():
+    for x in range(9):
+        for z in range(9):
+            spent_z, spent_x = _integration_exits(x, z)
+            exits = {("z spent", r, moved): (-1) ** z * n
+                     for r, moved, n in spent_z}
+            exits.update({("x spent", s, moved): (-1) ** (z - s) * n
+                          for s, moved, n in spent_x})
+            assert len(exits) == len(spent_z) + len(spent_x)
+            assert exits == walk_end_states(x, z), (x, z)
 
 
 # --- the combination against the sorting normalize it replaced --------------

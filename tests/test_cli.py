@@ -19,7 +19,7 @@ from mzv import (
     derive,
     normalize,
     one,
-    shuffle_expansion,
+    shuffle,
     zeta,
 )
 from mzv import cli
@@ -429,6 +429,21 @@ def test_malformed_json_file_is_an_input_error(tmp_path, argv, payload):
     assert "mzv: error: malformed %s file" % what in err
 
 
+@pytest.mark.parametrize("source, error", [
+    # a reduce output piped into verify
+    (["reduce", "--seashell", "2,2,2", "--json"],
+     "a reduce output holds a diagram and its value, not the lhs and rhs of "
+     "an identity"),
+    ({"family": "x", "lhs": []}, "missing identity keys: rhs"),
+    ({"value": [], "rhs": []}, "missing identity keys: family, lhs"),
+])
+def test_verify_names_what_its_file_lacks(source, error):
+    stdin = (run(source)[1] if isinstance(source, list)
+             else json.dumps(source))
+    assert run(["verify", "-"], stdin=stdin) == (
+        2, "", "mzv: error: malformed identity file: %r\n" % TypeError(error))
+
+
 def test_reduce_seashell_human():
     code, out, _ = run(["reduce", "--seashell", "2,1"])
     assert code == 0
@@ -496,7 +511,7 @@ def test_reduce_peacock_shuffle():
     code, out, _ = run(["reduce", "--peacock", "0", "2", "2",
                         "--strategy", "shuffle"])
     assert code == 0
-    assert out == "%s\n" % shuffle_expansion((2,), (2,))
+    assert out == "%s\n" % shuffle((2,), (2,))
 
 
 def test_reduce_json_file_round_trip(tmp_path):
@@ -901,6 +916,33 @@ def test_every_source_file_parses_at_the_python_floor():
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=version)
+
+
+# The package's layers, lowest first.  A module imports only from layers
+# below its own, so algebra and linalg never reach diagrams.
+LAYERS = (("compositions",), ("algebra",), ("diagrams", "linalg", "numerics"),
+          ("identities",), ("cli",), ("__init__", "__main__"))
+
+
+def package_imports(path):
+    """The mzv modules that a source file imports, at any depth in it."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "mzv" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            yield from ([node.module] if node.module
+                        else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "mzv", path
+
+
+def test_package_imports_follow_the_layers():
+    rank = {m: i for i, layer in enumerate(LAYERS) for m in layer}
+    files = sorted((SOURCE_ROOT / "mzv").glob("*.py"))
+    assert [p.stem for p in files] == sorted(rank)
+    for path in files:
+        for module in package_imports(path):
+            assert rank[module] < rank[path.stem], (path.stem, module)
 
 
 def test_console_script_pinned_example():

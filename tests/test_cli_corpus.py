@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from mzv import diagrams
+from mzv import cli, diagrams
 from mzv.cli import main
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent / "cli_corpus"
@@ -188,9 +188,15 @@ def test_bench_tracer_finds_every_traced_name():
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    uninstall = tracing.install(tracing.Tracer())
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
     try:
         assert callable(diagrams.canonical_key.cache_info)
+        # the shuffle is traced under its diagrams name and called under its
+        # algebra one: both names must hold the one wrapper
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["derive", "shuffle", "2", "3"]) == 0
+        assert tracer.stats["diagrams.shuffle_expansion"]["calls"] == 1
     finally:
         uninstall()
 

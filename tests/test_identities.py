@@ -26,6 +26,7 @@ from mzv import (
     partial_integration_length3,
     permutation_identity,
     reflection,
+    shuffle,
     shuffle_identity,
     stuffle,
     three_point_identity,
@@ -321,7 +322,7 @@ def test_trailing_one_is_hoffmans_relation():
     # of zeta(x, 1) there
     for x in iter_admissible(9):
         hoffman = normalize(stuffle(composition(1), x)
-                            - diagrams.shuffle_expansion((1,), x))
+                            - shuffle((1,), x))
         coeff = dict((t.factors, t.coefficient) for t in hoffman.terms)[
             (composition(*x.parts, 1),)]
         assert trailing_one(x).combination.scaled(coeff) == hoffman, x

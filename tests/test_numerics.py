@@ -697,6 +697,11 @@ def test_bernoulli_numbers():
         0, Fraction(1, 42), 0, Fraction(-1, 30)]
 
 
+def test_bernoulli_number_refuses_a_negative_index():
+    with pytest.raises(ValueError, match=r"^B_k needs k >= 0, got -1$"):
+        bernoulli_number(-1)
+
+
 def test_bernoulli_polynomials():
     x = Fraction(1, 4)
     assert bernoulli_polynomial(2, x) == x * x - x + Fraction(1, 6)
@@ -754,6 +759,14 @@ def test_propagator_matches_literal_loop(u):
             pv = eval_propagator(k, u, N)
             with mp.workdps(50):
                 assert abs(pv.value - literal_propagator(k, u, N)) <= 1e-35
+
+
+@pytest.mark.parametrize("N", [0, -5])
+def test_propagator_refuses_a_truncation_below_one(N):
+    # below 1 the partial sum is empty and the tail bound has no meaning
+    with pytest.raises(ValueError, match=r"^truncation N = %d is below 1$"
+                       % N):
+        eval_propagator(2, Fraction(1, 3), N)
 
 
 def test_propagator_refuses_float_u():
