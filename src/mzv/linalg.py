@@ -8,6 +8,8 @@ in right-hand-side columns.  Rank therefore means: rank of the coefficient
 matrix over the unknown columns alone.  There the row of a split (u, v) is
 minus the shuffle product of u and v, so ``permutation_rank`` counts shuffle
 terms and never builds the right-hand side, which only basis reduction needs.
+The shuffle algebra is free on the Lyndon words (Radford, J. Algebra 58,
+1979), so that rank is l! / prod m_i! less Witt's count of Lyndon words.
 
 Rows hold ints, as ``algebra``'s coefficients do until something divides.
 One exact elimination serves every rank and basis reduction.  It is
@@ -47,12 +49,16 @@ def check_system_size(symbols):
     if len(symbols) > MAX_SYMBOLS:
         raise ValueError("permutation system has %d symbols, above the limit %d"
                          % (len(symbols), MAX_SYMBOLS))
-    n = math.factorial(len(symbols))
-    for m in Counter(symbols).values():
-        n //= math.factorial(m)
+    n = _permutation_count(Counter(symbols).values())
     if n > MAX_UNKNOWNS:
         raise ValueError("permutation system has %d unknowns, above the limit %d"
                          % (n, MAX_UNKNOWNS))
+
+
+def _permutation_count(multiplicities):
+    """The distinct permutations of a multiset, n! / prod m_i!."""
+    return (math.factorial(sum(multiplicities))
+            // math.prod(map(math.factorial, multiplicities)))
 
 
 def generic_symbols(l: int):
@@ -333,7 +339,10 @@ def permutation_rank(symbols) -> int:
     every term with a merged part is shorter.  Row (v, u) repeats (u, v)."""
     check_system_size(symbols)
     symbols = tuple(symbols)
+    n = len(symbols)
     index = {p: i for i, p in enumerate(_distinct_permutations(symbols))}
+    shuffles = [stuffle_template(k, n - k)[:math.comb(n, k)]
+                for k in range(1, n)]
     rows = []
     built = set()
     for u, v in ordered_splits(symbols):
@@ -341,32 +350,46 @@ def permutation_rank(symbols) -> int:
             continue
         built.add((u, v))
         uv = u + v
-        shuffle = stuffle_template(len(u), len(v))[:math.comb(len(uv), len(u))]
-        counts = Counter(index[take(uv)] for take in shuffle)
-        rows.append({i: -count for i, count in counts.items()})
+        row = {}
+        for take in shuffles[len(u) - 1]:
+            i = index[take(uv)]
+            row[i] = row.get(i, 0) - 1
+        rows.append(row)
     return _rank(rows, {i: i for i in range(len(index))})
 
 
+@functools.lru_cache(maxsize=256)
+def _sequences(shape):
+    """The sequences of sorted parts of one or two symbols that use up a
+    multiset of the sorted multiplicities ``shape``."""
+    if not shape:
+        return 1
+    symbols = range(len(shape))
+    parts = [(s,) for s in symbols] + [(s, t) for s in symbols
+                                       for t in symbols[s:]
+                                       if s < t or shape[s] > 1]
+    rests = ([m - p.count(s) for s, m in enumerate(shape)] for p in parts)
+    return sum(_sequences(tuple(sorted(filter(None, r)))) for r in rests)
+
+
 def permutation_system_size(symbols):
-    """(rows, columns) of assemble_permutation_system(symbols), counted: a
-    row per ordered split (u, v), a product column per pair {u, v} and a
-    column per sequence of sorted parts of one or two symbols that uses the
-    symbols up.  Each such sequence is in some row if there is one: u takes
-    its 1-parts and the first symbols of its 2-parts, v the second symbols;
-    a permutation is in the shuffle of its first symbol with the rest.
-    """
-    splits = list(ordered_splits(symbols))
-    if not splits:
+    """(rows, columns) of assemble_permutation_system(symbols), counted from
+    the symbol multiplicities m_i: a row per ordered split (u, v), that is
+    per distinct permutation uv cut after one of its first n - 1 symbols; a
+    product column per pair {u, v}, the twins (u, u) being the permutations
+    of the half multiset if every m_i is even; a column per sequence of
+    sorted parts of one or two symbols that uses the symbols up.  Each such
+    sequence is in some row: u takes its 1-parts and the first symbols of
+    its 2-parts, v the second; a permutation is in the shuffle of its first
+    symbol with the rest."""
+    shape = tuple(sorted(Counter(symbols).values()))
+    n = len(symbols)
+    if n < 2:
         return 0, 0
-
-    @functools.cache
-    def sequences(rest):
-        firsts = {p for k in (1, 2) for p in itertools.combinations(rest, k)}
-        return sum(sequences(tuple((Counter(rest) - Counter(p)).elements()))
-                   for p in firsts) if rest else 1
-
-    products = len({frozenset(split) for split in splits})
-    return len(splits), products + sequences(tuple(sorted(symbols)))
+    rows = (n - 1) * _permutation_count(shape)
+    twins = (_permutation_count([m // 2 for m in shape])
+             if all(m % 2 == 0 for m in shape) else 0)
+    return rows, (rows + twins) // 2 + _sequences(shape)
 
 
 @dataclass

@@ -80,7 +80,7 @@ def eval_mzv_direct(c: Composition, N: int) -> PrecisionValue:
     if not c.admissible:
         raise ValueError("divergent composition %s" % c)
     if N < 2:
-        raise ValueError("truncation too small")
+        raise ValueError("truncation N = %d is below 2" % N)
     if N > MAX_TRUNCATION:
         raise ValueError("truncation N = %d exceeds the limit %d"
                          % (N, MAX_TRUNCATION))

@@ -814,8 +814,8 @@ def test_eps_at_the_least_normal_power_of_ten_is_met():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["eval", "2", "--trunc", "0"], "truncation too small"),
-    (["eval", "2", "--trunc", "-5"], "truncation too small"),
+    (["eval", "2", "--trunc", "0"], "truncation N = 0 is below 2"),
+    (["eval", "2", "--trunc", "-5"], "truncation N = -5 is below 2"),
     (["eval", "2", "--digits", "0"], "--digits must be positive"),
     (["eval", "2", "--digits", "-3"], "--digits must be positive"),
 ])

@@ -34,6 +34,12 @@ CORPUS = {
     "rank-pattern-aabbcd": ["rank", "--pattern", "a,a,b,b,c,d", "--json"],
     "rank-pattern-aabbcc": ["rank", "--pattern", "a,a,b,b,c,c", "--json"],
     "rank-pattern-abcdee": ["rank", "--pattern", "a,b,c,d,e,e", "--json"],
+    "rank-length-6": ["rank", "--length", "6", "--json"],
+    # past six symbols: a degenerate system of 210 unknowns, and nine equal
+    # symbols, one unknown
+    "rank-pattern-aabbbcc": ["rank", "--pattern", "a,a,b,b,b,c,c", "--json"],
+    "rank-pattern-aaaaaaaaa": [
+        "rank", "--pattern", "a,a,a,a,a,a,a,a,a", "--json"],
     "rank-length-4-text": ["rank", "--length", "4"],
     **{
         "reduce-seashell-%s-%s" % (comp.replace(",", ""), strategy): [

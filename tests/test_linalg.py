@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import itertools
 import math
@@ -6,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from mzv import (
 )
 from mzv.algebra import ProductTerm, ZetaCombination
 from mzv.linalg import (
+    MAX_UNKNOWNS,
     _eliminate,
     _split_row,
     check_system_size,
@@ -646,3 +649,89 @@ def test_permutation_rank_is_one_echelon_form_without_assembly(
         assert permutation_rank(symbols) == rank, symbols
     # one row echelon form per system, from the shuffle rows alone
     assert eliminated == [False] * len(BENCHMARK_SHAPES)
+
+
+def permutation_count(shape):
+    """n! / prod m_i!: the distinct words with the multiplicities shape."""
+    count = math.factorial(sum(shape))
+    for m in shape:
+        count //= math.factorial(m)
+    return count
+
+
+def shape_symbols(shape):
+    return "".join(s * m for s, m in zip("abcdefghi", shape))
+
+
+def mobius(d):
+    mu, p = 1, 2
+    while d > 1:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
+
+
+def lyndon_count(shape):
+    """Witt's count of the Lyndon words with the multiplicities shape,
+    (1/n) sum over d | gcd(shape) of mu(d) (n/d)! / prod (m_i/d)!."""
+    g = math.gcd(*shape)
+    total = sum(mobius(d) * permutation_count([m // d for m in shape])
+                for d in range(1, g + 1) if g % d == 0)
+    assert total % sum(shape) == 0
+    return total // sum(shape)
+
+
+def test_rank_is_the_count_of_words_that_are_not_lyndon():
+    # The shuffle algebra over Q is free on the Lyndon words (Radford, J.
+    # Algebra 58, 1979): the shuffle products u * v of the splits span
+    # every word of the content but one per Lyndon word.
+    shapes = [shape for l in range(1, 7) for shape in multiplicity_shapes(l)]
+    shapes += [shape for l in range(7, 10) for shape in multiplicity_shapes(l)
+               if permutation_count(shape) <= 200]
+    assert len(shapes) == 49
+    for shape in shapes:
+        assert permutation_rank(shape_symbols(shape)) == (
+            permutation_count(shape) - lyndon_count(shape)), shape
+
+
+def enumerated_system_size(symbols):
+    """permutation_system_size as it once ran: every ordered split walked,
+    its pairs {u, v} collected, and the sequences of one- and two-symbol
+    parts counted by a recursion on the remaining symbols."""
+    splits = list(ordered_splits(symbols))
+    if not splits:
+        return 0, 0
+
+    @functools.cache
+    def sequences(rest):
+        firsts = {p for k in (1, 2) for p in itertools.combinations(rest, k)}
+        return sum(sequences(tuple((Counter(rest) - Counter(p)).elements()))
+                   for p in firsts) if rest else 1
+
+    products = len({frozenset(split) for split in splits})
+    return len(splits), products + sequences(tuple(sorted(symbols)))
+
+
+def test_system_size_counts_what_the_splits_enumerate():
+    shapes = [shape for l in range(10) for shape in multiplicity_shapes(l)
+              if permutation_count(shape) <= MAX_UNKNOWNS]
+    assert len(shapes) == 62
+    for shape in shapes:
+        symbols = shape_symbols(shape)
+        assert permutation_system_size(symbols) == (
+            enumerated_system_size(symbols)), shape
+
+
+def test_system_size_enumerates_no_split_or_permutation(monkeypatch):
+    def no_enumeration(symbols):
+        raise AssertionError("symbols enumerated")
+
+    monkeypatch.setattr(mzv.linalg, "ordered_splits", no_enumeration)
+    monkeypatch.setattr(mzv.linalg, "_distinct_permutations", no_enumeration)
+    # 8! unknowns, far above MAX_UNKNOWNS: no system this size is built
+    assert permutation_system_size(tuple("abcdefgh")) == (282240, 526680)
+    assert permutation_system_size("aaaabbbbc") == (5040, 16725)

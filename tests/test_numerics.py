@@ -254,6 +254,13 @@ def test_direct_refuses_oversized_truncation_before_allocating(monkeypatch):
     assert numerics._reciprocals is None
 
 
+@pytest.mark.parametrize("N", [1, 0, -5])
+def test_direct_refuses_a_truncation_below_two(N):
+    with pytest.raises(ValueError, match=r"^truncation N = %d is below 2$"
+                       % N):
+        eval_mzv_direct(composition(2), N)
+
+
 # The whole-array loop on a fresh 1/n row, kept as the reference of the
 # blocked loop on the shared row: the same longdouble operations in the same
 # order, so values must match bitwise.
